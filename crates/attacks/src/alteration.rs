@@ -7,6 +7,7 @@ use medshield_relation::{Table, Value};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 /// The Subset Alteration attack.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,33 +37,29 @@ impl Attack for SubsetAlteration {
             None => table.schema().quasi_names().into_iter().map(String::from).collect(),
         };
         // Pool of replacement values per column: whatever already occurs in
-        // the column (the attacker wants the data to stay plausible).
-        let pools: Vec<Vec<Value>> = columns
+        // the column (the attacker wants the data to stay plausible). A
+        // column the schema lacks has no pool and is left alone.
+        let pools: Vec<(usize, Vec<Value>)> = columns
             .iter()
-            .map(|c| {
-                let mut distinct: Vec<Value> = attacked
-                    .column_values(c)
-                    .map(|vs| vs.into_iter().collect::<std::collections::BTreeSet<_>>())
-                    .unwrap_or_default()
-                    .into_iter()
-                    .collect();
-                distinct.sort();
-                distinct
+            .filter_map(|c| {
+                let index = table.schema().index_of(c).ok()?;
+                let distinct: BTreeSet<Value> = table.column_values(c).ok()?.into_iter().collect();
+                Some((index, distinct.into_iter().collect()))
             })
             .collect();
 
-        let mut ids = attacked.ids();
-        ids.shuffle(&mut rng);
-        let victims = ((ids.len() as f64) * self.fraction).round() as usize;
-        for id in ids.into_iter().take(victims) {
-            for (col, pool) in columns.iter().zip(pools.iter()) {
+        let mut rows: Vec<usize> = (0..table.len()).collect();
+        rows.shuffle(&mut rng);
+        let victims = ((rows.len() as f64) * self.fraction).round() as usize;
+        for row in rows.into_iter().take(victims) {
+            for (index, pool) in &pools {
                 if pool.is_empty() {
                     continue;
                 }
-                let replacement = pool[rng.gen_range(0..pool.len())].clone();
+                let replacement = &pool[rng.gen_range(0..pool.len())];
                 attacked
-                    .set_value(id, col, replacement)
-                    .expect("column and id exist in the snapshot");
+                    .set_at(row, *index, replacement)
+                    .expect("row and column exist in the snapshot");
             }
         }
         attacked

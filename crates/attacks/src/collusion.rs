@@ -48,8 +48,9 @@ impl Attack for CollusionAttack {
         let mut attacked = table.snapshot();
         let columns: Vec<String> =
             table.schema().quasi_names().into_iter().map(String::from).collect();
-        let ids = attacked.ids();
+        let rows = table.len();
         for col in &columns {
+            let Ok(index) = table.schema().index_of(col) else { continue };
             // The column of every aligned copy, in row order.
             let mut votes: Vec<Vec<Value>> = Vec::new();
             match table.column_values(col) {
@@ -58,7 +59,7 @@ impl Attack for CollusionAttack {
             }
             for copy in &self.accomplices {
                 if let Ok(v) = copy.column_values(col) {
-                    if v.len() == ids.len() {
+                    if v.len() == rows {
                         votes.push(v);
                     }
                 }
@@ -66,7 +67,7 @@ impl Attack for CollusionAttack {
             if votes.len() < 2 {
                 continue;
             }
-            for (row, id) in ids.iter().enumerate() {
+            for row in 0..rows {
                 // Majority vote across the colluders' cells for this
                 // position; the tally preserves first-seen order so the
                 // tie-break draw is deterministic under the seed.
@@ -84,8 +85,8 @@ impl Attack for CollusionAttack {
                     .filter(|(_, count)| *count == best)
                     .map(|(value, _)| *value)
                     .collect();
-                let choice = winners[rng.gen_range(0..winners.len())].clone();
-                attacked.set_value(*id, col, choice).expect("column and id exist in the snapshot");
+                let choice = winners[rng.gen_range(0..winners.len())];
+                attacked.set_at(row, index, choice).expect("row and column exist in the snapshot");
             }
         }
         attacked
@@ -109,11 +110,11 @@ mod tests {
     /// for a differently-fingerprinted copy of the same release.
     fn variant(t: &Table, shift: usize) -> Table {
         let mut v = t.snapshot();
-        let ids = v.ids();
+        let doctor = t.schema().index_of("doctor").expect("doctor column exists");
         let doctors = t.column_values("doctor").expect("doctor column exists");
-        for (row, id) in ids.iter().enumerate() {
-            let replacement = doctors[(row + shift) % doctors.len()].clone();
-            v.set_value(*id, "doctor", replacement).expect("id exists");
+        for row in 0..doctors.len() {
+            let replacement = &doctors[(row + shift) % doctors.len()];
+            v.set_at(row, doctor, replacement).expect("row exists");
         }
         v
     }

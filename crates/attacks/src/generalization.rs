@@ -11,7 +11,7 @@
 
 use crate::Attack;
 use medshield_dht::DomainHierarchyTree;
-use medshield_relation::Table;
+use medshield_relation::{RelationError, Table, Value};
 use std::collections::BTreeMap;
 
 /// The generalization attack.
@@ -42,42 +42,44 @@ impl GeneralizationAttack {
     }
 }
 
-impl Attack for GeneralizationAttack {
-    fn apply(&self, table: &Table) -> Table {
-        let mut attacked = table.snapshot();
-        let columns: Vec<String> =
-            table.schema().quasi_names().into_iter().map(String::from).collect();
-        let ids = attacked.ids();
-        for id in ids {
-            for column in &columns {
-                let Some(tree) = self.trees.get(column) else { continue };
-                let value = attacked
-                    .value(id, column)
-                    .expect("id and column exist in the snapshot")
-                    .clone();
-                if value.is_null() {
-                    continue;
+impl GeneralizationAttack {
+    /// `value` moved `levels` steps up `tree`, stopping at the root or the
+    /// depth floor. Nulls and values the tree cannot resolve pass through.
+    fn climb(&self, tree: &DomainHierarchyTree, value: &Value) -> Value {
+        if value.is_null() {
+            return value.clone();
+        }
+        let Ok(mut node) = tree.node_for_value(value) else { return value.clone() };
+        for _ in 0..self.levels {
+            let depth = tree.depth(node).unwrap_or(0);
+            if let Some(floor) = self.max_depth_floor {
+                if depth <= floor {
+                    break;
                 }
-                let Ok(mut node) = tree.node_for_value(&value) else { continue };
-                for _ in 0..self.levels {
-                    let depth = tree.depth(node).unwrap_or(0);
-                    if let Some(floor) = self.max_depth_floor {
-                        if depth <= floor {
-                            break;
-                        }
-                    }
-                    match tree.parent(node) {
-                        Ok(Some(parent)) => node = parent,
-                        _ => break,
-                    }
-                }
-                let generalized = tree.node_value(node).expect("node exists");
-                attacked
-                    .set_value(id, column, generalized)
-                    .expect("id and column exist in the snapshot");
+            }
+            match tree.parent(node) {
+                Ok(Some(parent)) => node = parent,
+                _ => break,
             }
         }
-        attacked
+        tree.node_value(node).expect("node exists")
+    }
+}
+
+impl Attack for GeneralizationAttack {
+    fn apply(&self, table: &Table) -> Table {
+        let schema = table.schema();
+        let targets: Vec<(usize, &DomainHierarchyTree)> = schema
+            .quasi_indices()
+            .into_iter()
+            .filter_map(|i| Some((i, self.trees.get(&schema.column(i)?.name)?)))
+            .collect();
+        let indices: Vec<usize> = targets.iter().map(|&(i, _)| i).collect();
+        table
+            .map_distinct::<RelationError>(&indices, |position, value| {
+                Ok(self.climb(targets[position].1, value))
+            })
+            .expect("indices come from the schema")
     }
 
     fn describe(&self) -> String {
@@ -89,7 +91,6 @@ impl Attack for GeneralizationAttack {
 mod tests {
     use super::*;
     use medshield_datagen::{ontology, DatasetConfig, MedicalDataset};
-    use medshield_relation::Value;
 
     fn dataset() -> MedicalDataset {
         MedicalDataset::generate(&DatasetConfig::small(200))

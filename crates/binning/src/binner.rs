@@ -141,28 +141,12 @@ impl BinningAgent {
         warnings.extend(multi.warnings);
 
         // 3. Binning(tbl, ultigen): encrypt identifiers, generalize quasi values.
-        let mut binned = table.snapshot();
-        let ident_columns: Vec<String> = table
-            .schema()
-            .identifying_indices()
-            .into_iter()
-            .map(|i| table.schema().column(i).expect("index from schema").name.clone())
+        let ultimate: Vec<(&str, &GeneralizationSet)> = per_column
+            .iter()
+            .zip(&multi.ultimate)
+            .map(|((column, _, _), set)| (column.as_str(), set))
             .collect();
-        let ids = binned.ids();
-        for id in &ids {
-            for column in &ident_columns {
-                let v = binned.value(*id, column)?.clone();
-                let encrypted = self.cipher.encrypt_value(&v.canonical_bytes());
-                binned.set_value(*id, column, Value::Text(encrypted))?;
-            }
-            for (i, (column, _, _)) in per_column.iter().enumerate() {
-                let tree = &trees[column];
-                let v = binned.value(*id, column)?.clone();
-                let generalized =
-                    multi.ultimate[i].generalize_value(tree, &v).map_err(BinningError::Dht)?;
-                binned.set_value(*id, column, generalized)?;
-            }
-        }
+        let binned = self.apply(table, trees, &ultimate)?;
 
         let columns = per_column
             .into_iter()
@@ -235,28 +219,9 @@ impl BinningAgent {
             });
         }
 
-        // Apply the per-attribute generalization and encrypt identifiers.
-        let mut binned = table.snapshot();
-        let ident_columns: Vec<String> = table
-            .schema()
-            .identifying_indices()
-            .into_iter()
-            .map(|i| table.schema().column(i).expect("index from schema").name.clone())
-            .collect();
-        for id in binned.ids() {
-            for column in &ident_columns {
-                let v = binned.value(id, column)?.clone();
-                let encrypted = self.cipher.encrypt_value(&v.canonical_bytes());
-                binned.set_value(id, column, Value::Text(encrypted))?;
-            }
-            for cb in &columns {
-                let tree = &trees[&cb.column];
-                let v = binned.value(id, &cb.column)?.clone();
-                let generalized =
-                    cb.ultimate.generalize_value(tree, &v).map_err(BinningError::Dht)?;
-                binned.set_value(id, &cb.column, generalized)?;
-            }
-        }
+        let ultimate: Vec<(&str, &GeneralizationSet)> =
+            columns.iter().map(|cb| (cb.column.as_str(), &cb.ultimate)).collect();
+        let binned = self.apply(table, trees, &ultimate)?;
 
         let satisfied = warnings.is_empty();
         Ok(BinningOutcome {
@@ -266,6 +231,39 @@ impl BinningAgent {
             satisfied,
             mode: SearchMode::PerAttribute,
             warnings,
+        })
+    }
+
+    /// `Binning(tbl, ultigen)` of Fig. 8: a copy of `table` with every
+    /// identifying column encrypted and every column of `ultimate` replaced
+    /// by its ultimate generalization. Each column is rewritten once per
+    /// distinct value its rows reference. A cell that cannot be generalized
+    /// fails the whole step with the error of the first such cell in
+    /// row-major order.
+    fn apply(
+        &self,
+        table: &Table,
+        trees: &BTreeMap<String, DomainHierarchyTree>,
+        ultimate: &[(&str, &GeneralizationSet)],
+    ) -> Result<Table, BinningError> {
+        let schema = table.schema();
+        let identifying = schema.identifying_indices();
+        let mut columns = identifying.clone();
+        let mut generalizations = Vec::with_capacity(ultimate.len());
+        for &(column, set) in ultimate {
+            columns.push(schema.index_of(column)?);
+            let tree =
+                trees.get(column).ok_or_else(|| BinningError::MissingTree(column.to_string()))?;
+            generalizations.push((tree, set));
+        }
+        table.map_distinct(&columns, |position, value| {
+            match position.checked_sub(identifying.len()) {
+                None => Ok(Value::Text(self.cipher.encrypt_value(&value.canonical_bytes()))),
+                Some(i) => {
+                    let (tree, set) = generalizations[i];
+                    set.generalize_value(tree, value).map_err(BinningError::Dht)
+                }
+            }
         })
     }
 

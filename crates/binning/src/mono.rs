@@ -180,13 +180,10 @@ mod tests {
         g: &GeneralizationSet,
         k: usize,
     ) -> bool {
-        let mut t = table.snapshot();
-        let ids = t.ids();
-        for id in ids {
-            let v = t.value(id, "role").unwrap().clone();
-            let gen = g.generalize_value(tree, &v).unwrap();
-            t.set_value(id, "role", gen).unwrap();
-        }
+        let role = table.schema().index_of("role").unwrap();
+        let t = table
+            .map_distinct(&[role], |_, v| g.generalize_value(tree, v).map_err(BinningError::Dht))
+            .unwrap();
         anonymity::column_satisfies_k(&t, "role", k).unwrap()
     }
 

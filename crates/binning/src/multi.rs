@@ -708,14 +708,13 @@ mod tests {
         gens: &[GeneralizationSet],
         k: usize,
     ) -> bool {
-        let mut t = table.snapshot();
-        for id in t.ids() {
-            for ((col, tree), g) in columns.iter().zip(gens.iter()) {
-                let v = t.value(id, col).unwrap().clone();
-                let gv = g.generalize_value(tree, &v).unwrap();
-                t.set_value(id, col, gv).unwrap();
-            }
-        }
+        let indices: Vec<usize> =
+            columns.iter().map(|(col, _)| table.schema().index_of(col).unwrap()).collect();
+        let t = table
+            .map_distinct(&indices, |i, v| {
+                gens[i].generalize_value(columns[i].1, v).map_err(BinningError::Dht)
+            })
+            .unwrap();
         let names: Vec<&str> = columns.iter().map(|(c, _)| *c).collect();
         medshield_metrics::satisfies_k_anonymity(&t, &names, k).unwrap()
     }

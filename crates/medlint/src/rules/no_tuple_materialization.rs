@@ -2,8 +2,9 @@
 //!
 //! `Table::tuples()` clones every cell of every row into owned `Tuple`s —
 //! exactly the per-row allocation the columnar refactor removed from the
-//! binning leaf resolution, the watermark plan/kernels, the per-recipient
-//! fingerprint kernels, and the chunk-parallel engine. A call creeping back into one of those modules
+//! binning leaf resolution and apply step, the watermark plan/kernels, the
+//! per-recipient fingerprint kernels, the chunk-parallel engine and the
+//! attack models. A call creeping back into one of those modules
 //! silently reverts the hot path to row-at-a-time work while every
 //! equivalence test keeps passing, so the regression only shows up as a
 //! throughput cliff. This rule turns it into a lint failure instead: inside
@@ -23,6 +24,8 @@ pub struct NoTupleMaterialization;
 /// The modules whose hot loops have been migrated to column scans.
 fn in_scope(rel: &str) -> bool {
     rel == "crates/binning/src/plan.rs"
+        || rel == "crates/binning/src/binner.rs"
+        || (rel.starts_with("crates/attacks/src/") && rel.ends_with(".rs"))
         || rel == "crates/watermark/src/plan.rs"
         || rel == "crates/watermark/src/kernel.rs"
         || rel == "crates/watermark/src/fingerprint.rs"
@@ -86,6 +89,9 @@ mod tests {
             "fn f(t: &Table) {\n let rows = t.tuples();\n for tp in t.iter() { let _ = tp; }\n}\n";
         for path in [
             "crates/binning/src/plan.rs",
+            "crates/binning/src/binner.rs",
+            "crates/attacks/src/alteration.rs",
+            "crates/attacks/src/generalization.rs",
             "crates/watermark/src/plan.rs",
             "crates/watermark/src/kernel.rs",
             "crates/watermark/src/fingerprint.rs",

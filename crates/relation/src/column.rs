@@ -9,12 +9,14 @@
 //! statistics) can do per-distinct-value work once and per-row work on plain
 //! integer vectors.
 //!
-//! Deleting rows never rewrites a dictionary: stale entries may linger after
+//! In-place writes never shrink a dictionary: stale entries may linger after
 //! deletions or overwrites, so consumers that need the *live* distinct set
 //! must count codes present in the rows (see `relation::stats`), not
-//! dictionary length.
+//! dictionary length. A whole-column rewrite ([`Column::map_distinct`])
+//! builds a new column with a fresh dictionary instead.
 
 use crate::value::Value;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// A dictionary-encoded column: the distinct values interned once, plus one
@@ -50,9 +52,7 @@ impl DictColumn {
 
     /// The value of `row` (a reference into the dictionary).
     pub fn value(&self, row: usize) -> &Value {
-        let code = self.codes[row];
-        // medlint::allow(checked-framing, u32→usize widens losslessly on every supported target and the code was produced by intern() on this column)
-        &self.dict[code as usize]
+        &self.dict[slot(self.codes[row])]
     }
 
     /// Intern `value`, returning its code without appending a row. A
@@ -85,6 +85,23 @@ impl DictColumn {
     pub fn set_code(&mut self, row: usize, code: u32) {
         self.codes[row] = code;
     }
+
+    /// The column holding exactly these rows: native integers when every
+    /// interned value is an integer, this dictionary column otherwise. This
+    /// is the representation [`Column::push`] reaches for the same values.
+    fn into_column(self) -> Column {
+        let ints: Option<Vec<i64>> = self.dict.iter().map(Value::as_int).collect();
+        match ints {
+            Some(ints) => Column::Int(self.codes.iter().map(|&c| ints[slot(c)]).collect()),
+            None => Column::Dict(self),
+        }
+    }
+}
+
+/// The dictionary index of `code`.
+fn slot(code: u32) -> usize {
+    // medlint::allow(checked-framing, u32→usize widens losslessly on every supported target and every code was produced by intern() on its column)
+    code as usize
 }
 
 /// One table column: a typed vector of cell values.
@@ -187,6 +204,54 @@ impl Column {
             // The branch above replaced any Int variant.
             Column::Int(_) => unreachable!("promote() always installs Column::Dict"),
         }
+    }
+
+    /// A new column holding `f(value)` for every row, with `f` called once
+    /// per distinct value that some row references — once per dictionary
+    /// code in use, or once per distinct integer — in order of first
+    /// occurrence. Dictionary entries no row references are never visited.
+    ///
+    /// The result is the column [`Column::push`] would build from the mapped
+    /// values, fresh dictionary included, so it carries no stale entries.
+    /// On failure returns the first failing row and the error `f` gave for
+    /// its value.
+    pub fn map_distinct<E>(
+        &self,
+        mut f: impl FnMut(&Value) -> Result<Value, E>,
+    ) -> Result<Column, (usize, E)> {
+        let mut out = DictColumn::default();
+        out.codes.reserve(self.len());
+        match self {
+            Column::Int(v) => {
+                let mut memo: HashMap<i64, u32> = HashMap::new();
+                for (row, &i) in v.iter().enumerate() {
+                    let code = match memo.entry(i) {
+                        Entry::Occupied(e) => *e.get(),
+                        Entry::Vacant(e) => {
+                            let mapped = f(&Value::Int(i)).map_err(|err| (row, err))?;
+                            *e.insert(out.intern(&mapped))
+                        }
+                    };
+                    out.codes.push(code);
+                }
+            }
+            Column::Dict(d) => {
+                let mut memo: Vec<Option<u32>> = vec![None; d.dict.len()];
+                for (row, &c) in d.codes.iter().enumerate() {
+                    let code = match memo[slot(c)] {
+                        Some(code) => code,
+                        None => {
+                            let mapped = f(&d.dict[slot(c)]).map_err(|err| (row, err))?;
+                            let code = out.intern(&mapped);
+                            memo[slot(c)] = Some(code);
+                            code
+                        }
+                    };
+                    out.codes.push(code);
+                }
+            }
+        }
+        Ok(out.into_column())
     }
 
     /// The dictionary column, if this column is dictionary-encoded.
@@ -294,5 +359,121 @@ mod tests {
         assert_eq!(d.len(), 1);
         d.set_code(0, code);
         assert_eq!(c.value(0), Value::text("b"));
+    }
+
+    fn naive_map(c: &Column, f: impl Fn(&Value) -> Value) -> Column {
+        let mut out = Column::new();
+        for row in 0..c.len() {
+            out.push(&f(&c.value(row)));
+        }
+        out
+    }
+
+    fn same(a: &Column, b: &Column) -> bool {
+        match (a.data(), b.data()) {
+            (ColumnData::Int(x), ColumnData::Int(y)) => x == y,
+            (
+                ColumnData::Dict { dict: d1, codes: c1 },
+                ColumnData::Dict { dict: d2, codes: c2 },
+            ) => d1 == d2 && c1 == c2,
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn map_distinct_calls_f_once_per_distinct_value() {
+        let mut ints = Column::new();
+        for i in [5, 3, 5, 5, 9, 3] {
+            ints.push(&Value::int(i));
+        }
+        let mut seen = Vec::new();
+        let mapped = ints
+            .map_distinct::<()>(|v| {
+                seen.push(v.clone());
+                Ok(Value::int(v.as_int().unwrap() * 10))
+            })
+            .unwrap();
+        assert_eq!(seen, vec![Value::int(5), Value::int(3), Value::int(9)]);
+        assert!(matches!(mapped.data(), ColumnData::Int([50, 30, 50, 50, 90, 30])));
+
+        let mut labels = Column::new();
+        for v in ["a", "b", "a", "c", "b"] {
+            labels.push(&Value::text(v));
+        }
+        let mut calls = 0;
+        let mapped = labels
+            .map_distinct::<()>(|v| {
+                calls += 1;
+                Ok(Value::text(format!("{v}!")))
+            })
+            .unwrap();
+        assert_eq!(calls, 3);
+        assert_eq!(mapped.value(3), Value::text("c!"));
+    }
+
+    #[test]
+    fn map_distinct_skips_stale_entries_and_publishes_a_fresh_dictionary() {
+        let mut c = Column::new();
+        for v in ["gone", "kept", "overwritten", "kept"] {
+            c.push(&Value::text(v));
+        }
+        c.retain_rows(&[false, true, true, true]);
+        c.set(1, &Value::text("new"));
+        assert_eq!(c.as_dict().unwrap().dict().len(), 4, "in-place writes leave stale entries");
+        let mut seen = Vec::new();
+        let mapped = c
+            .map_distinct::<()>(|v| {
+                seen.push(v.clone());
+                Ok(v.clone())
+            })
+            .unwrap();
+        assert_eq!(seen, vec![Value::text("kept"), Value::text("new")]);
+        let ColumnData::Dict { dict, codes } = mapped.data() else { panic!("dict expected") };
+        assert_eq!(dict, &[Value::text("kept"), Value::text("new")]);
+        assert_eq!(codes, &[0, 1, 0]);
+    }
+
+    #[test]
+    fn map_distinct_matches_a_per_row_map() {
+        let mut c = Column::new();
+        for v in [Value::int(4), Value::Null, Value::int(17), Value::text("x"), Value::int(4)] {
+            c.push(&v);
+        }
+        let f = |v: &Value| match v {
+            Value::Int(i) if *i > 10 => Value::interval(10, 20),
+            Value::Null => Value::int(0),
+            other => other.clone(),
+        };
+        let mapped = c.map_distinct::<()>(|v| Ok(f(v))).unwrap();
+        assert!(same(&mapped, &naive_map(&c, f)));
+        // Integer results from a dictionary column come back native.
+        let zeros = c.map_distinct::<()>(|_| Ok(Value::int(0))).unwrap();
+        assert!(matches!(zeros.data(), ColumnData::Int([0, 0, 0, 0, 0])));
+    }
+
+    #[test]
+    fn map_distinct_reports_the_first_failing_row() {
+        let mut c = Column::new();
+        for i in [1, 2, 3, 2, 4] {
+            c.push(&Value::int(i));
+        }
+        let err = c
+            .map_distinct(|v| match v.as_int() {
+                Some(i) if i >= 3 => Err(i),
+                _ => Ok(v.clone()),
+            })
+            .unwrap_err();
+        assert_eq!(err, (2, 3));
+        c.set(0, &Value::text("bad"));
+        let err = c
+            .map_distinct(|v| {
+                if v.is_null() || v.as_int() == Some(4) {
+                    Err(v.clone())
+                } else {
+                    Ok(v.clone())
+                }
+            })
+            .unwrap_err();
+        assert_eq!(err, (4, Value::int(4)));
     }
 }

@@ -169,6 +169,11 @@ pub fn from_csv(text: &str, roles: &[(&str, ColumnRole)]) -> Result<Table, Relat
 mod tests {
     use super::*;
 
+    /// The value at `row` of the column named `column`.
+    fn cell(t: &Table, row: usize, column: &str) -> Value {
+        t.value_at(row, t.schema().index_of(column).unwrap()).unwrap()
+    }
+
     fn sample() -> Table {
         let mut t = Table::new(Schema::medical_example());
         t.insert(vec![
@@ -214,8 +219,8 @@ mod tests {
         ];
         let parsed = from_csv(&csv, &roles).unwrap();
         assert_eq!(parsed.len(), original.len());
-        assert_eq!(parsed.value(crate::TupleId(1), "age").unwrap(), Value::interval(30, 40));
-        assert_eq!(parsed.value(crate::TupleId(1), "prescription").unwrap(), Value::Null);
+        assert_eq!(cell(&parsed, 1, "age"), Value::interval(30, 40));
+        assert_eq!(cell(&parsed, 1, "prescription"), Value::Null);
         assert_eq!(parsed.schema().column_by_name("ssn").unwrap().role, ColumnRole::Identifying);
     }
 
@@ -224,7 +229,7 @@ mod tests {
         // ICD-9-like codes such as "428.0" must not be mangled into numbers.
         let csv = to_csv(&sample());
         let parsed = from_csv(&csv, &[]).unwrap();
-        assert_eq!(parsed.value(crate::TupleId(0), "symptom").unwrap(), Value::text("428.0"));
+        assert_eq!(cell(&parsed, 0, "symptom"), Value::text("428.0"));
     }
 
     #[test]
@@ -292,8 +297,8 @@ mod tests {
         let text = "note\n\"\"\nx\n";
         let t = from_csv(text, &[]).unwrap();
         assert_eq!(t.len(), 2);
-        assert_eq!(t.value(crate::TupleId(0), "note").unwrap(), Value::Null);
-        assert_eq!(t.value(crate::TupleId(1), "note").unwrap(), Value::text("x"));
+        assert_eq!(cell(&t, 0, "note"), Value::Null);
+        assert_eq!(cell(&t, 1, "note"), Value::text("x"));
     }
 
     #[test]

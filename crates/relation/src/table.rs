@@ -10,8 +10,10 @@
 //! `i64` vectors for integer data, dictionary-encoded code vectors for
 //! everything else — see the [`column`](crate::column) module), plus one id
 //! vector. The row-major [`Tuple`] remains as a materialized view for callers
-//! that want whole rows ([`Table::get`], [`Table::iter`], [`Table::tuples`]);
-//! the hot paths read [`Table::columns`] directly.
+//! that want whole rows ([`Table::row`], [`Table::iter`], [`Table::tuples`]);
+//! the hot paths read [`Table::columns`] directly. A single cell is addressed
+//! by row position and schema index ([`Table::value_at`], [`Table::set_at`]);
+//! ids select and delete whole tuples.
 
 use crate::column::Column;
 use crate::error::RelationError;
@@ -136,11 +138,6 @@ impl Table {
         Some(Tuple { id, values })
     }
 
-    /// The position of tuple `id`, if present.
-    pub fn row_of(&self, id: TupleId) -> Option<usize> {
-        self.ids.iter().position(|&t| t == id)
-    }
-
     /// The value at (`row` position, `column` index), materialized.
     pub fn value_at(&self, row: usize, column: usize) -> Option<Value> {
         let c = self.columns.get(column)?;
@@ -148,6 +145,65 @@ impl Table {
             Some(c.value(row))
         } else {
             None
+        }
+    }
+
+    /// Overwrite the value at (`row` position, `column` index).
+    pub fn set_at(
+        &mut self,
+        row: usize,
+        column: usize,
+        value: &Value,
+    ) -> Result<(), RelationError> {
+        let c = self.columns.get_mut(column).ok_or(RelationError::UnknownColumnIndex(column))?;
+        if row >= c.len() {
+            return Err(RelationError::UnknownRow(row));
+        }
+        c.set(row, value);
+        Ok(())
+    }
+
+    /// A copy of the table with the columns at the schema indices `columns`
+    /// rewritten through [`Column::map_distinct`]: `f(position, value)` is
+    /// called once per distinct value each column's rows reference, where
+    /// `position` indexes `columns`. The rewritten columns carry fresh
+    /// dictionaries.
+    ///
+    /// On failure returns the error of the first failing cell in row-major
+    /// order (ties broken by position in `columns`).
+    pub fn map_distinct<E: From<RelationError>>(
+        &self,
+        columns: &[usize],
+        mut f: impl FnMut(usize, &Value) -> Result<Value, E>,
+    ) -> Result<Table, E> {
+        if let Some(&index) = columns.iter().find(|&&i| i >= self.columns.len()) {
+            return Err(RelationError::UnknownColumnIndex(index).into());
+        }
+        let mut mapped: Vec<Column> = self
+            .columns
+            .iter()
+            .enumerate()
+            .map(|(i, c)| if columns.contains(&i) { Column::new() } else { c.clone() })
+            .collect();
+        let mut first_error: Option<(usize, E)> = None;
+        for (position, &index) in columns.iter().enumerate() {
+            match self.columns[index].map_distinct(|v| f(position, v)) {
+                Ok(c) => mapped[index] = c,
+                Err((row, e)) => {
+                    if first_error.as_ref().is_none_or(|(r, _)| row < *r) {
+                        first_error = Some((row, e));
+                    }
+                }
+            }
+        }
+        match first_error {
+            Some((_, e)) => Err(e),
+            None => Ok(Table {
+                schema: self.schema.clone(),
+                ids: self.ids.clone(),
+                columns: mapped,
+                next_id: self.next_id,
+            }),
         }
     }
 
@@ -167,31 +223,6 @@ impl Table {
     /// rule enforces that in the migrated modules.
     pub fn tuples(&self) -> Vec<Tuple> {
         self.iter().collect()
-    }
-
-    /// Fetch a tuple by id, materialized.
-    pub fn get(&self, id: TupleId) -> Option<Tuple> {
-        self.row(self.row_of(id)?)
-    }
-
-    /// Read the value of column `column` in tuple `id`, materialized.
-    pub fn value(&self, id: TupleId, column: &str) -> Result<Value, RelationError> {
-        let idx = self.schema.index_of(column)?;
-        let row = self.row_of(id).ok_or(RelationError::UnknownTuple(id.0))?;
-        Ok(self.columns[idx].value(row))
-    }
-
-    /// Overwrite the value of column `column` in tuple `id`.
-    pub fn set_value(
-        &mut self,
-        id: TupleId,
-        column: &str,
-        value: Value,
-    ) -> Result<(), RelationError> {
-        let idx = self.schema.index_of(column)?;
-        let row = self.row_of(id).ok_or(RelationError::UnknownTuple(id.0))?;
-        self.columns[idx].set(row, &value);
-        Ok(())
     }
 
     /// All values of one column, materialized in row order.
@@ -301,12 +332,13 @@ mod tests {
     #[test]
     fn value_access_and_update() {
         let mut t = small_table();
-        assert_eq!(t.value(TupleId(1), "age").unwrap(), Value::int(61));
-        t.set_value(TupleId(1), "age", Value::interval(60, 70)).unwrap();
-        assert_eq!(t.value(TupleId(1), "age").unwrap(), Value::interval(60, 70));
-        assert!(t.value(TupleId(1), "nope").is_err());
-        assert!(t.value(TupleId(99), "age").is_err());
-        assert!(t.set_value(TupleId(99), "age", Value::Null).is_err());
+        assert_eq!(t.value_at(1, 1), Some(Value::int(61)));
+        t.set_at(1, 1, &Value::interval(60, 70)).unwrap();
+        assert_eq!(t.value_at(1, 1), Some(Value::interval(60, 70)));
+        assert!(t.value_at(1, 9).is_none());
+        assert_eq!(t.set_at(1, 9, &Value::Null), Err(RelationError::UnknownColumnIndex(9)));
+        assert!(t.value_at(99, 1).is_none());
+        assert_eq!(t.set_at(99, 1, &Value::Null), Err(RelationError::UnknownRow(99)));
     }
 
     #[test]
@@ -334,8 +366,8 @@ mod tests {
         let mut t = small_table();
         assert_eq!(t.delete_ids(&[TupleId(1)]), 1);
         assert_eq!(t.ids(), vec![TupleId(0), TupleId(2)]);
-        assert!(t.get(TupleId(1)).is_none());
-        assert!(t.get(TupleId(2)).is_some());
+        assert!(!t.ids().contains(&TupleId(1)));
+        assert_eq!(t.row(1).unwrap().id, TupleId(2));
         // Deleting again is a no-op.
         assert_eq!(t.delete_ids(&[TupleId(1)]), 0);
     }
@@ -363,9 +395,9 @@ mod tests {
     fn snapshot_is_independent() {
         let mut t = small_table();
         let snap = t.snapshot();
-        t.set_value(TupleId(0), "age", Value::int(99)).unwrap();
-        assert_eq!(snap.value(TupleId(0), "age").unwrap(), Value::int(34));
-        assert_eq!(t.value(TupleId(0), "age").unwrap(), Value::int(99));
+        t.set_at(0, 1, &Value::int(99)).unwrap();
+        assert_eq!(snap.value_at(0, 1), Some(Value::int(34)));
+        assert_eq!(t.value_at(0, 1), Some(Value::int(99)));
     }
 
     #[test]
@@ -392,8 +424,55 @@ mod tests {
         let dict = t.column_mut(2).unwrap().promote();
         let nurse = dict.intern(&Value::text("Nurse"));
         dict.set_code(0, nurse);
-        assert_eq!(t.value(TupleId(0), "doctor").unwrap(), Value::text("Nurse"));
-        assert_eq!(t.value(TupleId(1), "doctor").unwrap(), Value::text("Pharmacist"));
+        assert_eq!(t.value_at(0, 2), Some(Value::text("Nurse")));
+        assert_eq!(t.value_at(1, 2), Some(Value::text("Pharmacist")));
+    }
+
+    #[test]
+    fn map_distinct_rewrites_listed_columns_only() {
+        let t = small_table();
+        let mut calls = Vec::new();
+        let mapped = t
+            .map_distinct::<RelationError>(&[1, 2], |position, v| {
+                calls.push((position, v.clone()));
+                Ok(Value::text(format!("{position}:{v}")))
+            })
+            .unwrap();
+        // Three distinct ages, two distinct doctors.
+        assert_eq!(calls.len(), 5);
+        assert_eq!(mapped.ids(), t.ids());
+        assert_eq!(mapped.column_values("ssn").unwrap(), t.column_values("ssn").unwrap());
+        assert_eq!(mapped.value_at(1, 1), Some(Value::text("0:61")));
+        assert_eq!(mapped.value_at(2, 2), Some(Value::text("1:Surgeon")));
+        // The source table is untouched.
+        assert_eq!(t.value_at(1, 1), Some(Value::int(61)));
+    }
+
+    #[test]
+    fn map_distinct_reports_the_first_failing_cell_in_row_major_order() {
+        let t = small_table();
+        // Column 1 fails at row 2, column 2 at row 1: row 1 comes first.
+        let err = t
+            .map_distinct(&[1, 2], |_, v| match v {
+                Value::Int(29) => Err(RelationError::UnknownColumn("age 29".into())),
+                Value::Text(s) if s == "Pharmacist" => {
+                    Err(RelationError::UnknownColumn("pharmacist".into()))
+                }
+                _ => Ok(v.clone()),
+            })
+            .unwrap_err();
+        assert_eq!(err, RelationError::UnknownColumn("pharmacist".into()));
+        // In the same row, the earlier listed column wins.
+        let err = t
+            .map_distinct(&[2, 1], |position, _| {
+                Err(RelationError::UnknownColumn(format!("position {position}")))
+            })
+            .unwrap_err();
+        assert_eq!(err, RelationError::UnknownColumn("position 0".into()));
+        assert_eq!(
+            t.map_distinct(&[5], |_, v| Ok::<_, RelationError>(v.clone())).unwrap_err(),
+            RelationError::UnknownColumnIndex(5)
+        );
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Property-based tests of the relational substrate.
 
-use medshield_relation::{csv, ColumnDef, ColumnRole, Predicate, Schema, Table, Value};
+use medshield_relation::{
+    csv, ColumnDef, ColumnRole, Predicate, RelationError, Schema, Table, Value,
+};
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
 
 /// Arbitrary cell values, including the generalized interval form.
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -73,9 +76,10 @@ proptest! {
         let removed = working.delete_where(&predicate).unwrap();
         prop_assert_eq!(removed, selected.len());
         prop_assert_eq!(working.len(), table.len() - removed);
+        let before: HashMap<_, _> = table.iter().map(|t| (t.id, t.values)).collect();
         for tuple in working.iter() {
             prop_assert!(!selected.contains(&tuple.id));
-            prop_assert_eq!(&table.get(tuple.id).unwrap().values, &tuple.values);
+            prop_assert_eq!(&before[&tuple.id], &tuple.values);
         }
     }
 
@@ -99,12 +103,10 @@ proptest! {
         edits in prop::collection::vec((any::<u16>(), 0usize..3, arb_value()), 0..25),
     ) {
         let mut table = table;
-        let ids = table.ids();
-        if !ids.is_empty() {
+        let rows = table.len();
+        if rows > 0 {
             for (pick, col, v) in edits {
-                let id = ids[pick as usize % ids.len()];
-                let name = ["id", "a", "b"][col];
-                table.set_value(id, name, v).unwrap();
+                table.set_at(pick as usize % rows, col, &v).unwrap();
             }
         }
         // Row-wise rebuild from the materialized tuple view.
@@ -122,5 +124,76 @@ proptest! {
             }
         }
         prop_assert_eq!(csv::to_csv(&rebuilt), csv::to_csv(&table));
+    }
+
+    /// `map_distinct` equals a naive per-row map over `column_values`, calls
+    /// `f` exactly once per live distinct value (never for dictionary entries
+    /// left stale by deletions or overwrites), and publishes dictionaries
+    /// holding only the values the rows use.
+    #[test]
+    fn map_distinct_matches_a_per_row_map(
+        table in arb_table(),
+        edits in prop::collection::vec((any::<u16>(), 0usize..3, arb_value()), 0..25),
+        deleted in prop::collection::vec(any::<u16>(), 0..10),
+    ) {
+        let mut table = table;
+        let rows = table.len();
+        if rows > 0 {
+            for (pick, col, v) in edits {
+                table.set_at(pick as usize % rows, col, &v).unwrap();
+            }
+            let ids = table.ids();
+            let victims: Vec<_> = deleted.iter().map(|&d| ids[d as usize % rows]).collect();
+            table.delete_ids(&victims);
+        }
+        let mut calls: Vec<HashMap<Value, usize>> = vec![HashMap::new(); 3];
+        let mapped = table
+            .map_distinct::<RelationError>(&[0, 1, 2], |position, v| {
+                *calls[position].entry(v.clone()).or_default() += 1;
+                Ok(remap(v))
+            })
+            .unwrap();
+        prop_assert_eq!(mapped.ids(), table.ids());
+        for (c, name) in ["id", "a", "b"].into_iter().enumerate() {
+            let before = table.column_values(name).unwrap();
+            let after = mapped.column_values(name).unwrap();
+            let naive: Vec<Value> = before.iter().map(remap).collect();
+            prop_assert_eq!(&after, &naive);
+            let live: HashSet<&Value> = before.iter().collect();
+            prop_assert_eq!(calls[c].len(), live.len());
+            prop_assert!(calls[c].values().all(|&n| n == 1));
+            prop_assert!(calls[c].keys().all(|v| live.contains(v)));
+            if let Some(dict) = mapped.column(c).unwrap().as_dict() {
+                let distinct: HashSet<&Value> = after.iter().collect();
+                prop_assert_eq!(dict.dict().len(), distinct.len());
+            }
+        }
+    }
+
+    /// A failing rewrite reports the first failing cell in row-major order.
+    #[test]
+    fn map_distinct_reports_the_row_major_first_failure(table in arb_table()) {
+        let fail = |position: usize, v: &Value| match v {
+            Value::Text(s) => Err(RelationError::UnknownColumn(format!("{position}:{s}"))),
+            other => Ok(other.clone()),
+        };
+        let expected = table
+            .iter()
+            .flat_map(|t| t.values.into_iter().enumerate())
+            .find_map(|(position, v)| fail(position, &v).err());
+        let result = table.map_distinct(&[0, 1, 2], fail);
+        prop_assert_eq!(result.err(), expected);
+    }
+}
+
+/// A value rewrite that changes types both ways: some integers become text,
+/// text becomes integers, nulls become intervals.
+fn remap(v: &Value) -> Value {
+    match v {
+        Value::Null => Value::interval(0, 1),
+        Value::Int(i) if i % 3 == 0 => Value::Text(format!("m{i}")),
+        Value::Int(i) => Value::Int(i / 2),
+        Value::Text(s) => Value::Int(s.len() as i64),
+        other => other.clone(),
     }
 }

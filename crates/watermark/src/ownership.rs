@@ -179,6 +179,15 @@ mod tests {
         t
     }
 
+    /// `table` with its identifying column encrypted, as binning publishes it.
+    fn encrypt_ssn(table: &Table, cipher: &medshield_crypto::Aes128) -> Table {
+        table
+            .map_distinct::<medshield_relation::RelationError>(&[0], |_, v| {
+                Ok(Value::Text(cipher.encrypt_value(&v.canonical_bytes())))
+            })
+            .unwrap()
+    }
+
     #[test]
     fn numeric_projection_reads_digits() {
         assert_eq!(numeric_projection(b"123-45-6789"), 123_456_789.0);
@@ -209,12 +218,7 @@ mod tests {
         let original = original_table(400);
         let cipher = Aes128::from_secret(b"owner-binning-secret");
         // Build the "binned" table: encrypted identifiers.
-        let mut disputed = original.snapshot();
-        for id in disputed.ids() {
-            let v = disputed.value(id, "ssn").unwrap().clone();
-            let enc = cipher.encrypt_value(&v.canonical_bytes());
-            disputed.set_value(id, "ssn", Value::Text(enc)).unwrap();
-        }
+        let disputed = encrypt_ssn(&original, &cipher);
         let claim = OwnershipProof::from_original_table(&original, 20).unwrap();
         let extracted = claim.mark();
         let verdict = resolve_dispute(
@@ -236,13 +240,7 @@ mod tests {
         use medshield_crypto::Aes128;
         let original = original_table(1000);
         let cipher = Aes128::from_secret(b"owner-binning-secret");
-        let mut disputed = original.snapshot();
-        for id in disputed.ids() {
-            let v = disputed.value(id, "ssn").unwrap().clone();
-            disputed
-                .set_value(id, "ssn", Value::Text(cipher.encrypt_value(&v.canonical_bytes())))
-                .unwrap();
-        }
+        let mut disputed = encrypt_ssn(&original, &cipher);
         // The attacker deletes 20% of the tuples, spread across the table.
         let victims: Vec<_> = disputed.ids().into_iter().step_by(5).collect();
         disputed.delete_ids(&victims);
@@ -267,13 +265,7 @@ mod tests {
         use medshield_crypto::Aes128;
         let original = original_table(300);
         let cipher = Aes128::from_secret(b"owner-binning-secret");
-        let mut disputed = original.snapshot();
-        for id in disputed.ids() {
-            let v = disputed.value(id, "ssn").unwrap().clone();
-            disputed
-                .set_value(id, "ssn", Value::Text(cipher.encrypt_value(&v.canonical_bytes())))
-                .unwrap();
-        }
+        let disputed = encrypt_ssn(&original, &cipher);
         // The attacker claims ownership with his own (different) statistic and
         // cannot decrypt the identifiers, so the recomputation fails.
         let attacker_claim = OwnershipProof { statistic: 42.0, mark_len: 20 };
@@ -295,13 +287,7 @@ mod tests {
         use medshield_crypto::Aes128;
         let original = original_table(300);
         let cipher = Aes128::from_secret(b"owner-binning-secret");
-        let mut disputed = original.snapshot();
-        for id in disputed.ids() {
-            let v = disputed.value(id, "ssn").unwrap().clone();
-            disputed
-                .set_value(id, "ssn", Value::Text(cipher.encrypt_value(&v.canonical_bytes())))
-                .unwrap();
-        }
+        let disputed = encrypt_ssn(&original, &cipher);
         let claim = OwnershipProof::from_original_table(&original, 20).unwrap();
         // The extracted mark is garbage (e.g. the mark was destroyed or was
         // never this owner's): flip every bit of F(v).

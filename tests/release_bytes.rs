@@ -1,0 +1,72 @@
+//! Pinned release bytes: the protect paths must keep producing exactly the
+//! releases they produced when these hashes were recorded.
+//!
+//! The other equivalence gates compare the engine against itself (across
+//! thread counts, or against the sequential pipeline), so a change to a step
+//! both sides share — the binning apply, say — would pass all of them. These
+//! hashes are absolute: each one covers the `csv::to_csv` bytes of the
+//! released table plus the embedding's `selected_tuples` and the binning's
+//! `satisfied` flag, for both `protect` and `protect_per_attribute` at three
+//! table sizes, under the served benchmark's engine configuration.
+
+use medshield_core::relation::csv;
+use medshield_core::{ProtectedRelease, ProtectionConfig, ProtectionEngine};
+use medshield_datagen::{DatasetConfig, MedicalDataset};
+
+const SEED: u64 = 7;
+
+/// (rows, `protect_per_attribute` hash, `protect` hash).
+const PINNED: [(usize, u64, u64); 3] = [
+    (250, 0xdea7_5107_2889_a649, 0x511e_d83f_6b54_d479),
+    (1_000, 0x07b8_ac8f_3008_505b, 0x6705_62b3_aaf7_2bff),
+    (4_000, 0xde10_c3a2_304d_74cc, 0xfd46_5507_7e60_2e3f),
+];
+
+fn engine() -> ProtectionEngine {
+    let config = ProtectionConfig::builder()
+        .k(5)
+        .epsilon(5)
+        .eta(10)
+        .duplication(4)
+        .mark_text("perfbench-owner")
+        .build();
+    ProtectionEngine::new(config, 1).unwrap()
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+fn release_hash(release: &ProtectedRelease) -> u64 {
+    let mut bytes = csv::to_csv(&release.table).into_bytes();
+    bytes.extend_from_slice(
+        format!(
+            "\nselected_tuples={} satisfied={}",
+            release.embedding.selected_tuples, release.binning.satisfied
+        )
+        .as_bytes(),
+    );
+    fnv1a(&bytes)
+}
+
+#[test]
+fn release_bytes_match_pinned_hashes() {
+    let engine = engine();
+    let mut actual = Vec::new();
+    for &(rows, _, _) in &PINNED {
+        let ds = MedicalDataset::generate(&DatasetConfig {
+            num_tuples: rows,
+            seed: SEED,
+            zipf_exponent: 0.8,
+        });
+        let per_attribute = engine.protect_per_attribute(&ds.table, &ds.trees).unwrap();
+        let multi = engine.protect(&ds.table, &ds.trees).unwrap();
+        actual.push((rows, release_hash(&per_attribute), release_hash(&multi)));
+    }
+    let rendered: Vec<String> =
+        actual.iter().map(|(n, p, m)| format!("({n}, {p:#018x}, {m:#018x})")).collect();
+    assert_eq!(actual, PINNED, "release bytes moved; actual: [{}]", rendered.join(", "));
+}
