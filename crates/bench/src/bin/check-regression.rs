@@ -27,6 +27,14 @@
 //! the floors are calibrated per host and a cross-core comparison would
 //! quietly turn the guard into noise.
 //!
+//! Exit status:
+//!
+//! * `0` — every file was compared and stayed above its floor.
+//! * `1` — a guarded throughput fell below its floor (a regression).
+//! * `2` — a file could not be compared at all: no baseline, a workload,
+//!   host-core-count or layout mismatch, or a file that stopped reporting a
+//!   guarded axis. This is a refusal to compare, not a measured slowdown.
+//!
 //! Environment:
 //!
 //! * `MEDSHIELD_BASELINE_DIR` — baseline directory (default
@@ -39,6 +47,22 @@
 use medshield_bench::benchjson;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+
+/// Why a fresh bench file did not pass its check.
+enum Failure {
+    /// The file and its baseline cannot be compared: a missing or unreadable
+    /// file, a workload, host or layout mismatch, or a guarded axis the
+    /// fresh file stopped reporting.
+    Incomparable(String),
+    /// A guarded throughput fell below its floor.
+    Regressed(String),
+}
+
+/// Exit status for a run with at least one regression.
+const EXIT_REGRESSED: u8 = 1;
+/// Exit status for a run with no regression but at least one file that
+/// could not be compared.
+const EXIT_INCOMPARABLE: u8 = 2;
 
 fn baseline_dir() -> PathBuf {
     std::env::var("MEDSHIELD_BASELINE_DIR")
@@ -54,12 +78,15 @@ fn tolerance() -> f64 {
 }
 
 /// Check one fresh bench file against its baseline; `Ok(line)` describes the
-/// comparison, `Err(line)` a regression or an unreadable file.
-fn check(fresh_path: &Path, baseline_path: &Path, tolerance: f64) -> Result<String, String> {
-    let fresh = std::fs::read_to_string(fresh_path)
-        .map_err(|e| format!("cannot read fresh bench file {}: {e}", fresh_path.display()))?;
-    let baseline = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("cannot read baseline {}: {e}", baseline_path.display()))?;
+/// comparison.
+fn check(fresh_path: &Path, baseline_path: &Path, tolerance: f64) -> Result<String, Failure> {
+    use Failure::{Incomparable, Regressed};
+    let fresh = std::fs::read_to_string(fresh_path).map_err(|e| {
+        Incomparable(format!("cannot read fresh bench file {}: {e}", fresh_path.display()))
+    })?;
+    let baseline = std::fs::read_to_string(baseline_path).map_err(|e| {
+        Incomparable(format!("cannot read baseline {}: {e}", baseline_path.display()))
+    })?;
     let name = benchjson::benchmark_name(&fresh).unwrap_or("unknown-benchmark").to_string();
     // A throughput comparison is only meaningful over the same workload:
     // different rows/k/candidate counts shift rows_per_sec for workload
@@ -69,10 +96,10 @@ fn check(fresh_path: &Path, baseline_path: &Path, tolerance: f64) -> Result<Stri
             (benchjson::top_metric(&fresh, field), benchjson::top_metric(&baseline, field));
         if let (Some(f), Some(b)) = (f, b) {
             if f != b {
-                return Err(format!(
+                return Err(Incomparable(format!(
                     "{name}: workload mismatch — fresh {field}={f} vs baseline {field}={b}; \
                      regenerate the baseline with the same bench parameters"
-                ));
+                )));
             }
         }
     }
@@ -87,17 +114,17 @@ fn check(fresh_path: &Path, baseline_path: &Path, tolerance: f64) -> Result<Stri
         benchjson::top_metric(&baseline, "host_parallelism"),
     ) {
         (Some(f), Some(b)) if f != b => {
-            return Err(format!(
+            return Err(Incomparable(format!(
                 "{name}: host core-count mismatch — fresh host_parallelism={f} vs baseline \
                  host_parallelism={b}; throughput floors are not comparable across core \
                  counts, regenerate the baseline on this host"
-            ));
+            )));
         }
         (None, Some(b)) => {
-            return Err(format!(
+            return Err(Incomparable(format!(
                 "{name}: the baseline records host_parallelism={b} but the fresh file \
                  reports none — the bench stopped recording the host core count"
-            ));
+            )));
         }
         _ => {}
     }
@@ -107,16 +134,16 @@ fn check(fresh_path: &Path, baseline_path: &Path, tolerance: f64) -> Result<Stri
     // reporting — the guard must never deactivate silently.
     match (benchjson::top_string(&fresh, "layout"), benchjson::top_string(&baseline, "layout")) {
         (Some(f), Some(b)) if f != b => {
-            return Err(format!(
+            return Err(Incomparable(format!(
                 "{name}: layout mismatch — fresh \"{f}\" vs baseline \"{b}\"; the throughput \
                  floors below are calibrated per layout, regenerate the baseline"
-            ));
+            )));
         }
         (None, Some(b)) => {
-            return Err(format!(
+            return Err(Incomparable(format!(
                 "{name}: the baseline records a \"{b}\" table layout but the fresh file \
                  reports none — the layout axis of the bench stopped reporting"
-            ));
+            )));
         }
         _ => {}
     }
@@ -127,12 +154,15 @@ fn check(fresh_path: &Path, baseline_path: &Path, tolerance: f64) -> Result<Stri
         .find(|m| benchjson::thread_metric(&fresh, 1, m).is_some())
         .map(|&m| (m, if m == "rows_per_sec" { "rows/s" } else { "req/s" }))
         .ok_or_else(|| {
-            format!("{name}: fresh file has no 1-thread rows_per_sec or requests_per_sec entry")
+            Incomparable(format!(
+                "{name}: fresh file has no 1-thread rows_per_sec or requests_per_sec entry"
+            ))
         })?;
-    let fresh_1t = benchjson::thread_metric(&fresh, 1, metric)
-        .ok_or_else(|| format!("{name}: fresh file has no 1-thread {metric} entry"))?;
+    let fresh_1t = benchjson::thread_metric(&fresh, 1, metric).ok_or_else(|| {
+        Incomparable(format!("{name}: fresh file has no 1-thread {metric} entry"))
+    })?;
     let base_1t = benchjson::thread_metric(&baseline, 1, metric)
-        .ok_or_else(|| format!("{name}: baseline has no 1-thread {metric} entry"))?;
+        .ok_or_else(|| Incomparable(format!("{name}: baseline has no 1-thread {metric} entry")))?;
     let floor = base_1t * (1.0 - tolerance);
     let ratio = fresh_1t / base_1t;
     let mut line = format!(
@@ -141,7 +171,7 @@ fn check(fresh_path: &Path, baseline_path: &Path, tolerance: f64) -> Result<Stri
         ratio * 100.0
     );
     if fresh_1t < floor {
-        return Err(format!("REGRESSION — {line}"));
+        return Err(Regressed(format!("REGRESSION — {line}")));
     }
     // The serving-layer bench also carries a durable-store axis; hold the
     // fsync-batched path to the same trajectory so a persistence-layer
@@ -160,14 +190,14 @@ fn check(fresh_path: &Path, baseline_path: &Path, tolerance: f64) -> Result<Stri
                 fresh_d / base_d * 100.0
             ));
             if fresh_d < floor_d {
-                return Err(format!("REGRESSION (durable axis) — {line}"));
+                return Err(Regressed(format!("REGRESSION (durable axis) — {line}")));
             }
         }
         (None, Some(_)) => {
-            return Err(format!(
+            return Err(Incomparable(format!(
                 "{name}: the baseline carries a 1-thread {durable} entry but the fresh \
                  file does not — the persistence axis of the bench stopped reporting"
-            ));
+            )));
         }
         _ => {}
     }
@@ -187,14 +217,14 @@ fn check(fresh_path: &Path, baseline_path: &Path, tolerance: f64) -> Result<Stri
                 fresh_c / base_c * 100.0
             ));
             if fresh_c < floor_c {
-                return Err(format!("REGRESSION (connections axis) — {line}"));
+                return Err(Regressed(format!("REGRESSION (connections axis) — {line}")));
             }
         }
         (None, Some(_)) => {
-            return Err(format!(
+            return Err(Incomparable(format!(
                 "{name}: the baseline carries a 1024-connection requests_per_sec entry but \
                  the fresh file does not — the connections axis of the bench stopped reporting"
-            ));
+            )));
         }
         _ => {}
     }
@@ -217,20 +247,57 @@ fn check(fresh_path: &Path, baseline_path: &Path, tolerance: f64) -> Result<Stri
                     fresh_r / base_r * 100.0
                 ));
                 if fresh_r < floor_r {
-                    return Err(format!("REGRESSION (recipients axis) — {line}"));
+                    return Err(Regressed(format!("REGRESSION (recipients axis) — {line}")));
                 }
             }
             (None, Some(_)) => {
-                return Err(format!(
+                return Err(Incomparable(format!(
                     "{name}: the baseline carries a 16-recipient {tracing_metric} entry but \
                      the fresh file does not — the recipients axis of the bench stopped \
                      reporting"
-                ));
+                )));
             }
             _ => {}
         }
     }
     Ok(line)
+}
+
+/// Check every fresh file against the same-named baseline in `dir`, print
+/// one line per file, and return the process exit status: a regression
+/// outranks an incomparable file.
+fn run(fresh_files: &[PathBuf], dir: &Path, tolerance: f64) -> u8 {
+    let (mut regressed, mut incomparable) = (false, false);
+    for fresh in fresh_files {
+        let file_name = fresh.file_name().expect("bench paths name a file");
+        match check(fresh, &dir.join(file_name), tolerance) {
+            Ok(line) => println!("ok: {line}"),
+            Err(Failure::Regressed(line)) => {
+                eprintln!("error: {line}");
+                regressed = true;
+            }
+            Err(Failure::Incomparable(line)) => {
+                eprintln!("error: not comparable: {line}");
+                incomparable = true;
+            }
+        }
+    }
+    if regressed {
+        eprintln!(
+            "throughput fell more than {:.0}% below the committed baseline; \
+             refresh crates/bench/baselines/ if the drop is intended",
+            tolerance * 100.0
+        );
+        EXIT_REGRESSED
+    } else if incomparable {
+        eprintln!(
+            "not comparable: no throughput was judged for the files above; \
+             regenerate their baselines on this host with the same bench parameters"
+        );
+        EXIT_INCOMPARABLE
+    } else {
+        0
+    }
 }
 
 fn main() -> ExitCode {
@@ -246,34 +313,71 @@ fn main() -> ExitCode {
     };
     if fresh_files.is_empty() {
         eprintln!(
-            "error: no fresh BENCH_*.json found — run `bench --bin binning` or \
+            "error: not comparable: no fresh BENCH_*.json found — run `bench --bin binning` or \
              `bench --bin throughput` first, or pass the files explicitly"
         );
-        return ExitCode::FAILURE;
+        return ExitCode::from(EXIT_INCOMPARABLE);
+    }
+    ExitCode::from(run(&fresh_files, &baseline_dir(), tolerance()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A minimal `BENCH_binning.json` in the shape the binning bench emits.
+    fn bench_json(host_parallelism: usize, rows_per_sec: f64) -> String {
+        format!(
+            r#"{{
+  "benchmark": "binning-search-throughput",
+  "layout": "columnar",
+  "rows": 2000,
+  "k": 128,
+  "host_parallelism": {host_parallelism},
+  "threads": [
+    {{"threads": 1, "rows_per_sec": {rows_per_sec}}}
+  ]
+}}
+"#
+        )
     }
 
-    let dir = baseline_dir();
-    let tolerance = tolerance();
-    let mut failed = false;
-    for fresh in &fresh_files {
-        let file_name = fresh.file_name().expect("bench paths name a file");
-        let baseline = dir.join(file_name);
-        match check(fresh, &baseline, tolerance) {
-            Ok(line) => println!("ok: {line}"),
-            Err(line) => {
-                eprintln!("error: {line}");
-                failed = true;
-            }
+    /// Run the guard over one fresh file and (unless `None`) its baseline,
+    /// written to a scratch directory, and return the exit status.
+    fn exit_status(tag: &str, fresh: &str, baseline: Option<&str>) -> u8 {
+        let dir = std::env::temp_dir()
+            .join(format!("medshield-check-regression-{tag}-{}", std::process::id()));
+        let baselines = dir.join("baselines");
+        std::fs::create_dir_all(&baselines).unwrap();
+        let fresh_path = dir.join("BENCH_binning.json");
+        std::fs::write(&fresh_path, fresh).unwrap();
+        if let Some(baseline) = baseline {
+            std::fs::write(baselines.join("BENCH_binning.json"), baseline).unwrap();
         }
+        let status = run(&[fresh_path], &baselines, 0.25);
+        std::fs::remove_dir_all(&dir).unwrap();
+        status
     }
-    if failed {
-        eprintln!(
-            "throughput fell more than {:.0}% below the committed baseline; \
-             refresh crates/bench/baselines/ if the drop is intended",
-            tolerance * 100.0
-        );
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
+
+    #[test]
+    fn host_mismatch_is_incomparable_and_exits_2() {
+        let status = exit_status("host", &bench_json(2, 1000.0), Some(&bench_json(1, 1000.0)));
+        assert_eq!(status, EXIT_INCOMPARABLE);
+    }
+
+    #[test]
+    fn missing_baseline_is_incomparable_and_exits_2() {
+        assert_eq!(exit_status("missing", &bench_json(1, 1000.0), None), EXIT_INCOMPARABLE);
+    }
+
+    #[test]
+    fn halved_throughput_is_a_regression_and_exits_1() {
+        let status = exit_status("drop", &bench_json(1, 500.0), Some(&bench_json(1, 1000.0)));
+        assert_eq!(status, EXIT_REGRESSED);
+    }
+
+    #[test]
+    fn throughput_within_tolerance_passes() {
+        assert_eq!(exit_status("ok", &bench_json(1, 900.0), Some(&bench_json(1, 1000.0))), 0);
     }
 }

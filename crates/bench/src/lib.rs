@@ -36,7 +36,7 @@
 
 use medshield_core::dht::GeneralizationSet;
 use medshield_core::metrics::{table_info_loss, ColumnGeneralization};
-use medshield_core::{ProtectedRelease, ProtectionConfig, ProtectionPipeline};
+use medshield_core::{ProtectedRelease, ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 use std::collections::BTreeMap;
 
@@ -70,9 +70,9 @@ pub fn root_usage_metrics(dataset: &MedicalDataset) -> BTreeMap<String, Generali
         .collect()
 }
 
-/// Build the standard pipeline used by the watermarking experiments.
-pub fn experiment_pipeline(k: usize, eta: u64) -> ProtectionPipeline {
-    ProtectionPipeline::new(
+/// Build the standard sequential engine used by the watermarking experiments.
+pub fn experiment_pipeline(k: usize, eta: u64) -> ProtectionEngine {
+    ProtectionEngine::sequential(
         ProtectionConfig::builder()
             .k(k)
             .epsilon(2)
@@ -90,7 +90,7 @@ pub fn protect(
     dataset: &MedicalDataset,
     k: usize,
     eta: u64,
-) -> (ProtectionPipeline, ProtectedRelease) {
+) -> (ProtectionEngine, ProtectedRelease) {
     let pipeline = experiment_pipeline(k, eta);
     let release = pipeline
         .protect(&dataset.table, &dataset.trees)
@@ -107,7 +107,7 @@ pub fn protect_per_attribute(
     dataset: &MedicalDataset,
     k: usize,
     eta: u64,
-) -> (ProtectionPipeline, ProtectedRelease) {
+) -> (ProtectionEngine, ProtectedRelease) {
     let pipeline = experiment_pipeline(k, eta);
     let release = pipeline
         .protect_per_attribute(&dataset.table, &dataset.trees)

@@ -4,7 +4,7 @@ use medshield_binning::{BinningConfig, KAnonymitySpec, MinimalNodeStrategy, Sele
 use medshield_watermark::{WatermarkConfig, WatermarkKey};
 use serde::{Deserialize, Serialize};
 
-/// Complete configuration of [`crate::ProtectionPipeline`]: the k-anonymity
+/// Complete configuration of [`crate::ProtectionEngine`]: the k-anonymity
 /// specification and binning knobs, the watermarking key and embedding knobs,
 /// and the owner's mark.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -17,7 +17,7 @@ pub struct ProtectionConfig {
     pub mark_len: usize,
     /// Free-text seed of the owner's mark when it is not derived from the
     /// identifying-column statistic (the rightful-ownership protocol derives
-    /// it from the data instead; see [`crate::ProtectionPipeline::protect`]).
+    /// it from the data instead; see [`crate::ProtectionEngine::protect`]).
     pub mark_text: String,
     /// Derive the mark from the identifying-column statistic (`F(v)`, §5.4)
     /// instead of from `mark_text`. This is what makes the ownership dispute

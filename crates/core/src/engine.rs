@@ -376,6 +376,7 @@ impl ProtectionEngine {
 mod tests {
     use super::*;
     use medshield_datagen::{DatasetConfig, MedicalDataset};
+    use medshield_metrics::mark_loss;
     use medshield_relation::csv;
 
     fn dataset(n: usize) -> MedicalDataset {
@@ -488,5 +489,193 @@ mod tests {
             let report = engine.detect(&empty, &real.binning.columns, &ds.trees).unwrap();
             assert_eq!(report.selected_tuples, 0);
         }
+    }
+
+    /// The sequential engine the end-to-end tests drive. Small data sets
+    /// leave only a modest bandwidth channel, so the extended mark is kept
+    /// short enough for full coverage.
+    fn sequential(k: usize, eta: u64) -> ProtectionEngine {
+        ProtectionEngine::sequential(
+            ProtectionConfig::builder()
+                .k(k)
+                .eta(eta)
+                .duplication(2)
+                .mark_text("City Hospital")
+                .build(),
+        )
+    }
+
+    #[test]
+    fn protect_then_detect_roundtrip() {
+        let ds = dataset(1000);
+        let p = sequential(4, 5);
+        let release = p.protect(&ds.table, &ds.trees).unwrap();
+        assert!(release.binning.satisfied);
+        assert!(release.embedding.embedded_cells > 0);
+        let detection = p.detect(&release.table, &release.binning.columns, &ds.trees).unwrap();
+        assert_eq!(detection.mark, release.mark.bits());
+    }
+
+    #[test]
+    fn statistic_derived_mark_supports_dispute_resolution() {
+        let ds = dataset(1000);
+        let p = ProtectionEngine::sequential(
+            ProtectionConfig::builder()
+                .k(4)
+                .eta(5)
+                .duplication(2)
+                .mark_from_statistic(true)
+                .build(),
+        );
+        let release = p.protect(&ds.table, &ds.trees).unwrap();
+        let proof = release.ownership.clone().expect("statistic-derived mark carries a proof");
+        let detection = p.detect(&release.table, &release.binning.columns, &ds.trees).unwrap();
+        let verdict = p.resolve_ownership(
+            &proof,
+            &release.table,
+            "ssn",
+            &detection.mark,
+            proof.statistic.abs() * 0.05 + 1.0,
+            0.2,
+        );
+        assert!(verdict.accepted, "{verdict:?}");
+    }
+
+    #[test]
+    fn attacker_without_keys_is_rejected_in_dispute() {
+        let ds = dataset(600);
+        let owner = ProtectionEngine::sequential(
+            ProtectionConfig::builder()
+                .k(4)
+                .eta(8)
+                .mark_from_statistic(true)
+                .encryption_secret(b"owner-enc".to_vec())
+                .watermark_secret(b"owner-wm".to_vec())
+                .build(),
+        );
+        let release = owner.protect(&ds.table, &ds.trees).unwrap();
+
+        // The attacker claims the release as their own, with their own engine
+        // (different keys) and a fabricated statistic.
+        let attacker = ProtectionEngine::sequential(
+            ProtectionConfig::builder()
+                .k(4)
+                .eta(8)
+                .mark_from_statistic(true)
+                .encryption_secret(b"attacker-enc".to_vec())
+                .watermark_secret(b"attacker-wm".to_vec())
+                .build(),
+        );
+        let bogus_proof = OwnershipProof { statistic: 123456.0, mark_len: 20 };
+        let detection =
+            attacker.detect(&release.table, &release.binning.columns, &ds.trees).unwrap();
+        let verdict = attacker.resolve_ownership(
+            &bogus_proof,
+            &release.table,
+            "ssn",
+            &detection.mark,
+            1000.0,
+            0.2,
+        );
+        assert!(!verdict.accepted);
+    }
+
+    #[test]
+    fn mark_survives_without_attack_at_various_eta() {
+        let ds = dataset(2500);
+        for eta in [5u64, 10, 20] {
+            let p = sequential(4, eta);
+            let release = p.protect(&ds.table, &ds.trees).unwrap();
+            let detection = p.detect(&release.table, &release.binning.columns, &ds.trees).unwrap();
+            let loss = mark_loss(release.mark.bits(), &detection.mark);
+            assert_eq!(loss, 0.0, "eta={eta}");
+        }
+    }
+
+    #[test]
+    fn per_attribute_protection_roundtrips_and_keeps_columns_anonymous() {
+        let ds = dataset(1500);
+        let p = sequential(6, 10);
+        let release = p.protect_per_attribute(&ds.table, &ds.trees).unwrap();
+        for column in release.table.schema().quasi_names() {
+            assert!(
+                medshield_metrics::column_satisfies_k(&release.binning.table, column, 6).unwrap(),
+                "column {column}"
+            );
+        }
+        let detection = p.detect(&release.table, &release.binning.columns, &ds.trees).unwrap();
+        assert_eq!(detection.mark, release.mark.bits());
+        // Per-attribute binning leaves plenty of bandwidth: most selected
+        // cells should actually carry a bit.
+        assert!(release.embedding.embedded_cells > release.embedding.skipped_cells);
+    }
+
+    #[test]
+    fn explicit_usage_metrics_are_respected() {
+        let ds = dataset(500);
+        let p = sequential(3, 10);
+        // Usage metrics: depth-1 maximal nodes for every column.
+        let maximal: BTreeMap<String, GeneralizationSet> =
+            ds.trees.iter().map(|(n, t)| (n.clone(), GeneralizationSet::at_depth(t, 1))).collect();
+        let release = p.protect_with_metrics(&ds.table, &ds.trees, &maximal).unwrap();
+        for cb in &release.binning.columns {
+            let tree = &ds.trees[&cb.column];
+            assert!(cb.ultimate.is_at_or_below(tree, &maximal[&cb.column]).unwrap());
+            for v in release.table.column_values(&cb.column).unwrap() {
+                let node = tree.node_for_value(&v).unwrap();
+                assert!(maximal[&cb.column].covering_node(tree, node).is_ok());
+            }
+        }
+    }
+
+    /// §5.4 under fire: the rightful owner must still win a dispute over a
+    /// release mauled by a composition of the paper's attack models, and an
+    /// attacker presenting a fabricated statistic over the same mauled
+    /// release must still lose.
+    #[test]
+    fn dispute_resolves_correctly_on_mixed_attacked_release() {
+        use medshield_attacks::{Attack, MixedAttack, SubsetAlteration, SubsetDeletion};
+
+        let ds = dataset(1500);
+        let p = ProtectionEngine::sequential(
+            ProtectionConfig::builder()
+                .k(4)
+                .eta(5)
+                .duplication(2)
+                .mark_from_statistic(true)
+                .build(),
+        );
+        let release = p.protect(&ds.table, &ds.trees).unwrap();
+        let proof = release.ownership.clone().expect("statistic-derived mark carries a proof");
+
+        // A mild mixed attack: delete 10% of the tuples, then alter 5%.
+        let attack = MixedAttack::new()
+            .then(SubsetDeletion::random(0.10, 7))
+            .then(SubsetAlteration::new(0.05, 8));
+        let attacked = attack.apply(&release.table);
+        assert!(attacked.len() < release.table.len());
+
+        let detection = p.detect(&attacked, &release.binning.columns, &ds.trees).unwrap();
+        let tau = proof.statistic.abs() * 0.05 + 1.0;
+        let verdict = p.resolve_ownership(&proof, &attacked, "ssn", &detection.mark, tau, 0.25);
+        assert!(verdict.statistic_consistent, "{verdict:?}");
+        assert!(verdict.accepted, "owner must prevail on a mildly attacked release: {verdict:?}");
+
+        // The thief's claim over the very same attacked table: wrong statistic
+        // (the thief cannot decrypt the identifiers to compute the real one).
+        let bogus = OwnershipProof { statistic: proof.statistic + 10_000_000.0, mark_len: 20 };
+        let thief_verdict =
+            p.resolve_ownership(&bogus, &attacked, "ssn", &detection.mark, tau, 0.25);
+        assert!(!thief_verdict.accepted, "{thief_verdict:?}");
+    }
+
+    #[test]
+    fn pipeline_error_display() {
+        let e = PipelineError::NoIdentifyingColumn;
+        assert!(e.to_string().contains("identifying"));
+        let e = PipelineError::Binning(BinningError::InvalidK);
+        assert!(e.to_string().contains("binning failed"));
+        let e = PipelineError::Watermark(WatermarkError::EmptyMark);
+        assert!(e.to_string().contains("watermarking failed"));
     }
 }

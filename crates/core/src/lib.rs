@@ -28,12 +28,12 @@
 //! mark from a (possibly attacked) release, and `resolve_ownership` runs the
 //! court protocol. The watermark hot paths are sharded over row chunks and
 //! run on scoped worker threads — with output byte-identical to the
-//! sequential path, which survives as the single-threaded
-//! [`ProtectionPipeline`]. [`interference`] quantifies how much watermarking
-//! perturbs the bins (Lemmas 1–2 and the Fig. 14 statistics).
+//! single-threaded [`ProtectionEngine::sequential`] for every thread count.
+//! [`interference`] quantifies how much watermarking perturbs the bins
+//! (Lemmas 1–2 and the Fig. 14 statistics).
 //!
 //! ```
-//! use medshield_core::{ProtectionConfig, ProtectionPipeline};
+//! use medshield_core::{ProtectionConfig, ProtectionEngine};
 //! use medshield_datagen::{DatasetConfig, MedicalDataset};
 //!
 //! let dataset = MedicalDataset::generate(&DatasetConfig::small(400));
@@ -43,9 +43,9 @@
 //!     .duplication(1)  // small table ⇒ small extended mark
 //!     .mark_text("City Hospital Research Release 2005")
 //!     .build();
-//! let pipeline = ProtectionPipeline::new(config);
-//! let release = pipeline.protect(&dataset.table, &dataset.trees).unwrap();
-//! let detection = pipeline
+//! let engine = ProtectionEngine::sequential(config);
+//! let release = engine.protect(&dataset.table, &dataset.trees).unwrap();
+//! let detection = engine
 //!     .detect(&release.table, &release.binning.columns, &dataset.trees)
 //!     .unwrap();
 //! assert_eq!(detection.mark, release.mark.bits());
@@ -58,13 +58,11 @@ pub mod codec;
 pub mod config;
 pub mod engine;
 pub mod interference;
-pub mod pipeline;
 
 pub use codec::CodecError;
 pub use config::{ProtectionConfig, ProtectionConfigBuilder};
 pub use engine::{PipelineError, ProtectedRelease, ProtectionEngine};
 pub use interference::{analytic_interference, measure_interference, ColumnInterference};
-pub use pipeline::ProtectionPipeline;
 
 // Re-export the sub-crates so downstream users can depend on `medshield-core`
 // alone.

@@ -1,138 +1,98 @@
-//! HMAC (RFC 2104) over the hash functions of this crate.
+//! HMAC-SHA256 (RFC 2104).
 //!
 //! The paper writes the keyed hash as `H(ti.ident, k1)`; HMAC is the standard
 //! construction for turning a Merkle–Damgård hash into such a keyed function
 //! without the length-extension weaknesses of naive concatenation.
 
-use crate::md5::Md5;
-use crate::sha1::Sha1;
 use crate::sha256::Sha256;
-use crate::HashAlgorithm;
 
 const BLOCK_LEN: usize = 64;
 const IPAD: u8 = 0x36;
 const OPAD: u8 = 0x5c;
 
-macro_rules! impl_hmac {
-    ($name:ident, $hasher:ident, $digest_len:expr, $doc:expr) => {
-        #[doc = $doc]
-        pub fn $name(key: &[u8], message: &[u8]) -> [u8; $digest_len] {
-            // Keys longer than the block size are hashed first (RFC 2104 §2).
-            let mut key_block = [0u8; BLOCK_LEN];
-            if key.len() > BLOCK_LEN {
-                let mut h = $hasher::new();
-                h.update(key);
-                let digest = h.finalize();
-                key_block[..$digest_len].copy_from_slice(&digest);
-            } else {
-                key_block[..key.len()].copy_from_slice(key);
-            }
-
-            let mut ipad = [0u8; BLOCK_LEN];
-            let mut opad = [0u8; BLOCK_LEN];
-            for i in 0..BLOCK_LEN {
-                ipad[i] = key_block[i] ^ IPAD;
-                opad[i] = key_block[i] ^ OPAD;
-            }
-
-            let mut inner = $hasher::new();
-            inner.update(&ipad);
-            inner.update(message);
-            let inner_digest = inner.finalize();
-
-            let mut outer = $hasher::new();
-            outer.update(&opad);
-            outer.update(&inner_digest);
-            outer.finalize()
-        }
-    };
-}
-
-impl_hmac!(hmac_md5, Md5, 16, "HMAC-MD5 of `message` under `key` (16-byte tag).");
-impl_hmac!(hmac_sha1, Sha1, 20, "HMAC-SHA1 of `message` under `key` (20-byte tag).");
-impl_hmac!(hmac_sha256, Sha256, 32, "HMAC-SHA256 of `message` under `key` (32-byte tag).");
-
-/// Builds the ipad/opad-primed hasher pair for one hasher type: the RFC 2104
-/// key schedule run once, with the two hashers left positioned just past
-/// their 64-byte pad block.
-macro_rules! primed_pair {
-    ($hasher:ident, $digest_len:expr, $key:expr) => {{
-        let key: &[u8] = $key;
-        let mut key_block = [0u8; BLOCK_LEN];
-        if key.len() > BLOCK_LEN {
-            let mut h = $hasher::new();
-            h.update(key);
-            let digest = h.finalize();
-            key_block[..$digest_len].copy_from_slice(&digest);
-        } else {
-            key_block[..key.len()].copy_from_slice(key);
-        }
-        let mut ipad = [0u8; BLOCK_LEN];
-        let mut opad = [0u8; BLOCK_LEN];
-        for i in 0..BLOCK_LEN {
-            ipad[i] = key_block[i] ^ IPAD;
-            opad[i] = key_block[i] ^ OPAD;
-        }
-        let mut inner = $hasher::new();
-        inner.update(&ipad);
-        let mut outer = $hasher::new();
-        outer.update(&opad);
-        (inner, outer)
-    }};
-}
-
-/// The ipad/opad midstates for one algorithm: both hashers have already
-/// absorbed their exactly-one-block pad, so a per-message digest costs two
-/// hasher clones instead of a fresh key schedule.
-#[derive(Clone)]
-enum Midstate {
-    Md5 { inner: Md5, outer: Md5 },
-    Sha1 { inner: Sha1, outer: Sha1 },
-    Sha256 { inner: Sha256, outer: Sha256 },
-}
-
-/// A precomputed HMAC key schedule.
+/// HMAC-SHA256 of `message` under `key` (32-byte tag).
 ///
-/// [`hmac_md5`]/[`hmac_sha1`]/[`hmac_sha256`] rebuild the padded key blocks
-/// and absorb them into fresh hashers on every call; in the watermarking hot
-/// loops that key schedule dominates the per-tuple cost because the messages
-/// themselves are short. `HmacKey` runs the schedule once at construction and
-/// caches the two primed hashers, producing tags byte-identical to the naive
-/// functions (pinned by tests).
+/// The naive construction: every call rebuilds the padded key blocks. It is
+/// the reference [`HmacKey`] is pinned against.
+pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
+    // Keys longer than the block size are hashed first (RFC 2104 §2).
+    let mut key_block = [0u8; BLOCK_LEN];
+    if key.len() > BLOCK_LEN {
+        let mut h = Sha256::new();
+        h.update(key);
+        let digest = h.finalize();
+        key_block[..digest.len()].copy_from_slice(&digest);
+    } else {
+        key_block[..key.len()].copy_from_slice(key);
+    }
+
+    let mut ipad = [0u8; BLOCK_LEN];
+    let mut opad = [0u8; BLOCK_LEN];
+    for i in 0..BLOCK_LEN {
+        ipad[i] = key_block[i] ^ IPAD;
+        opad[i] = key_block[i] ^ OPAD;
+    }
+
+    let mut inner = Sha256::new();
+    inner.update(&ipad);
+    inner.update(message);
+    let inner_digest = inner.finalize();
+
+    let mut outer = Sha256::new();
+    outer.update(&opad);
+    outer.update(&inner_digest);
+    outer.finalize()
+}
+
+/// The ipad/opad-primed hasher pair: the RFC 2104 key schedule run once, with
+/// the two hashers left positioned just past their 64-byte pad block.
+fn primed_pair(key: &[u8]) -> (Sha256, Sha256) {
+    let mut key_block = [0u8; BLOCK_LEN];
+    if key.len() > BLOCK_LEN {
+        let mut h = Sha256::new();
+        h.update(key);
+        let digest = h.finalize();
+        key_block[..digest.len()].copy_from_slice(&digest);
+    } else {
+        key_block[..key.len()].copy_from_slice(key);
+    }
+    let mut ipad = [0u8; BLOCK_LEN];
+    let mut opad = [0u8; BLOCK_LEN];
+    for i in 0..BLOCK_LEN {
+        ipad[i] = key_block[i] ^ IPAD;
+        opad[i] = key_block[i] ^ OPAD;
+    }
+    let mut inner = Sha256::new();
+    inner.update(&ipad);
+    let mut outer = Sha256::new();
+    outer.update(&opad);
+    (inner, outer)
+}
+
+/// A precomputed HMAC-SHA256 key schedule.
+///
+/// [`hmac_sha256`] rebuilds the padded key blocks and absorbs them into fresh
+/// hashers on every call; in the watermarking hot loops that key schedule
+/// dominates the per-tuple cost because the messages themselves are short.
+/// `HmacKey` runs the schedule once at construction and caches the two primed
+/// hashers (the ipad/opad midstates), so a per-message digest costs two
+/// hasher clones. Its tags are byte-identical to [`hmac_sha256`] (pinned by
+/// tests).
 #[derive(Clone)]
 pub struct HmacKey {
-    algorithm: HashAlgorithm,
-    midstate: Midstate,
+    inner: Sha256,
+    outer: Sha256,
 }
 
 impl HmacKey {
-    /// Run the RFC 2104 key schedule for `key` under `algorithm` and cache
-    /// the resulting ipad/opad midstates.
-    pub fn new(algorithm: HashAlgorithm, key: &[u8]) -> Self {
-        let midstate = match algorithm {
-            HashAlgorithm::Md5 => {
-                let (inner, outer) = primed_pair!(Md5, 16, key);
-                Midstate::Md5 { inner, outer }
-            }
-            HashAlgorithm::Sha1 => {
-                let (inner, outer) = primed_pair!(Sha1, 20, key);
-                Midstate::Sha1 { inner, outer }
-            }
-            HashAlgorithm::Sha256 => {
-                let (inner, outer) = primed_pair!(Sha256, 32, key);
-                Midstate::Sha256 { inner, outer }
-            }
-        };
-        HmacKey { algorithm, midstate }
+    /// Run the RFC 2104 key schedule for `key` and cache the resulting
+    /// ipad/opad midstates.
+    pub fn new(key: &[u8]) -> Self {
+        let (inner, outer) = primed_pair(key);
+        HmacKey { inner, outer }
     }
 
-    /// The hash algorithm this key schedule was built for.
-    pub fn algorithm(&self) -> HashAlgorithm {
-        self.algorithm
-    }
-
-    /// The HMAC tag of `message`, byte-identical to the corresponding
-    /// `hmac_*` function.
+    /// The HMAC tag of `message`, byte-identical to [`hmac_sha256`].
     pub fn digest(&self, message: &[u8]) -> Vec<u8> {
         self.digest_parts(&[message])
     }
@@ -142,45 +102,21 @@ impl HmacKey {
     /// definitionally equal to hashing their concatenation, so
     /// `digest_parts(&[a, b]) == digest(a ++ b)` byte for byte.
     pub fn digest_parts(&self, parts: &[&[u8]]) -> Vec<u8> {
-        match &self.midstate {
-            Midstate::Md5 { inner, outer } => {
-                let mut h = inner.clone();
-                for part in parts {
-                    h.update(part);
-                }
-                let inner_digest = h.finalize();
-                let mut o = outer.clone();
-                o.update(&inner_digest);
-                o.finalize().to_vec()
-            }
-            Midstate::Sha1 { inner, outer } => {
-                let mut h = inner.clone();
-                for part in parts {
-                    h.update(part);
-                }
-                let inner_digest = h.finalize();
-                let mut o = outer.clone();
-                o.update(&inner_digest);
-                o.finalize().to_vec()
-            }
-            Midstate::Sha256 { inner, outer } => {
-                let mut h = inner.clone();
-                for part in parts {
-                    h.update(part);
-                }
-                let inner_digest = h.finalize();
-                let mut o = outer.clone();
-                o.update(&inner_digest);
-                o.finalize().to_vec()
-            }
+        let mut h = self.inner.clone();
+        for part in parts {
+            h.update(part);
         }
+        let inner_digest = h.finalize();
+        let mut o = self.outer.clone();
+        o.update(&inner_digest);
+        o.finalize().to_vec()
     }
 }
 
 impl std::fmt::Debug for HmacKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // The midstates are key material; never print them.
-        f.debug_struct("HmacKey").field("algorithm", &self.algorithm).finish_non_exhaustive()
+        f.debug_struct("HmacKey").finish_non_exhaustive()
     }
 }
 
@@ -189,30 +125,7 @@ mod tests {
     use super::*;
     use crate::hex;
 
-    /// RFC 2202 test vectors for HMAC-MD5 and HMAC-SHA1, RFC 4231 for HMAC-SHA256.
-    #[test]
-    fn rfc2202_hmac_md5() {
-        let key = [0x0b_u8; 16];
-        assert_eq!(hex::encode(&hmac_md5(&key, b"Hi There")), "9294727a3638bb1c13f48ef8158bfc9d");
-        assert_eq!(
-            hex::encode(&hmac_md5(b"Jefe", b"what do ya want for nothing?")),
-            "750c783e6ab0b503eaa86e310a5db738"
-        );
-    }
-
-    #[test]
-    fn rfc2202_hmac_sha1() {
-        let key = [0x0b_u8; 20];
-        assert_eq!(
-            hex::encode(&hmac_sha1(&key, b"Hi There")),
-            "b617318655057264e28bc0b6fb378c8ef146be00"
-        );
-        assert_eq!(
-            hex::encode(&hmac_sha1(b"Jefe", b"what do ya want for nothing?")),
-            "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79"
-        );
-    }
-
+    /// RFC 4231 test vectors for HMAC-SHA256.
     #[test]
     fn rfc4231_hmac_sha256() {
         let key = [0x0b_u8; 20];
@@ -245,33 +158,27 @@ mod tests {
         // relies on when using distinct keys k1 and k2, §5.3).
         let msg = b"ssn-encrypted-value";
         assert_ne!(hmac_sha256(b"k1", msg), hmac_sha256(b"k2", msg));
-        assert_ne!(hmac_sha1(b"k1", msg), hmac_sha1(b"k2", msg));
-        assert_ne!(hmac_md5(b"k1", msg), hmac_md5(b"k2", msg));
     }
 
     #[test]
     fn cached_midstate_matches_naive_path() {
         // The midstate-cached schedule must be byte-identical to the naive
-        // per-call functions for every algorithm, across the key-length cases
-        // RFC 2104 distinguishes (short, exactly block-sized, longer than a
-        // block) and messages spanning block boundaries.
+        // per-call function across the key-length cases RFC 2104
+        // distinguishes (short, exactly block-sized, longer than a block) and
+        // messages spanning block boundaries.
         let keys: [&[u8]; 4] = [b"", b"k1", &[0x0b; 64], &[0xaa; 131]];
         let messages: [&[u8]; 4] = [b"", b"Hi There", &[0x42; 64], &[0x37; 200]];
         for key in keys {
+            let cached = HmacKey::new(key);
             for msg in messages {
-                let md5_key = HmacKey::new(HashAlgorithm::Md5, key);
-                assert_eq!(md5_key.digest(msg), hmac_md5(key, msg).to_vec());
-                let sha1_key = HmacKey::new(HashAlgorithm::Sha1, key);
-                assert_eq!(sha1_key.digest(msg), hmac_sha1(key, msg).to_vec());
-                let sha256_key = HmacKey::new(HashAlgorithm::Sha256, key);
-                assert_eq!(sha256_key.digest(msg), hmac_sha256(key, msg).to_vec());
+                assert_eq!(cached.digest(msg), hmac_sha256(key, msg).to_vec());
             }
         }
     }
 
     #[test]
     fn digest_parts_equals_digest_of_concatenation() {
-        let key = HmacKey::new(HashAlgorithm::Sha256, b"k2");
+        let key = HmacKey::new(b"k2");
         let (a, b, c): (&[u8], &[u8], &[u8]) = (b"perm:age\x1f", b"ident-", b"bytes");
         let mut concat = a.to_vec();
         concat.extend_from_slice(b);
@@ -285,7 +192,7 @@ mod tests {
     fn cached_key_is_reusable_across_messages() {
         // Reusing one HmacKey for many messages must not leak state between
         // calls: each digest equals a fresh naive computation.
-        let key = HmacKey::new(HashAlgorithm::Sha256, b"watermark-key");
+        let key = HmacKey::new(b"watermark-key");
         for i in 0..32u32 {
             let msg = i.to_be_bytes();
             assert_eq!(key.digest(&msg), hmac_sha256(b"watermark-key", &msg).to_vec());

@@ -6,26 +6,12 @@
 //! * permutation index — `H(ti.ident, k2) mod |S|`,
 //! * mark-bit index — `H(ti.ident, k2) mod |wmd|`.
 //!
-//! [`KeyedPrf`] wraps HMAC over the chosen hash and exposes exactly those
+//! [`KeyedPrf`] wraps HMAC-SHA256 and exposes exactly those
 //! operations, taking care of the bytes→integer reduction in one place so the
 //! distribution assumptions of the paper (§6: "the use of hash function in the
 //! suitability selection step renders a uniform culling") hold everywhere.
 
 use crate::hmac::HmacKey;
-use crate::HashAlgorithm;
-
-/// Which keyed-hash construction backs the PRF.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
-pub enum PrfAlgorithm {
-    /// HMAC over the hash algorithm named by the paper (MD5/SHA-1) or SHA-256.
-    Hmac(HashAlgorithm),
-}
-
-impl Default for PrfAlgorithm {
-    fn default() -> Self {
-        PrfAlgorithm::Hmac(HashAlgorithm::Sha256)
-    }
-}
 
 /// A keyed PRF mapping byte strings to uniformly distributed `u64` values.
 ///
@@ -35,27 +21,13 @@ impl Default for PrfAlgorithm {
 /// loops, where messages are short tuple identifiers.
 #[derive(Debug, Clone)]
 pub struct KeyedPrf {
-    algorithm: PrfAlgorithm,
     hmac: HmacKey,
 }
 
 impl KeyedPrf {
-    /// Create a PRF with the default algorithm (HMAC-SHA-256).
+    /// Create a PRF keyed by `key` (HMAC-SHA-256).
     pub fn new(key: impl AsRef<[u8]>) -> Self {
-        Self::with_algorithm(key, PrfAlgorithm::default())
-    }
-
-    /// Create a PRF with an explicit algorithm.
-    pub fn with_algorithm(key: impl AsRef<[u8]>, algorithm: PrfAlgorithm) -> Self {
-        let hmac = match algorithm {
-            PrfAlgorithm::Hmac(h) => HmacKey::new(h, key.as_ref()),
-        };
-        KeyedPrf { algorithm, hmac }
-    }
-
-    /// The algorithm backing this PRF.
-    pub fn algorithm(&self) -> PrfAlgorithm {
-        self.algorithm
+        KeyedPrf { hmac: HmacKey::new(key.as_ref()) }
     }
 
     /// The full keyed digest of `data`.
@@ -71,8 +43,8 @@ impl KeyedPrf {
     }
 
     /// Map `data` to a `u64` by taking the first eight bytes of the keyed
-    /// digest (big-endian). All digests produced by this crate are at least
-    /// 16 bytes, so this never truncates below eight bytes.
+    /// digest (big-endian). The digest is a 32-byte HMAC-SHA256 tag, so
+    /// this never truncates below eight bytes.
     pub fn value(&self, data: &[u8]) -> u64 {
         let digest = self.digest(data);
         let mut bytes = [0u8; 8];
@@ -99,10 +71,7 @@ impl KeyedPrf {
     /// `u32::MAX` (a plain 64-bit truncate-then-mod would bias low residues
     /// by up to `m / 2^64`).
     pub fn value_mod(&self, data: &[u8], modulus: u64) -> u64 {
-        if modulus == 0 {
-            return 0;
-        }
-        (self.value_wide(data) % u128::from(modulus)) as u64
+        Self::reduce_wide(self.value_wide(data), modulus)
     }
 
     /// The tuple-selection predicate of Eq. 5: `H(data, key) mod eta == 0`.
@@ -114,30 +83,13 @@ impl KeyedPrf {
         self.value_mod(data, eta) == 0
     }
 
-    /// The domain-separated message for the labeled variants: the label, a
-    /// unit separator (which never appears in labels), then the data.
-    fn labeled_message(label: &str, data: &[u8]) -> Vec<u8> {
-        let mut msg = Vec::with_capacity(label.len() + 1 + data.len());
-        msg.extend_from_slice(label.as_bytes());
-        msg.push(0x1f);
-        msg.extend_from_slice(data);
-        msg
-    }
-
-    /// A domain-separated variant: prefixes the message with a label so the
-    /// same key can safely drive independent decisions (e.g. permutation index
-    /// vs mark-bit index) without correlation.
-    pub fn labeled_value(&self, label: &str, data: &[u8]) -> u64 {
-        self.value(&Self::labeled_message(label, data))
-    }
-
     /// Labeled variant of [`KeyedPrf::value_mod`]: the same 128-bit wide
-    /// reduction, applied to the domain-separated digest.
+    /// reduction, applied to the digest of the domain-separated message
+    /// `label ++ 0x1f ++ data` (the unit separator never appears in labels),
+    /// so the same key can safely drive independent decisions (e.g.
+    /// permutation index vs mark-bit index) without correlation.
     pub fn labeled_value_mod(&self, label: &str, data: &[u8], modulus: u64) -> u64 {
-        if modulus == 0 {
-            return 0;
-        }
-        (self.value_wide(&Self::labeled_message(label, data)) % u128::from(modulus)) as u64
+        Self::reduce_wide(self.prefixed_value_wide(&Self::label_prefix(label), data), modulus)
     }
 
     /// The full keyed digest of the domain-separated message
@@ -204,17 +156,6 @@ mod tests {
     }
 
     #[test]
-    fn algorithm_separation() {
-        let a = KeyedPrf::with_algorithm(b"k", PrfAlgorithm::Hmac(HashAlgorithm::Md5));
-        let b = KeyedPrf::with_algorithm(b"k", PrfAlgorithm::Hmac(HashAlgorithm::Sha1));
-        let c = KeyedPrf::with_algorithm(b"k", PrfAlgorithm::Hmac(HashAlgorithm::Sha256));
-        let vals = [a.value(b"x"), b.value(b"x"), c.value(b"x")];
-        assert_ne!(vals[0], vals[1]);
-        assert_ne!(vals[1], vals[2]);
-        assert_ne!(vals[0], vals[2]);
-    }
-
-    #[test]
     fn value_mod_bounds() {
         let prf = KeyedPrf::new(b"k");
         for i in 0..100u32 {
@@ -251,7 +192,10 @@ mod tests {
     #[test]
     fn labels_decorrelate() {
         let prf = KeyedPrf::new(b"k2");
-        assert_ne!(prf.labeled_value("perm", b"tuple"), prf.labeled_value("bit", b"tuple"));
+        assert_ne!(
+            prf.labeled_value_mod("perm", b"tuple", u64::MAX),
+            prf.labeled_value_mod("bit", b"tuple", u64::MAX)
+        );
     }
 
     #[test]
@@ -305,22 +249,16 @@ mod tests {
         // The batch kernels derive one wide value per (ident, column) via the
         // precomputed label prefix and reduce it per level; every reduction
         // must equal the per-call labeled_value_mod it replaces.
-        for algorithm in [
-            PrfAlgorithm::Hmac(HashAlgorithm::Md5),
-            PrfAlgorithm::Hmac(HashAlgorithm::Sha1),
-            PrfAlgorithm::Hmac(HashAlgorithm::Sha256),
-        ] {
-            let prf = KeyedPrf::with_algorithm(b"k2", algorithm);
-            let prefix = KeyedPrf::label_prefix("perm:diagnosis");
-            for i in 0..16u32 {
-                let ident = i.to_be_bytes();
-                let wide = prf.prefixed_value_wide(&prefix, &ident);
-                for m in [0u64, 1, 2, 3, 7, 10, 255, u64::MAX] {
-                    assert_eq!(
-                        KeyedPrf::reduce_wide(wide, m),
-                        prf.labeled_value_mod("perm:diagnosis", &ident, m)
-                    );
-                }
+        let prf = KeyedPrf::new(b"k2");
+        let prefix = KeyedPrf::label_prefix("perm:diagnosis");
+        for i in 0..16u32 {
+            let ident = i.to_be_bytes();
+            let wide = prf.prefixed_value_wide(&prefix, &ident);
+            for m in [0u64, 1, 2, 3, 7, 10, 255, u64::MAX] {
+                assert_eq!(
+                    KeyedPrf::reduce_wide(wide, m),
+                    prf.labeled_value_mod("perm:diagnosis", &ident, m)
+                );
             }
         }
     }
@@ -328,16 +266,11 @@ mod tests {
     #[test]
     fn digest_matches_naive_hmac() {
         // KeyedPrf now caches the HMAC key schedule; its digests must stay
-        // byte-identical to the from-scratch hmac_* functions.
-        use crate::hmac::{hmac_md5, hmac_sha1, hmac_sha256};
+        // byte-identical to the from-scratch hmac_sha256.
+        use crate::hmac::hmac_sha256;
         for key in [&b"k"[..], &[0xaa; 131][..]] {
             let msg = b"tuple-ident";
-            let md5 = KeyedPrf::with_algorithm(key, PrfAlgorithm::Hmac(HashAlgorithm::Md5));
-            assert_eq!(md5.digest(msg), hmac_md5(key, msg).to_vec());
-            let sha1 = KeyedPrf::with_algorithm(key, PrfAlgorithm::Hmac(HashAlgorithm::Sha1));
-            assert_eq!(sha1.digest(msg), hmac_sha1(key, msg).to_vec());
-            let sha256 = KeyedPrf::with_algorithm(key, PrfAlgorithm::Hmac(HashAlgorithm::Sha256));
-            assert_eq!(sha256.digest(msg), hmac_sha256(key, msg).to_vec());
+            assert_eq!(KeyedPrf::new(key).digest(msg), hmac_sha256(key, msg).to_vec());
         }
     }
 

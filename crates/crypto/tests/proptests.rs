@@ -1,6 +1,6 @@
 //! Property-based tests of the cryptographic primitives.
 
-use medshield_crypto::{aes::Aes128, hex, hmac, md5, sha1, sha256, HashAlgorithm, KeyedPrf};
+use medshield_crypto::{aes::Aes128, hex, hmac, sha256, HmacKey, KeyedPrf, SHA256_DIGEST_LEN};
 use proptest::prelude::*;
 
 proptest! {
@@ -58,16 +58,10 @@ proptest! {
     #[test]
     fn streaming_equals_one_shot(data in prop::collection::vec(any::<u8>(), 0..500),
                                  chunk in 1usize..97) {
-        let mut m = md5::Md5::new();
-        let mut s1 = sha1::Sha1::new();
         let mut s256 = sha256::Sha256::new();
         for c in data.chunks(chunk) {
-            m.update(c);
-            s1.update(c);
             s256.update(c);
         }
-        prop_assert_eq!(m.finalize(), md5::md5(&data));
-        prop_assert_eq!(s1.finalize(), sha1::sha1(&data));
         prop_assert_eq!(s256.finalize(), sha256::sha256(&data));
     }
 
@@ -93,12 +87,11 @@ proptest! {
         prop_assert_eq!(v, prf.value_mod(&data, modulus));
     }
 
-    /// All three hash algorithms produce digests of their declared length.
+    /// The cached HMAC key and the keyed PRF produce full SHA-256 digests.
     #[test]
-    fn digest_lengths(data in prop::collection::vec(any::<u8>(), 0..128)) {
-        for alg in [HashAlgorithm::Md5, HashAlgorithm::Sha1, HashAlgorithm::Sha256] {
-            prop_assert_eq!(alg.digest(&data).len(), alg.digest_len());
-            prop_assert_eq!(alg.keyed_digest(b"k", &data).len(), alg.digest_len());
-        }
+    fn digest_lengths(key in prop::collection::vec(any::<u8>(), 0..80),
+                      data in prop::collection::vec(any::<u8>(), 0..128)) {
+        prop_assert_eq!(HmacKey::new(&key).digest(&data).len(), SHA256_DIGEST_LEN);
+        prop_assert_eq!(KeyedPrf::new(&key).digest(&data).len(), SHA256_DIGEST_LEN);
     }
 }

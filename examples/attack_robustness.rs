@@ -13,7 +13,7 @@ use medshield_core::attacks::{
 };
 use medshield_core::metrics::mark_loss;
 use medshield_core::watermark::{Mark, SingleLevelWatermarker, WatermarkConfig, WatermarkKey};
-use medshield_core::{ProtectionConfig, ProtectionPipeline};
+use medshield_core::{ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 
 fn main() {
@@ -24,7 +24,7 @@ fn main() {
         .mark_len(20)
         .mark_text("General Hospital 2005")
         .build();
-    let pipeline = ProtectionPipeline::new(config);
+    let pipeline = ProtectionEngine::sequential(config);
     let release = pipeline.protect(&dataset.table, &dataset.trees).unwrap();
     println!(
         "protected {} tuples; {} watermarked; mark = {}",

@@ -9,7 +9,7 @@
 use medshield_core::dht::GeneralizationSet;
 use medshield_core::metrics::UsageBounds;
 use medshield_core::relation::csv;
-use medshield_core::{ProtectionConfig, ProtectionPipeline};
+use medshield_core::{ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 use std::collections::BTreeMap;
 
@@ -42,7 +42,7 @@ fn main() {
         .encryption_secret(b"hospital-identifier-key-2005".to_vec())
         .watermark_secret(b"hospital-watermark-key-2005".to_vec())
         .build();
-    let pipeline = ProtectionPipeline::new(config);
+    let pipeline = ProtectionEngine::sequential(config);
 
     let release = pipeline
         .protect_with_metrics(&dataset.table, &dataset.trees, &maximal)

@@ -10,14 +10,14 @@
 
 use medshield_core::watermark::ownership::OwnershipProof;
 use medshield_core::watermark::{HierarchicalWatermarker, Mark, WatermarkConfig, WatermarkKey};
-use medshield_core::{ProtectionConfig, ProtectionPipeline};
+use medshield_core::{ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 
 fn main() {
     let dataset = MedicalDataset::generate(&DatasetConfig::small(3_000));
 
     // ---------------------------------------------------------------- owner
-    let owner = ProtectionPipeline::new(
+    let owner = ProtectionEngine::sequential(
         ProtectionConfig::builder()
             .k(5)
             .eta(10)

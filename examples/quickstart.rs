@@ -6,7 +6,7 @@
 //! ```
 
 use medshield_core::metrics::{satisfies_k_anonymity, ColumnGeneralization};
-use medshield_core::{ProtectionConfig, ProtectionPipeline};
+use medshield_core::{ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 
 fn main() {
@@ -27,7 +27,7 @@ fn main() {
         .mark_len(20)
         .mark_text("City Hospital Research Release")
         .build();
-    let pipeline = ProtectionPipeline::new(config);
+    let pipeline = ProtectionEngine::sequential(config);
 
     // 3. Protect: binning (privacy) followed by hierarchical watermarking
     //    (ownership).

@@ -10,14 +10,14 @@
 
 use medshield_core::attacks::{Attack, CollusionAttack, SubsetAlteration};
 use medshield_core::watermark::{score_recipients, FingerprintDeriver, HierarchicalWatermarker};
-use medshield_core::{ProtectionConfig, ProtectionPipeline};
+use medshield_core::{ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 
 fn main() {
     let dataset = MedicalDataset::generate(&DatasetConfig::small(3_000));
 
     // One protected release, exactly as before the release/copy refinement.
-    let owner = ProtectionPipeline::new(
+    let owner = ProtectionEngine::sequential(
         ProtectionConfig::builder()
             .k(5)
             .eta(10)

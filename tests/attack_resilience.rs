@@ -9,12 +9,12 @@ use medshield_core::attacks::{
 };
 use medshield_core::metrics::mark_loss;
 use medshield_core::watermark::{Mark, SingleLevelWatermarker, WatermarkConfig, WatermarkKey};
-use medshield_core::{ProtectedRelease, ProtectionConfig, ProtectionPipeline};
+use medshield_core::{ProtectedRelease, ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 
-fn protect(n: usize, eta: u64) -> (MedicalDataset, ProtectionPipeline, ProtectedRelease) {
+fn protect(n: usize, eta: u64) -> (MedicalDataset, ProtectionEngine, ProtectedRelease) {
     let ds = MedicalDataset::generate(&DatasetConfig::small(n));
-    let pipeline = ProtectionPipeline::new(
+    let pipeline = ProtectionEngine::sequential(
         ProtectionConfig::builder()
             .k(5)
             .eta(eta)
@@ -30,7 +30,7 @@ fn protect(n: usize, eta: u64) -> (MedicalDataset, ProtectionPipeline, Protected
 fn loss_under(
     attack: &dyn Attack,
     ds: &MedicalDataset,
-    pipeline: &ProtectionPipeline,
+    pipeline: &ProtectionEngine,
     release: &ProtectedRelease,
 ) -> f64 {
     let attacked = attack.apply(&release.table);

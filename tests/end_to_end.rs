@@ -6,7 +6,7 @@ use medshield_core::metrics::{
     column_satisfies_k, mark_loss, satisfies_k_anonymity, table_info_loss, ColumnGeneralization,
 };
 use medshield_core::relation::{csv, ColumnRole, Value};
-use medshield_core::{ProtectionConfig, ProtectionPipeline};
+use medshield_core::{ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 
 fn dataset(n: usize) -> MedicalDataset {
@@ -16,7 +16,7 @@ fn dataset(n: usize) -> MedicalDataset {
 #[test]
 fn full_pipeline_guarantees_privacy_and_ownership() {
     let ds = dataset(2_000);
-    let pipeline = ProtectionPipeline::new(
+    let pipeline = ProtectionEngine::sequential(
         ProtectionConfig::builder()
             .k(10)
             .epsilon(2)
@@ -58,7 +58,8 @@ fn information_loss_stays_below_one_and_grows_with_k() {
     let ds = dataset(1_500);
     let mut previous = 0.0f64;
     for k in [2usize, 20, 80] {
-        let pipeline = ProtectionPipeline::new(ProtectionConfig::builder().k(k).eta(25).build());
+        let pipeline =
+            ProtectionEngine::sequential(ProtectionConfig::builder().k(k).eta(25).build());
         let release = pipeline.protect(&ds.table, &ds.trees).unwrap();
         let cgs: Vec<ColumnGeneralization<'_>> = release
             .binning
@@ -80,7 +81,7 @@ fn information_loss_stays_below_one_and_grows_with_k() {
 #[test]
 fn release_survives_csv_roundtrip_and_detection_still_works() {
     let ds = dataset(1_200);
-    let pipeline = ProtectionPipeline::new(
+    let pipeline = ProtectionEngine::sequential(
         ProtectionConfig::builder().k(5).eta(8).duplication(3).mark_text("csv-owner").build(),
     );
     let release = pipeline.protect(&ds.table, &ds.trees).unwrap();
@@ -109,7 +110,7 @@ fn release_survives_csv_roundtrip_and_detection_still_works() {
 #[test]
 fn two_owners_with_different_keys_do_not_interfere() {
     let ds = dataset(1_000);
-    let owner_a = ProtectionPipeline::new(
+    let owner_a = ProtectionEngine::sequential(
         ProtectionConfig::builder()
             .k(4)
             .eta(10)
@@ -117,7 +118,7 @@ fn two_owners_with_different_keys_do_not_interfere() {
             .watermark_secret(b"key-a".to_vec())
             .build(),
     );
-    let owner_b = ProtectionPipeline::new(
+    let owner_b = ProtectionEngine::sequential(
         ProtectionConfig::builder()
             .k(4)
             .eta(10)
@@ -136,7 +137,7 @@ fn two_owners_with_different_keys_do_not_interfere() {
 #[test]
 fn binned_values_are_generalizations_of_the_originals() {
     let ds = dataset(800);
-    let pipeline = ProtectionPipeline::new(ProtectionConfig::builder().k(8).eta(20).build());
+    let pipeline = ProtectionEngine::sequential(ProtectionConfig::builder().k(8).eta(20).build());
     let release = pipeline.protect(&ds.table, &ds.trees).unwrap();
     // Every binned value must be an ancestor-or-self of the original value's
     // leaf in the column's tree (privacy never *adds* specificity).
@@ -180,7 +181,7 @@ fn non_identifying_columns_pass_through_untouched() {
     let mut trees = std::collections::BTreeMap::new();
     trees.insert("age".to_string(), medshield_datagen::ontology::age_tree());
 
-    let pipeline = ProtectionPipeline::new(ProtectionConfig::builder().k(5).eta(5).build());
+    let pipeline = ProtectionEngine::sequential(ProtectionConfig::builder().k(5).eta(5).build());
     let release = pipeline.protect(&table, &trees).unwrap();
     for (orig, protected) in table.iter().zip(release.table.iter()) {
         assert_eq!(orig.values[2], protected.values[2], "note column must not change");

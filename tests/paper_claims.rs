@@ -9,7 +9,7 @@ use medshield_core::binning::{BinningAgent, BinningConfig, KAnonymitySpec};
 use medshield_core::dht::GeneralizationSet;
 use medshield_core::metrics::{mark_loss, table_info_loss, ColumnGeneralization};
 use medshield_core::{analytic_interference, measure_interference};
-use medshield_core::{ProtectionConfig, ProtectionPipeline};
+use medshield_core::{ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 use std::collections::BTreeMap;
 
@@ -74,7 +74,7 @@ fn fig12a_shape_alteration_resilience_and_eta_tradeoff() {
     let ds = dataset(3_000);
     let mut losses_by_eta = Vec::new();
     for eta in [5u64, 50] {
-        let pipeline = ProtectionPipeline::new(
+        let pipeline = ProtectionEngine::sequential(
             ProtectionConfig::builder().k(5).eta(eta).mark_len(20).mark_text("fig12a").build(),
         );
         let release = pipeline.protect(&ds.table, &ds.trees).unwrap();
@@ -100,7 +100,7 @@ fn fig13_shape_watermarking_info_loss_is_minor() {
     let ds = dataset(2_000);
     let mut losses = Vec::new();
     for eta in [5u64, 100] {
-        let pipeline = ProtectionPipeline::new(
+        let pipeline = ProtectionEngine::sequential(
             ProtectionConfig::builder().k(5).eta(eta).mark_text("fig13").build(),
         );
         let release = pipeline.protect(&ds.table, &ds.trees).unwrap();
@@ -141,7 +141,7 @@ fn fig14_shape_watermarking_does_not_break_k_anonymity() {
     let ds = dataset(2_500);
     let mut config = BinningConfig::with_k(10);
     config.spec = KAnonymitySpec::with_epsilon(10, 2);
-    let pipeline = ProtectionPipeline::new(
+    let pipeline = ProtectionEngine::sequential(
         ProtectionConfig::builder().k(10).epsilon(2).eta(10).mark_text("fig14").build(),
     );
     let release = pipeline.protect(&ds.table, &ds.trees).unwrap();
@@ -174,7 +174,7 @@ fn fig14_shape_watermarking_does_not_break_k_anonymity() {
 #[test]
 fn ownership_protocol_separates_owner_from_attacker() {
     let ds = dataset(1_500);
-    let owner = ProtectionPipeline::new(
+    let owner = ProtectionEngine::sequential(
         ProtectionConfig::builder()
             .k(5)
             .eta(10)
@@ -193,7 +193,7 @@ fn ownership_protocol_separates_owner_from_attacker() {
     assert!(owner_verdict.accepted);
 
     // An attacker with different keys cannot make the statistic check pass.
-    let attacker = ProtectionPipeline::new(
+    let attacker = ProtectionEngine::sequential(
         ProtectionConfig::builder()
             .k(5)
             .eta(10)

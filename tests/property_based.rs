@@ -10,7 +10,7 @@ use medshield_core::metrics::{
     column_info_loss, mark_loss, satisfies_k_anonymity, ColumnGeneralization,
 };
 use medshield_core::relation::{ColumnDef, ColumnRole, Schema, Table, Value};
-use medshield_core::{ProtectionConfig, ProtectionPipeline};
+use medshield_core::{ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -135,7 +135,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let ds = MedicalDataset::generate(&DatasetConfig { num_tuples: 800, seed, zipf_exponent: 0.8 });
-        let pipeline = ProtectionPipeline::new(
+        let pipeline = ProtectionEngine::sequential(
             ProtectionConfig::builder()
                 .k(k)
                 .eta(eta)

@@ -6,12 +6,12 @@
 use medshield_core::attacks::{Attack, CollusionAttack, SubsetAlteration, SubsetDeletion};
 use medshield_core::relation::{csv, Table};
 use medshield_core::watermark::{score_recipients, FingerprintDeriver, HierarchicalWatermarker};
-use medshield_core::{ProtectedRelease, ProtectionConfig, ProtectionPipeline};
+use medshield_core::{ProtectedRelease, ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 
 struct Fixture {
     dataset: MedicalDataset,
-    owner: ProtectionPipeline,
+    owner: ProtectionEngine,
     release: ProtectedRelease,
     /// `(name, fingerprint, copy)` per recipient.
     copies: Vec<(String, medshield_core::watermark::Mark, Table)>,
@@ -19,7 +19,7 @@ struct Fixture {
 
 fn fixture() -> Fixture {
     let dataset = MedicalDataset::generate(&DatasetConfig::small(1_200));
-    let owner = ProtectionPipeline::new(
+    let owner = ProtectionEngine::sequential(
         ProtectionConfig::builder()
             .k(4)
             .eta(5)

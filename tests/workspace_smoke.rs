@@ -4,7 +4,7 @@
 //! regression fails with a named test instead of a wall of unrelated
 //! compile errors.
 
-use medshield_core::{ProtectionConfig, ProtectionPipeline};
+use medshield_core::{ProtectionConfig, ProtectionEngine};
 
 #[test]
 fn core_reexports_every_subcrate_path_the_tests_use() {
@@ -13,7 +13,7 @@ fn core_reexports_every_subcrate_path_the_tests_use() {
     // and friends import, so they must keep working verbatim.
     let _: fn(&[bool], &[bool]) -> f64 = medshield_core::metrics::mark_loss;
     let _ = medshield_core::relation::Schema::medical_example();
-    let _ = medshield_core::crypto::HashAlgorithm::Sha256.digest_len();
+    let _: usize = medshield_core::crypto::SHA256_DIGEST_LEN;
     let _ = medshield_core::dht::builder::numeric_binary_tree("x", &[(0, 10), (10, 20)]).unwrap();
     let _ = medshield_core::binning::BinningConfig::with_k(3);
     let _ = medshield_core::watermark::Mark::from_bytes(b"smoke", 8);
@@ -25,7 +25,7 @@ fn core_reexports_every_subcrate_path_the_tests_use() {
 fn facade_reexports_the_core_crate() {
     // The `medshield` facade is the one-dependency entry point.
     let config = medshield::ProtectionConfig::builder().k(3).build();
-    let _pipeline = medshield::ProtectionPipeline::new(config);
+    let _engine = medshield::ProtectionEngine::sequential(config);
     let _ = medshield::core::relation::Schema::medical_example();
 }
 
@@ -47,5 +47,5 @@ fn builder_overrides_stick_and_feed_the_pipeline() {
         .build();
     let debug = format!("{config:?}");
     assert!(debug.contains('7'), "k=7 should appear in {debug}");
-    let _ = ProtectionPipeline::new(config);
+    let _ = ProtectionEngine::sequential(config);
 }
