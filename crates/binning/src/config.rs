@@ -86,12 +86,13 @@ pub struct BinningConfig {
     /// multi-attribute binning will enumerate exhaustively. When the
     /// cross-column product exceeds this limit, the agent falls back to the
     /// greedy coarsening search (a scalability substitution documented in
-    /// DESIGN.md — the paper enumerates exhaustively on its 20k-tuple set).
+    /// the "Substitutions" section of `docs/ARCHITECTURE.md` — the paper
+    /// enumerates exhaustively on its 20k-tuple set).
     pub exhaustive_limit: usize,
-    /// Worker threads for the multi-attribute binning search: the exhaustive
-    /// candidate space (and the greedy merge frontier) is sharded over this
-    /// many scoped threads. `1` is the strictly sequential search; every
-    /// thread count produces an identical outcome. `0` is rejected
+    /// Worker threads for the exhaustive multi-attribute binning search: its
+    /// candidate space is sharded over this many scoped threads (the greedy
+    /// fallback always runs on the calling thread). `1` is the strictly
+    /// sequential search; every thread count produces an identical outcome. `0` is rejected
     /// ([`crate::BinningError::InvalidThreads`]).
     pub threads: usize,
     /// Secret used to derive the AES-128 key that encrypts the identifying

@@ -13,20 +13,23 @@
 //!   combination of allowable generalizations, keep the valid ones, choose
 //!   the one minimizing the selection score. Used whenever the number of
 //!   combinations is at most [`crate::BinningConfig::exhaustive_limit`].
-//! * **Greedy coarsening** (scalability fallback, documented in DESIGN.md):
-//!   start from the minimal generalization of every column and repeatedly
-//!   apply the cheapest single merge (collapsing a sibling group into its
-//!   parent, never above the maximal nodes), preferring merges that touch a
-//!   violating bin, until k-anonymity holds or no merge is left.
+//! * **Greedy coarsening** (scalability fallback, see "Substitutions" in
+//!   `docs/ARCHITECTURE.md`): start from the minimal generalization of every
+//!   column and repeatedly apply the cheapest single merge (collapsing a
+//!   sibling group into its parent, never above the maximal nodes),
+//!   preferring merges that touch a violating bin, until k-anonymity holds
+//!   or no merge is left. It works on the bins of the current generalization
+//!   rather than on rows: the bins are counted once, and a merge re-keys
+//!   only the bins it touches.
 //!
-//! Both searches run on `threads` scoped worker threads ([`std::thread::scope`],
-//! mirroring the chunk-parallel protection engine): candidates are scored
-//! against the same immutable `SearchPlan`/`TableLeaves` state, the
-//! exhaustive candidate space is sharded into contiguous linear-index ranges,
-//! the greedy frontier is sharded into candidate-merge chunks, and per-shard
-//! bests merge under a total order — lowest loss first, ties broken by the
-//! lowest candidate index in the deterministic enumeration order (a fixed
-//! lexicographic order on the per-column node vectors). The outcome is
+//! The exhaustive search runs on `threads` scoped worker threads
+//! ([`std::thread::scope`], mirroring the chunk-parallel protection engine):
+//! candidates are scored against the same immutable `SearchPlan`/`TableLeaves`
+//! state, the candidate space is sharded into contiguous linear-index ranges,
+//! and per-shard bests merge under a total order — lowest loss first, ties
+//! broken by the lowest candidate index in the deterministic enumeration
+//! order (a fixed lexicographic order on the per-column node vectors). The
+//! greedy search is sequential, with a deterministic pick. The outcome is
 //! therefore byte-identical for every thread count, a property pinned by the
 //! repository-level `binning_equivalence` suite.
 //!
@@ -39,7 +42,7 @@ use crate::error::BinningError;
 use crate::plan::{SearchPlan, TableLeaves};
 use medshield_dht::{DhtKind, DomainHierarchyTree, GeneralizationSet, NodeId};
 use medshield_relation::Table;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::thread;
 
 /// Per-column input to multi-attribute binning.
@@ -124,7 +127,7 @@ pub fn generate_ultimate_nodes(
         let plan = SearchPlan::build(columns, &leaves, selection, exhaustive_limit)?;
         exhaustive_search(&plan, &leaves, columns, k, threads)
     } else {
-        greedy_search(columns, &leaves, k, selection, threads)
+        greedy_search(columns, &leaves, k, selection)
     }
 }
 
@@ -173,26 +176,6 @@ fn bins_satisfy_k(
             all_bins_at_least((0..rows).map(|row| packed_key(leaves, covers, strides, row)), k)
         }
         None => all_bins_at_least((0..rows).map(|row| vec_key(leaves, covers, row)), k),
-    }
-}
-
-/// Rows belonging to under-`k` bins of the combination (sorted, so the result
-/// is independent of hash-map iteration order).
-fn undersized_bin_rows(
-    leaves: &TableLeaves,
-    covers: &[&[NodeId]],
-    strides: Option<&[u64]>,
-    k: usize,
-) -> Vec<usize> {
-    let rows = leaves.rows();
-    match strides {
-        Some(strides) => medshield_metrics::undersized_rows(
-            (0..rows).map(|row| packed_key(leaves, covers, strides, row)),
-            k,
-        ),
-        None => {
-            medshield_metrics::undersized_rows((0..rows).map(|row| vec_key(leaves, covers, row)), k)
-        }
     }
 }
 
@@ -374,61 +357,77 @@ fn exhaustive_search(
 
 /// One candidate merge of the greedy frontier: collapse `children` (all
 /// current generalization nodes) into `parent` on column `column`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct MergeCandidate {
     column: usize,
     parent: NodeId,
     children: Vec<NodeId>,
 }
 
-/// Greedy coarsening fallback for large combination spaces. The frontier of
-/// candidate merges is evaluated in parallel chunks; the pick is made by a
-/// total order (benefit ratio, then loss delta, then candidate index), so the
-/// result is identical for every thread count.
+/// Greedy coarsening fallback for large combination spaces. The search runs
+/// on the bins of the current generalization (per bin: its covering node in
+/// every column and its row count), built once from the rows; a merge
+/// re-keys only the bins it touches. The pick is made by a total order
+/// (benefit ratio, then loss delta, then candidate index), so the result is
+/// deterministic.
 fn greedy_search(
     columns: &[ColumnContext<'_>],
     leaves: &TableLeaves,
     k: usize,
     selection: SelectionStrategy,
-    threads: usize,
 ) -> Result<MultiBinning, BinningError> {
     let mut warnings = Vec::new();
-    let strides_buf = crate::plan::key_strides_for(columns);
-    let strides = strides_buf.as_deref();
     // Entries per occurring leaf, node-keyed (for the merge-score deltas).
     let leaf_counts: Vec<HashMap<NodeId, usize>> =
         (0..columns.len()).map(|i| leaves.leaf_count_map(i)).collect();
     // Current generalization per column, as an ordered node set.
-    let mut current: Vec<BTreeMap<NodeId, ()>> =
-        columns.iter().map(|c| c.minimal.nodes().iter().map(|&n| (n, ())).collect()).collect();
-    // Dense covering maps for the occurring leaves (indexed by compact leaf
-    // index, like the plan's per-option covers).
-    let mut covers: Vec<Vec<NodeId>> = Vec::with_capacity(columns.len());
-    for (i, c) in columns.iter().enumerate() {
-        let mut cover = Vec::with_capacity(leaves.leaves[i].len());
-        for &leaf in &leaves.leaves[i] {
-            cover.push(c.minimal.covering_node(c.tree, leaf).map_err(BinningError::Dht)?);
+    let mut current: Vec<BTreeSet<NodeId>> =
+        columns.iter().map(|c| c.minimal.nodes().iter().copied().collect()).collect();
+    // Minimal-generalization covering node of each occurring leaf (indexed by
+    // compact leaf index, like the plan's per-option covers).
+    let covers: Vec<Vec<NodeId>> = columns
+        .iter()
+        .zip(&leaves.leaves)
+        .map(|(c, column_leaves)| {
+            column_leaves.iter().map(|&leaf| c.minimal.covering_node(c.tree, leaf)).collect()
+        })
+        .collect::<Result<_, _>>()
+        .map_err(BinningError::Dht)?;
+    // The bins of the minimal generalization: row count per combination of
+    // covering nodes.
+    let mut bins: HashMap<Box<[NodeId]>, usize> = HashMap::new();
+    let mut key: Vec<NodeId> = Vec::with_capacity(columns.len());
+    for row in 0..leaves.rows() {
+        key.clear();
+        key.extend(covers.iter().zip(&leaves.row_leaf_ix).map(|(c, ix)| c[ix[row] as usize]));
+        match bins.get_mut(key.as_slice()) {
+            Some(n) => *n += 1,
+            None => {
+                bins.insert(key.as_slice().into(), 1);
+            }
         }
-        covers.push(cover);
     }
+    // Per column, violating rows per covering node (indexed by `NodeId`):
+    // the "benefit" of a merge is the number of violating rows it touches.
+    let mut violating: Vec<Vec<usize>> =
+        columns.iter().map(|c| vec![0; c.tree.node_count()]).collect();
 
     loop {
-        let cover_refs: Vec<&[NodeId]> = covers.iter().map(Vec::as_slice).collect();
-        let violating_rows = undersized_bin_rows(leaves, &cover_refs, strides, k);
-        if violating_rows.is_empty() {
+        for counts in &mut violating {
+            counts.fill(0);
+        }
+        let mut any_violating = false;
+        for (key, &n) in &bins {
+            if n < k {
+                any_violating = true;
+                for (counts, node) in violating.iter_mut().zip(key.iter()) {
+                    counts[node.0 as usize] += n;
+                }
+            }
+        }
+        if !any_violating {
             break;
         }
-        // How many violating rows each covering node holds, per column: the
-        // "benefit" of a merge is the number of violating rows it touches.
-        let violating_counts: Vec<HashMap<NodeId, usize>> = (0..columns.len())
-            .map(|i| {
-                let mut m: HashMap<NodeId, usize> = HashMap::new();
-                for &row in &violating_rows {
-                    *m.entry(covers[i][leaves.row_leaf_ix[i][row] as usize]).or_insert(0) += 1;
-                }
-                m
-            })
-            .collect();
 
         // Enumerate candidate merges in a deterministic (column, parent)
         // order.
@@ -436,7 +435,7 @@ fn greedy_search(
         for (i, c) in columns.iter().enumerate() {
             // Group current nodes by parent.
             let mut by_parent: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-            for &node in current[i].keys() {
+            for &node in &current[i] {
                 if let Some(parent) = c.tree.parent(node).map_err(BinningError::Dht)? {
                     by_parent.entry(parent).or_default().push(node);
                 }
@@ -462,29 +461,23 @@ fn greedy_search(
             break;
         }
 
-        // Score the frontier — (loss delta, violating rows touched) per
-        // candidate — in parallel chunks; results come back in candidate
-        // order, so the pick below is thread-count independent.
-        let workers = threads.min(candidates.len()).max(1);
-        let scored: Vec<(f64, usize)> = if workers == 1 {
-            score_merges(&candidates, columns, &leaf_counts, &violating_counts, selection)
-        } else {
-            let chunk = candidates.len().div_ceil(workers);
-            let leaf_counts = &leaf_counts;
-            let violating_counts = &violating_counts;
-            let chunks: Vec<Vec<(f64, usize)>> = thread::scope(|scope| {
-                let handles: Vec<_> = candidates
-                    .chunks(chunk)
-                    .map(|slice| {
-                        scope.spawn(move || {
-                            score_merges(slice, columns, leaf_counts, violating_counts, selection)
-                        })
-                    })
-                    .collect();
-                handles.into_iter().map(|h| h.join().expect("frontier worker panicked")).collect()
-            });
-            chunks.into_iter().flatten().collect()
-        };
+        // Score the frontier: (loss delta, violating rows touched) per
+        // candidate, in candidate order.
+        let scored: Vec<(f64, usize)> = candidates
+            .iter()
+            .map(|m| {
+                let delta = merge_score_delta(
+                    columns[m.column].tree,
+                    &leaf_counts[m.column],
+                    m.parent,
+                    &m.children,
+                    selection,
+                );
+                let touched: usize =
+                    m.children.iter().map(|ch| violating[m.column][ch.0 as usize]).sum();
+                (delta, touched)
+            })
+            .collect();
 
         // Pick the merge with the best benefit-per-cost ratio (violating rows
         // touched per unit of added loss), preferring smaller deltas and then
@@ -516,56 +509,29 @@ fn greedy_search(
             }
         }
 
-        let MergeCandidate { column: col, parent, children } = candidates[pick].clone();
-        for ch in &children {
-            current[col].remove(ch);
+        // Apply the merge: only the bins keyed by one of the merged children
+        // move, and they re-enter under the parent.
+        let MergeCandidate { column: col, parent, children } = &candidates[pick];
+        for ch in children {
+            current[*col].remove(ch);
         }
-        current[col].insert(parent, ());
-        for cover in covers[col].iter_mut() {
-            if children.contains(cover) {
-                *cover = parent;
-            }
+        current[*col].insert(*parent);
+        let moved: Vec<(Box<[NodeId]>, usize)> =
+            bins.extract_if(|key, _| children.contains(&key[*col])).collect();
+        for (mut key, n) in moved {
+            key[*col] = *parent;
+            *bins.entry(key).or_insert(0) += n;
         }
     }
 
     // Materialize and validate the final sets.
     let mut ultimate = Vec::with_capacity(columns.len());
     for (i, c) in columns.iter().enumerate() {
-        let nodes: Vec<NodeId> = current[i].keys().copied().collect();
+        let nodes: Vec<NodeId> = current[i].iter().copied().collect();
         ultimate.push(GeneralizationSet::new(c.tree, nodes).map_err(BinningError::Dht)?);
     }
-    let cover_refs: Vec<&[NodeId]> = covers.iter().map(Vec::as_slice).collect();
-    let satisfied = undersized_bin_rows(leaves, &cover_refs, strides, k).is_empty();
+    let satisfied = bins.values().all(|&n| n >= k);
     Ok(MultiBinning { ultimate, satisfied, mode: SearchMode::Greedy, warnings })
-}
-
-/// Evaluate a slice of the greedy frontier: loss delta and violating rows
-/// touched for every candidate merge, in slice order.
-fn score_merges(
-    candidates: &[MergeCandidate],
-    columns: &[ColumnContext<'_>],
-    leaf_counts: &[HashMap<NodeId, usize>],
-    violating_counts: &[HashMap<NodeId, usize>],
-    selection: SelectionStrategy,
-) -> Vec<(f64, usize)> {
-    candidates
-        .iter()
-        .map(|m| {
-            let delta = merge_score_delta(
-                columns[m.column].tree,
-                &leaf_counts[m.column],
-                m.parent,
-                &m.children,
-                selection,
-            );
-            let touched: usize = m
-                .children
-                .iter()
-                .map(|ch| violating_counts[m.column].get(ch).copied().unwrap_or(0))
-                .sum();
-            (delta, touched)
-        })
-        .collect()
 }
 
 /// Increase in the column score caused by merging `children` into `parent`.

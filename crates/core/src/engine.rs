@@ -27,8 +27,8 @@
 //! Because every per-tuple decision is content-keyed and chunk results merge
 //! by exact integer arithmetic, the parallel output is byte-identical to the
 //! sequential path for any thread count — a property pinned by the
-//! `engine_equivalence` test suite. The multi-attribute binning search is
-//! sharded too (candidate combinations scored against an immutable
+//! `engine_equivalence` test suite. The exhaustive multi-attribute binning
+//! search is sharded too (candidate combinations scored against an immutable
 //! `SearchPlan`, per-shard bests merged deterministically — see
 //! `medshield_binning::multi`); the engine's `threads` knob drives both
 //! stages, and the `binning_equivalence` suite pins the binning side.

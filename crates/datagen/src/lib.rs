@@ -7,7 +7,8 @@
 //! tuples with schema `R(ssn, age, zip_code, doctor, symptom, prescription)`,
 //! where the `symptom` hierarchy follows ICD-9 and the other attributes use
 //! self-defined ontologies (§7). That data set is not available, so this crate
-//! provides the substitution documented in `DESIGN.md`:
+//! provides the substitution documented in the "Substitutions" section of
+//! `docs/ARCHITECTURE.md`:
 //!
 //! * [`ontology`] — domain hierarchy trees with the same *shapes* the paper
 //!   describes: an ICD-9-like multi-level code tree for `symptom`, fan-out

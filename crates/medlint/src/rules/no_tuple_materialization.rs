@@ -2,9 +2,9 @@
 //!
 //! `Table::tuples()` clones every cell of every row into owned `Tuple`s —
 //! exactly the per-row allocation the columnar refactor removed from the
-//! binning leaf resolution and apply step, the watermark plan/kernels, the
-//! per-recipient fingerprint kernels, the chunk-parallel engine and the
-//! attack models. A call creeping back into one of those modules
+//! binning leaf resolution, search and apply step, the watermark
+//! plan/kernels, the per-recipient fingerprint kernels, the chunk-parallel
+//! engine and the attack models. A call creeping back into one of those modules
 //! silently reverts the hot path to row-at-a-time work while every
 //! equivalence test keeps passing, so the regression only shows up as a
 //! throughput cliff. This rule turns it into a lint failure instead: inside
@@ -25,6 +25,8 @@ pub struct NoTupleMaterialization;
 fn in_scope(rel: &str) -> bool {
     rel == "crates/binning/src/plan.rs"
         || rel == "crates/binning/src/binner.rs"
+        || rel == "crates/binning/src/multi.rs"
+        || rel == "crates/binning/src/mono.rs"
         || (rel.starts_with("crates/attacks/src/") && rel.ends_with(".rs"))
         || rel == "crates/watermark/src/plan.rs"
         || rel == "crates/watermark/src/kernel.rs"
@@ -90,6 +92,8 @@ mod tests {
         for path in [
             "crates/binning/src/plan.rs",
             "crates/binning/src/binner.rs",
+            "crates/binning/src/multi.rs",
+            "crates/binning/src/mono.rs",
             "crates/attacks/src/alteration.rs",
             "crates/attacks/src/generalization.rs",
             "crates/watermark/src/plan.rs",

@@ -40,30 +40,6 @@ pub fn satisfies_k_anonymity_quasi(table: &Table, k: usize) -> Result<bool, Rela
     satisfies_k_anonymity(table, &names, k)
 }
 
-/// Row indices falling into bins of size below `k`, given one bin key per
-/// row (row index = position in the iterator). Returned indices are sorted.
-///
-/// This is the bin-cardinality primitive shared by the table-level checks
-/// above and by the binning search, which scores candidate generalizations by
-/// the bins they *would* produce without materializing a generalized table.
-pub fn undersized_rows<K: Eq + std::hash::Hash>(
-    keys: impl IntoIterator<Item = K>,
-    k: usize,
-) -> Vec<usize> {
-    let mut bins: std::collections::HashMap<K, Vec<usize>> = std::collections::HashMap::new();
-    for (row, key) in keys.into_iter().enumerate() {
-        bins.entry(key).or_default().push(row);
-    }
-    let mut out = Vec::new();
-    for members in bins.values() {
-        if members.len() < k {
-            out.extend_from_slice(members);
-        }
-    }
-    out.sort_unstable();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,17 +116,5 @@ mod tests {
     fn unknown_column_is_error() {
         let t = table();
         assert!(satisfies_k_anonymity(&t, &["nope"], 2).is_err());
-    }
-
-    #[test]
-    fn undersized_rows_finds_small_bins_in_sorted_order() {
-        // Keys: a a b a c c → bins a:{0,1,3} b:{2} c:{4,5}; k=2 → b only.
-        let keys = ["a", "a", "b", "a", "c", "c"];
-        assert_eq!(undersized_rows(keys, 2), vec![2]);
-        // k=3 → b and c rows, sorted.
-        assert_eq!(undersized_rows(keys, 3), vec![2, 4, 5]);
-        // k=1 → nothing; empty input → nothing.
-        assert!(undersized_rows(keys, 1).is_empty());
-        assert!(undersized_rows(Vec::<u64>::new(), 10).is_empty());
     }
 }

@@ -35,7 +35,7 @@ pub mod info_loss;
 pub mod mark;
 pub mod usage;
 
-pub use anonymity::{column_satisfies_k, satisfies_k_anonymity, undersized_rows, violating_bins};
+pub use anonymity::{column_satisfies_k, satisfies_k_anonymity, violating_bins};
 pub use bin_stats::{column_bin_report, BinReport};
 pub use info_loss::{column_info_loss, table_info_loss, ColumnGeneralization};
 pub use mark::mark_loss;

@@ -90,9 +90,9 @@ fn exhaustive_outcome_identical_across_threads() {
     assert!(reference.satisfied);
 }
 
-/// Greedy mode (a tiny exhaustive limit forces the fallback): the parallel
-/// frontier evaluation must pick the same merge sequence for every thread
-/// count.
+/// Greedy mode (a tiny exhaustive limit forces the fallback): the greedy
+/// search is not sharded, so the thread count must not change its merge
+/// sequence.
 #[test]
 fn greedy_outcome_identical_across_threads() {
     let ds = dataset(1500, 7);

@@ -7,8 +7,11 @@
 //! hashes are absolute: each one covers the `csv::to_csv` bytes of the
 //! released table plus the embedding's `selected_tuples` and the binning's
 //! `satisfied` flag, for both `protect` and `protect_per_attribute` at three
-//! table sizes, under the served benchmark's engine configuration.
+//! table sizes, under the served benchmark's engine configuration. Two more
+//! `protect` pins cover the greedy multi-attribute search: an 8,000-row table
+//! and a `FullInfoLoss` selection.
 
+use medshield_core::binning::{SearchMode, SelectionStrategy};
 use medshield_core::relation::csv;
 use medshield_core::{ProtectedRelease, ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
@@ -23,7 +26,12 @@ const PINNED: [(usize, u64, u64); 3] = [
 ];
 
 fn engine() -> ProtectionEngine {
+    engine_with(SelectionStrategy::default())
+}
+
+fn engine_with(selection: SelectionStrategy) -> ProtectionEngine {
     let config = ProtectionConfig::builder()
+        .selection_strategy(selection)
         .k(5)
         .epsilon(5)
         .eta(10)
@@ -69,4 +77,31 @@ fn release_bytes_match_pinned_hashes() {
     let rendered: Vec<String> =
         actual.iter().map(|(n, p, m)| format!("({n}, {p:#018x}, {m:#018x})")).collect();
     assert_eq!(actual, PINNED, "release bytes moved; actual: [{}]", rendered.join(", "));
+}
+
+/// (rows, selection strategy, `protect` hash) for releases whose
+/// multi-attribute binning takes the greedy fallback. Each case asserts
+/// `SearchMode::Greedy`, so neither pin can silently move to the exhaustive
+/// search.
+const PINNED_GREEDY: [(usize, SelectionStrategy, u64); 2] = [
+    (8_000, SelectionStrategy::SpecificityLoss, 0x0f8f_1dcb_a098_87b5),
+    (2_000, SelectionStrategy::FullInfoLoss, 0xd97b_817a_0e15_4430),
+];
+
+#[test]
+fn greedy_release_bytes_match_pinned_hashes() {
+    let mut actual = Vec::new();
+    for &(rows, selection, _) in &PINNED_GREEDY {
+        let ds = MedicalDataset::generate(&DatasetConfig {
+            num_tuples: rows,
+            seed: SEED,
+            zipf_exponent: 0.8,
+        });
+        let release = engine_with(selection).protect(&ds.table, &ds.trees).unwrap();
+        assert_eq!(release.binning.mode, SearchMode::Greedy, "{rows} rows, {selection:?}");
+        actual.push((rows, selection, release_hash(&release)));
+    }
+    let rendered: Vec<String> =
+        actual.iter().map(|(n, s, h)| format!("({n}, {s:?}, {h:#018x})")).collect();
+    assert_eq!(actual, PINNED_GREEDY, "release bytes moved; actual: [{}]", rendered.join(", "));
 }
