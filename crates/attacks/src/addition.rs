@@ -77,6 +77,7 @@ impl Attack for SubsetAddition {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columns_of;
     use medshield_datagen::{DatasetConfig, MedicalDataset};
 
     fn table() -> Table {
@@ -89,8 +90,8 @@ mod tests {
         let attacked = SubsetAddition::new(0.4, 5).apply(&t);
         assert_eq!(attacked.len(), t.len() + (t.len() as f64 * 0.4).round() as usize);
         // Existing tuples are untouched.
-        for (a, b) in t.iter().zip(attacked.iter()) {
-            assert_eq!(a.values, b.values);
+        for (a, b) in columns_of(&t).iter().zip(columns_of(&attacked)) {
+            assert_eq!(a[..], b[..t.len()]);
         }
     }
 
@@ -106,9 +107,10 @@ mod tests {
         let attacked = SubsetAddition::new(0.5, 9).apply(&t);
         let originals: std::collections::HashSet<_> =
             t.column_values("ssn").unwrap().into_iter().collect();
-        let added = attacked.iter().skip(t.len());
-        for tuple in added {
-            assert!(!originals.contains(&tuple.values[0]));
+        let added = attacked.column_values("ssn").unwrap().split_off(t.len());
+        assert!(!added.is_empty());
+        for ssn in added {
+            assert!(!originals.contains(&ssn));
         }
     }
 
@@ -116,11 +118,10 @@ mod tests {
     fn bogus_quasi_values_come_from_the_existing_domain() {
         let t = table();
         let attacked = SubsetAddition::new(0.3, 2).apply(&t);
-        let doctor_idx = t.schema().index_of("doctor").unwrap();
         let pool: std::collections::HashSet<_> =
             t.column_values("doctor").unwrap().into_iter().collect();
-        for tuple in attacked.iter().skip(t.len()) {
-            assert!(pool.contains(&tuple.values[doctor_idx]));
+        for doctor in attacked.column_values("doctor").unwrap().split_off(t.len()) {
+            assert!(pool.contains(&doctor));
         }
     }
 

@@ -102,10 +102,12 @@ mod tests {
         let attack = GeneralizationAttack::new(1, ds.trees.clone());
         let attacked = attack.apply(&ds.table);
         let tree = &ds.trees["doctor"];
-        let idx = ds.table.schema().index_of("doctor").unwrap();
-        for (orig, att) in ds.table.iter().zip(attacked.iter()) {
-            let orig_node = tree.node_for_value(&orig.values[idx]).unwrap();
-            let att_node = tree.node_for_value(&att.values[idx]).unwrap();
+        let originals = ds.table.column_values("doctor").unwrap();
+        let generalized = attacked.column_values("doctor").unwrap();
+        assert_eq!(originals.len(), generalized.len());
+        for (orig, att) in originals.iter().zip(&generalized) {
+            let orig_node = tree.node_for_value(orig).unwrap();
+            let att_node = tree.node_for_value(att).unwrap();
             assert_eq!(tree.parent(orig_node).unwrap(), Some(att_node));
         }
     }
@@ -143,11 +145,11 @@ mod tests {
         trees.remove("age");
         let attack = GeneralizationAttack::new(1, trees);
         let attacked = attack.apply(&ds.table);
-        let ssn_idx = ds.table.schema().index_of("ssn").unwrap();
-        let age_idx = ds.table.schema().index_of("age").unwrap();
-        for (orig, att) in ds.table.iter().zip(attacked.iter()) {
-            assert_eq!(orig.values[ssn_idx], att.values[ssn_idx]);
-            assert_eq!(orig.values[age_idx], att.values[age_idx]);
+        for column in ["ssn", "age"] {
+            assert_eq!(
+                ds.table.column_values(column).unwrap(),
+                attacked.column_values(column).unwrap()
+            );
         }
     }
 

@@ -59,3 +59,10 @@ pub trait Attack {
     /// A short human-readable description for reports.
     fn describe(&self) -> String;
 }
+
+/// Every column of `table`, materialized in schema order: two tables hold the
+/// same rows exactly when their columns compare equal.
+#[cfg(test)]
+pub(crate) fn columns_of(table: &Table) -> Vec<Vec<medshield_relation::Value>> {
+    table.schema().columns().iter().map(|c| table.column_values(&c.name).unwrap()).collect()
+}

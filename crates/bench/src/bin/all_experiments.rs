@@ -1,6 +1,6 @@
 //! Run every figure/table reproduction in sequence. Equivalent to running
 //! the individual `fig*` and `generalization_attack` binaries one after
-//! another; handy for regenerating EXPERIMENTS.md in one go.
+//! another, to print every figure of the paper in one go.
 
 #![forbid(unsafe_code)]
 

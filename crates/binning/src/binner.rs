@@ -336,11 +336,14 @@ mod tests {
         let agent = BinningAgent::new(BinningConfig::with_k(2));
         let maximal = maximal_at_depth(&ds.trees, 0);
         let outcome = agent.bin(&ds.table, &ds.trees, &maximal).unwrap();
-        for (original, binned) in ds.table.iter().zip(outcome.table.iter()) {
-            let enc = binned.values[0].as_text().unwrap();
-            assert_ne!(Some(enc), original.values[0].as_text(), "ssn must change");
+        let originals = ds.table.column_values("ssn").unwrap();
+        let encrypted = outcome.table.column_values("ssn").unwrap();
+        assert_eq!(originals.len(), encrypted.len());
+        for (original, binned) in originals.iter().zip(&encrypted) {
+            let enc = binned.as_text().unwrap();
+            assert_ne!(Some(enc), original.as_text(), "ssn must change");
             let decrypted = agent.decrypt_identifier(enc).unwrap();
-            assert_eq!(decrypted, original.values[0].canonical_bytes());
+            assert_eq!(decrypted, original.canonical_bytes());
         }
     }
 
@@ -351,8 +354,8 @@ mod tests {
         let maximal = maximal_at_depth(&ds.trees, 0);
         let outcome = agent.bin(&ds.table, &ds.trees, &maximal).unwrap();
         let mut seen = std::collections::HashSet::new();
-        for t in outcome.table.iter() {
-            assert!(seen.insert(t.values[0].clone()), "duplicate encrypted identifier");
+        for ssn in outcome.table.column_values("ssn").unwrap() {
+            assert!(seen.insert(ssn), "duplicate encrypted identifier");
         }
     }
 

@@ -4,7 +4,7 @@
 //! watermarking agent, detection, dispute resolution — with the watermark
 //! hot paths sharded over row chunks and executed on scoped threads.
 //!
-//! Tuple selection and embedding are keyed per-tuple PRF decisions (Eq. 5)
+//! Selecting and embedding tuples are keyed per-tuple PRF decisions (Eq. 5)
 //! with no cross-tuple data dependency, so the table can be split into
 //! disjoint row chunks processed independently (the same observation
 //! exploited by Agrawal–Kiernan-style relational watermarking):

@@ -99,7 +99,7 @@ impl DictColumn {
 }
 
 /// The dictionary index of `code`.
-fn slot(code: u32) -> usize {
+pub(crate) fn slot(code: u32) -> usize {
     // medlint::allow(checked-framing, u32→usize widens losslessly on every supported target and every code was produced by intern() on its column)
     code as usize
 }

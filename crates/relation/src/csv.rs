@@ -6,21 +6,48 @@
 //! generated data sets and for shipping the protected table to an
 //! "outsourcee" in the examples.
 
+use crate::column::{slot, ColumnData};
 use crate::error::RelationError;
 use crate::schema::{ColumnDef, ColumnRole, Schema};
 use crate::table::Table;
 use crate::value::Value;
+use std::fmt::Write;
 
 /// Serialize a table to CSV text: a header of column names followed by one
-/// line per tuple, values in display form.
+/// line per tuple, values in display form. Each dictionary entry is
+/// rendered once; rows are written by code lookup.
 pub fn to_csv(table: &Table) -> String {
     let mut out = String::new();
-    let names: Vec<&str> = table.schema().columns().iter().map(|c| c.name.as_str()).collect();
-    out.push_str(&names.join(","));
+    for (i, column) in table.schema().columns().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str(&escape_field(&column.name));
+    }
     out.push('\n');
-    for tuple in table.iter() {
-        let line: Vec<String> = tuple.values.iter().map(|v| escape_field(&v.to_string())).collect();
-        out.push_str(&line.join(","));
+    let rendered: Vec<Vec<String>> = table
+        .columns()
+        .iter()
+        .map(|column| match column.data() {
+            ColumnData::Int(_) => Vec::new(),
+            ColumnData::Dict { dict, .. } => {
+                dict.iter().map(|v| escape_field(&v.to_string())).collect()
+            }
+        })
+        .collect();
+    for row in 0..table.len() {
+        for (i, (column, fields)) in table.columns().iter().zip(&rendered).enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            match column.data() {
+                // An integer renders without a comma, quote or line break.
+                ColumnData::Int(values) => {
+                    let _ = write!(out, "{}", values[row]);
+                }
+                ColumnData::Dict { codes, .. } => out.push_str(&fields[slot(codes[row])]),
+            }
+        }
         out.push('\n');
     }
     out
@@ -282,9 +309,7 @@ mod tests {
         let once = to_csv(&t);
         let parsed = from_csv(&once, &[("id", ColumnRole::Identifying)]).unwrap();
         assert_eq!(parsed.len(), t.len());
-        for (a, b) in t.iter().zip(parsed.iter()) {
-            assert_eq!(a.values[1], b.values[1]);
-        }
+        assert_eq!(parsed.column_values("note").unwrap(), t.column_values("note").unwrap());
         // Idempotent: a second round-trip reproduces the same text.
         let twice = to_csv(&parsed);
         assert_eq!(once, twice);
@@ -308,8 +333,8 @@ mod tests {
         let t_lf = from_csv(lf, &[]).unwrap();
         let t_crlf = from_csv(crlf, &[]).unwrap();
         assert_eq!(t_lf.len(), t_crlf.len());
-        for (a, b) in t_lf.iter().zip(t_crlf.iter()) {
-            assert_eq!(a.values, b.values);
+        for column in ["a", "b"] {
+            assert_eq!(t_lf.column_values(column).unwrap(), t_crlf.column_values(column).unwrap());
         }
         // Mixed separators in one file also work.
         let mixed = "a,b\r\n1,x\n2,y\r\n";
@@ -326,6 +351,29 @@ mod tests {
                 .unwrap();
         assert_eq!(t.schema().column_by_name("ssn").unwrap().role, ColumnRole::Identifying);
         assert_eq!(t.schema().column_by_name("age").unwrap().role, ColumnRole::QuasiNumeric);
+    }
+
+    #[test]
+    fn header_names_with_commas_and_quotes_roundtrip() {
+        let text = "\"a,b\",c\n1,2\n";
+        let t = from_csv(text, &[]).unwrap();
+        assert_eq!(t.schema().columns()[0].name, "a,b");
+        let once = to_csv(&t);
+        assert_eq!(once, text);
+        let schema = Schema::new(vec![
+            ColumnDef::new("id", ColumnRole::Identifying),
+            ColumnDef::new("say \"hi\", twice", ColumnRole::NonIdentifying),
+            ColumnDef::new("\"", ColumnRole::NonIdentifying),
+        ])
+        .unwrap();
+        let mut t = Table::new(schema.clone());
+        t.insert(vec![Value::text("x"), Value::int(1), Value::text("y,z")]).unwrap();
+        let once = to_csv(&t);
+        assert_eq!(once.lines().next().unwrap(), "id,\"say \"\"hi\"\", twice\",\"\"\"\"");
+        let parsed = from_csv(&once, &[("id", ColumnRole::Identifying)]).unwrap();
+        assert_eq!(parsed.schema(), &schema);
+        assert_eq!(parsed.value_at(0, 2), Some(Value::text("y,z")));
+        assert_eq!(to_csv(&parsed), once);
     }
 
     #[test]

@@ -8,22 +8,19 @@
 //! classified into *identifying*, *quasi-identifying* (categorical or
 //! numeric), and *non-identifying* columns (§2). The binning agent rewrites
 //! quasi-identifying values, the watermarking agent permutes a keyed subset of
-//! them, and the attack models insert, alter and delete tuples (including the
-//! paper's SQL range delete, §7.2).
+//! them, and the attack models insert, alter and delete tuples (the paper's
+//! SQL range delete of §7.2 becomes one [`Table::retain_rows`] mask).
 //!
 //! This crate provides exactly that substrate:
 //!
 //! * [`Value`] — a typed cell value (integer, text, half-open interval, null).
 //! * [`ColumnRole`] / [`ColumnDef`] / [`Schema`] — schema with privacy roles.
-//! * [`Table`] / [`Tuple`] / [`TupleId`] — a columnar store with stable tuple
-//!   ids, insertion, per-column access, predicate-based deletion, and a
-//!   row-materializing compatibility view.
+//! * [`Table`] — a columnar store: append, per-cell access by row position
+//!   and schema index, per-column access, and mask-based row removal.
 //! * [`Column`] / [`ColumnData`] — the typed column vectors behind the table:
 //!   native `i64` vectors for integers, dictionary-encoded code vectors for
 //!   categorical/generalized data; the batch kernels of the binning and
 //!   watermarking crates read these directly.
-//! * [`Predicate`] — a tiny predicate language sufficient for the attack
-//!   models (`DELETE FROM R WHERE ssn > lo AND ssn < hi`).
 //! * [`stats`] — per-column statistics (value counts, one-pass min/max/
 //!   distinct, bin sizes, group-by over quasi-identifier combinations) used
 //!   by the metrics crate.
@@ -49,7 +46,6 @@
 pub mod column;
 pub mod csv;
 pub mod error;
-pub mod predicate;
 pub mod schema;
 pub mod stats;
 pub mod table;
@@ -57,7 +53,6 @@ pub mod value;
 
 pub use column::{Column, ColumnData, DictColumn};
 pub use error::RelationError;
-pub use predicate::Predicate;
 pub use schema::{ColumnDef, ColumnRole, Schema};
-pub use table::{Table, Tuple, TupleId};
+pub use table::Table;
 pub use value::Value;

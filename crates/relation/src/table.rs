@@ -1,70 +1,36 @@
 //! The columnar table.
 //!
-//! A [`Table`] is an append-oriented store with stable [`TupleId`]s. The id
-//! survives deletions of other tuples, which matters for the attack models
-//! (the attacker deletes or alters tuples, the detector must still find the
-//! watermarked survivors) and for the interference analysis (§6), which tracks
-//! how individual bins gain or lose members.
-//!
-//! Storage is column-major: one typed [`Column`] per schema column (native
-//! `i64` vectors for integer data, dictionary-encoded code vectors for
-//! everything else — see the [`column`](crate::column) module), plus one id
-//! vector. The row-major [`Tuple`] remains as a materialized view for callers
-//! that want whole rows ([`Table::row`], [`Table::iter`], [`Table::tuples`]);
-//! the hot paths read [`Table::columns`] directly. A single cell is addressed
-//! by row position and schema index ([`Table::value_at`], [`Table::set_at`]);
-//! ids select and delete whole tuples.
+//! A [`Table`] is an append-oriented, column-major store: one typed
+//! [`Column`] per schema column (native `i64` vectors for integer data,
+//! dictionary-encoded code vectors for everything else — see the
+//! [`column`](crate::column) module). There is one way to address a cell:
+//! by row position and schema index ([`Table::value_at`], [`Table::set_at`]),
+//! or in bulk through the typed column vectors ([`Table::columns`]) that the
+//! binning and watermarking kernels scan. Rows are removed in one pass with
+//! a keep mask ([`Table::retain_rows`]); the survivors keep their relative
+//! order, which is all the attack models and the interference analysis (§6)
+//! need — a tuple's identity is its content (the identifying columns, Eq. 5),
+//! never its position.
 
 use crate::column::Column;
 use crate::error::RelationError;
-use crate::predicate::Predicate;
 use crate::schema::Schema;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
-
-/// A stable identifier for a tuple within one table instance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct TupleId(pub u64);
-
-impl std::fmt::Display for TupleId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "t{}", self.0)
-    }
-}
-
-/// A single materialized row: a tuple id plus one value per schema column.
-///
-/// With the columnar core this is a *view*, produced on demand; mutating a
-/// `Tuple` does not write back to the table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Tuple {
-    /// Stable id of this tuple.
-    pub id: TupleId,
-    /// Values, one per column, in schema order.
-    pub values: Vec<Value>,
-}
-
-impl Tuple {
-    /// The value at column `index`, if in range.
-    pub fn value(&self, index: usize) -> Option<&Value> {
-        self.values.get(index)
-    }
-}
 
 /// An in-memory relational table with columnar storage.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Table {
     schema: Schema,
-    ids: Vec<TupleId>,
     columns: Vec<Column>,
-    next_id: u64,
+    len: usize,
 }
 
 impl Table {
     /// Create an empty table with the given schema.
     pub fn new(schema: Schema) -> Self {
         let columns = (0..schema.arity()).map(|_| Column::new()).collect();
-        Table { schema, ids: Vec::new(), columns, next_id: 0 }
+        Table { schema, columns, len: 0 }
     }
 
     /// The table's schema.
@@ -74,12 +40,12 @@ impl Table {
 
     /// Number of tuples currently stored.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.len
     }
 
     /// True if the table holds no tuples.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.len == 0
     }
 
     /// The typed column vectors, in schema order.
@@ -99,43 +65,22 @@ impl Table {
         self.columns.get_mut(index)
     }
 
-    /// Insert a tuple, returning its assigned id.
+    /// Append a tuple: one value per schema column, in schema order.
     ///
     /// Fails with [`RelationError::ArityMismatch`] if the number of values
     /// does not match the schema.
-    pub fn insert(&mut self, values: Vec<Value>) -> Result<TupleId, RelationError> {
+    pub fn insert(&mut self, values: Vec<Value>) -> Result<(), RelationError> {
         if values.len() != self.schema.arity() {
             return Err(RelationError::ArityMismatch {
                 expected: self.schema.arity(),
                 actual: values.len(),
             });
         }
-        let id = TupleId(self.next_id);
-        self.next_id += 1;
-        self.ids.push(id);
         for (column, value) in self.columns.iter_mut().zip(&values) {
             column.push(value);
         }
-        Ok(id)
-    }
-
-    /// Insert many tuples at once. Stops at the first arity error.
-    pub fn insert_all(
-        &mut self,
-        tuples: impl IntoIterator<Item = Vec<Value>>,
-    ) -> Result<Vec<TupleId>, RelationError> {
-        let mut ids = Vec::new();
-        for values in tuples {
-            ids.push(self.insert(values)?);
-        }
-        Ok(ids)
-    }
-
-    /// Materialize the row at position `row` (not id) as a [`Tuple`].
-    pub fn row(&self, row: usize) -> Option<Tuple> {
-        let id = *self.ids.get(row)?;
-        let values = self.columns.iter().map(|c| c.value(row)).collect();
-        Some(Tuple { id, values })
+        self.len += 1;
+        Ok(())
     }
 
     /// The value at (`row` position, `column` index), materialized.
@@ -198,31 +143,8 @@ impl Table {
         }
         match first_error {
             Some((_, e)) => Err(e),
-            None => Ok(Table {
-                schema: self.schema.clone(),
-                ids: self.ids.clone(),
-                columns: mapped,
-                next_id: self.next_id,
-            }),
+            None => Ok(Table { schema: self.schema.clone(), columns: mapped, len: self.len }),
         }
-    }
-
-    /// Iterate over all tuples in insertion order, materializing each row.
-    pub fn iter(&self) -> impl Iterator<Item = Tuple> + '_ {
-        (0..self.len()).map(|row| {
-            let values = self.columns.iter().map(|c| c.value(row)).collect();
-            Tuple { id: self.ids[row], values }
-        })
-    }
-
-    /// All tuples materialized as rows, in insertion order.
-    ///
-    /// This is the row-major compatibility view; it clones every cell. Hot
-    /// paths (binning, watermark kernels, the engine) read
-    /// [`Table::columns`] instead — medlint's `no-tuple-materialization`
-    /// rule enforces that in the migrated modules.
-    pub fn tuples(&self) -> Vec<Tuple> {
-        self.iter().collect()
     }
 
     /// All values of one column, materialized in row order.
@@ -232,52 +154,25 @@ impl Table {
         Ok((0..c.len()).map(|row| c.value(row)).collect())
     }
 
-    /// Ids of tuples satisfying `predicate`.
-    pub fn select(&self, predicate: &Predicate) -> Result<Vec<TupleId>, RelationError> {
-        let mut out = Vec::new();
-        for tuple in self.iter() {
-            if predicate.matches(&self.schema, &tuple)? {
-                out.push(tuple.id);
+    /// Keep exactly the rows whose `keep` flag is true, in order, and return
+    /// the number of rows removed. `keep` must have one entry per row.
+    ///
+    /// # Panics
+    ///
+    /// If `keep.len()` differs from [`Table::len`].
+    pub fn retain_rows(&mut self, keep: &[bool]) -> usize {
+        assert_eq!(keep.len(), self.len, "retain_rows needs one flag per row");
+        let kept = keep.iter().filter(|&&k| k).count();
+        if kept < self.len {
+            for column in &mut self.columns {
+                column.retain_rows(keep);
             }
         }
-        Ok(out)
+        std::mem::replace(&mut self.len, kept) - kept
     }
 
-    /// Delete tuples satisfying `predicate`; returns the number removed.
-    /// This is the `DELETE FROM R WHERE ...` used by the subset-deletion
-    /// attack of §7.2.
-    pub fn delete_where(&mut self, predicate: &Predicate) -> Result<usize, RelationError> {
-        let victims = self.select(predicate)?;
-        Ok(self.delete_ids(&victims))
-    }
-
-    /// Delete specific tuples by id; returns the number removed.
-    pub fn delete_ids(&mut self, ids: &[TupleId]) -> usize {
-        let victim_set: std::collections::HashSet<TupleId> = ids.iter().copied().collect();
-        let keep: Vec<bool> = self.ids.iter().map(|id| !victim_set.contains(id)).collect();
-        let removed = keep.iter().filter(|&&k| !k).count();
-        if removed == 0 {
-            return 0;
-        }
-        for column in &mut self.columns {
-            column.retain_rows(&keep);
-        }
-        let mut row = 0;
-        self.ids.retain(|_| {
-            let k = keep[row];
-            row += 1;
-            k
-        });
-        removed
-    }
-
-    /// All tuple ids in row order.
-    pub fn ids(&self) -> Vec<TupleId> {
-        self.ids.clone()
-    }
-
-    /// A deep copy of the table with the same ids (used to snapshot the
-    /// pre-watermarking state for interference measurements).
+    /// A deep copy of the table (used to snapshot the pre-watermarking state
+    /// for interference measurements).
     pub fn snapshot(&self) -> Table {
         self.clone()
     }
@@ -304,29 +199,10 @@ mod tests {
     }
 
     #[test]
-    fn insert_assigns_monotone_ids() {
-        let t = small_table();
-        assert_eq!(t.len(), 3);
-        assert_eq!(t.ids(), vec![TupleId(0), TupleId(1), TupleId(2)]);
-    }
-
-    #[test]
     fn insert_rejects_wrong_arity() {
         let mut t = small_table();
         let err = t.insert(vec![Value::int(1)]).unwrap_err();
         assert_eq!(err, RelationError::ArityMismatch { expected: 3, actual: 1 });
-    }
-
-    #[test]
-    fn insert_all_propagates_errors() {
-        let mut t = small_table();
-        let res = t.insert_all(vec![
-            vec![Value::text("s4"), Value::int(40), Value::text("Nurse")],
-            vec![Value::int(1)],
-        ]);
-        assert!(res.is_err());
-        // The valid tuple before the error was inserted.
-        assert_eq!(t.len(), 4);
     }
 
     #[test]
@@ -362,33 +238,33 @@ mod tests {
     }
 
     #[test]
-    fn delete_ids_keeps_remaining_ids_stable() {
+    fn retain_rows_keeps_int_and_dict_columns_aligned() {
         let mut t = small_table();
-        assert_eq!(t.delete_ids(&[TupleId(1)]), 1);
-        assert_eq!(t.ids(), vec![TupleId(0), TupleId(2)]);
-        assert!(!t.ids().contains(&TupleId(1)));
-        assert_eq!(t.row(1).unwrap().id, TupleId(2));
-        // Deleting again is a no-op.
-        assert_eq!(t.delete_ids(&[TupleId(1)]), 0);
+        assert!(matches!(t.column(1).unwrap().data(), ColumnData::Int(_)));
+        assert!(matches!(t.column(2).unwrap().data(), ColumnData::Dict { .. }));
+        assert_eq!(t.retain_rows(&[true, false, true]), 1);
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.column_values("ssn").unwrap(), vec![Value::text("s1"), Value::text("s3")]);
+        assert_eq!(t.column_values("age").unwrap(), vec![Value::int(34), Value::int(29)]);
+        assert_eq!(
+            t.column_values("doctor").unwrap(),
+            vec![Value::text("Surgeon"), Value::text("Surgeon")]
+        );
+        // Keeping every row is a no-op; later inserts append after the
+        // survivors.
+        assert_eq!(t.retain_rows(&[true, true]), 0);
+        t.insert(vec![Value::text("s4"), Value::int(50), Value::text("Nurse")]).unwrap();
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.value_at(2, 2), Some(Value::text("Nurse")));
+        assert_eq!(t.retain_rows(&[false, false, false]), 3);
+        assert!(t.is_empty());
+        assert!(t.columns().iter().all(Column::is_empty));
     }
 
     #[test]
-    fn new_inserts_after_delete_get_fresh_ids() {
-        let mut t = small_table();
-        t.delete_ids(&[TupleId(2)]);
-        let id = t.insert(vec![Value::text("s4"), Value::int(50), Value::text("Nurse")]).unwrap();
-        assert_eq!(id, TupleId(3), "ids are never reused");
-    }
-
-    #[test]
-    fn select_and_delete_where() {
-        let mut t = small_table();
-        let pred = Predicate::eq("doctor", Value::text("Surgeon"));
-        let hits = t.select(&pred).unwrap();
-        assert_eq!(hits, vec![TupleId(0), TupleId(2)]);
-        assert_eq!(t.delete_where(&pred).unwrap(), 2);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.iter().next().unwrap().id, TupleId(1));
+    #[should_panic(expected = "one flag per row")]
+    fn retain_rows_rejects_a_short_mask() {
+        small_table().retain_rows(&[true]);
     }
 
     #[test]
@@ -403,15 +279,14 @@ mod tests {
     #[test]
     fn materialized_views_expose_rows_in_order() {
         let t = small_table();
-        let ids: Vec<TupleId> = t.tuples().iter().map(|tp| tp.id).collect();
-        assert_eq!(ids, t.ids());
-        for (row, tuple) in t.iter().enumerate() {
-            assert_eq!(t.row(row).unwrap(), tuple);
-            for (col, value) in tuple.values.iter().enumerate() {
+        for (col, def) in t.schema().columns().iter().enumerate() {
+            let values = t.column_values(&def.name).unwrap();
+            assert_eq!(values.len(), t.len());
+            for (row, value) in values.iter().enumerate() {
                 assert_eq!(t.value_at(row, col).as_ref(), Some(value));
             }
         }
-        assert!(t.row(3).is_none());
+        assert!(t.value_at(3, 0).is_none());
         assert!(t.value_at(0, 9).is_none());
         assert!(t.value_at(9, 0).is_none());
     }
@@ -440,7 +315,7 @@ mod tests {
             .unwrap();
         // Three distinct ages, two distinct doctors.
         assert_eq!(calls.len(), 5);
-        assert_eq!(mapped.ids(), t.ids());
+        assert_eq!(mapped.len(), t.len());
         assert_eq!(mapped.column_values("ssn").unwrap(), t.column_values("ssn").unwrap());
         assert_eq!(mapped.value_at(1, 1), Some(Value::text("0:61")));
         assert_eq!(mapped.value_at(2, 2), Some(Value::text("1:Surgeon")));

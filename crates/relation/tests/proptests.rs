@@ -1,8 +1,6 @@
 //! Property-based tests of the relational substrate.
 
-use medshield_relation::{
-    csv, ColumnDef, ColumnRole, Predicate, RelationError, Schema, Table, Value,
-};
+use medshield_relation::{csv, ColumnDef, ColumnRole, RelationError, Schema, Table, Value};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 
@@ -14,6 +12,13 @@ fn arb_value() -> impl Strategy<Value = Value> {
         "[A-Za-z0-9 .:-]{0,12}".prop_map(Value::Text),
         (any::<i16>(), 1i64..500).prop_map(|(lo, w)| Value::interval(lo as i64, lo as i64 + w)),
     ]
+}
+
+/// Every row of `table`, read cell by cell through `value_at`.
+fn rows_of(table: &Table) -> Vec<Vec<Value>> {
+    (0..table.len())
+        .map(|row| (0..table.schema().arity()).map(|c| table.value_at(row, c).unwrap()).collect())
+        .collect()
 }
 
 fn arb_table() -> impl Strategy<Value = Table> {
@@ -56,8 +61,8 @@ proptest! {
         ];
         let parsed = csv::from_csv(&text, &roles).unwrap();
         prop_assert_eq!(parsed.len(), table.len());
-        for (orig, new) in table.iter().zip(parsed.iter()) {
-            for (o, n) in orig.values.iter().zip(new.values.iter()) {
+        for (orig, new) in rows_of(&table).iter().zip(rows_of(&parsed).iter()) {
+            for (o, n) in orig.iter().zip(new.iter()) {
                 // Normalization: whitespace-only text collapses to Null and
                 // numeric-looking text becomes Int; both are idempotent.
                 prop_assert_eq!(n, &Value::parse(&o.to_string()));
@@ -66,21 +71,29 @@ proptest! {
         prop_assert_eq!(parsed.schema().quasi_names(), table.schema().quasi_names());
     }
 
-    /// delete_where(p) removes exactly the tuples selected by p and keeps
-    /// everything else untouched.
+    /// retain_rows(mask) keeps exactly the masked rows, in order, in every
+    /// column, and reports how many it removed.
     #[test]
-    fn delete_where_is_exact(table in arb_table(), threshold in any::<i32>()) {
-        let predicate = Predicate::gt("a", Value::Int(threshold as i64));
-        let selected = table.select(&predicate).unwrap();
+    fn retain_rows_is_exact(
+        table in arb_table(),
+        flags in prop::collection::vec(any::<bool>(), 40),
+    ) {
+        let keep = &flags[..table.len()];
         let mut working = table.snapshot();
-        let removed = working.delete_where(&predicate).unwrap();
-        prop_assert_eq!(removed, selected.len());
+        let removed = working.retain_rows(keep);
+        prop_assert_eq!(removed, keep.iter().filter(|&&k| !k).count());
         prop_assert_eq!(working.len(), table.len() - removed);
-        let before: HashMap<_, _> = table.iter().map(|t| (t.id, t.values)).collect();
-        for tuple in working.iter() {
-            prop_assert!(!selected.contains(&tuple.id));
-            prop_assert_eq!(&before[&tuple.id], &tuple.values);
+        for name in ["id", "a", "b"] {
+            let expected: Vec<Value> = table
+                .column_values(name)
+                .unwrap()
+                .into_iter()
+                .zip(keep)
+                .filter_map(|(v, &k)| k.then_some(v))
+                .collect();
+            prop_assert_eq!(working.column_values(name).unwrap(), expected);
         }
+        prop_assert!(working.columns().iter().all(|c| c.len() == working.len()));
     }
 
     /// Bin sizes over the quasi columns always sum to the table size.
@@ -93,10 +106,10 @@ proptest! {
 
     /// The columnar core is invisible at the API: after arbitrary edits
     /// (including ones that force Int→Dict column promotion and grow the
-    /// dictionaries), the materialized `tuples()` view, the per-cell
-    /// accessors, and a row-by-row rebuild of the table all describe the same
-    /// relation — and the CSV bytes of the columnar table and the row-wise
-    /// rebuild are identical.
+    /// dictionaries), the per-cell accessor, the per-column view, and a
+    /// row-by-row rebuild of the table all describe the same relation — and
+    /// the CSV bytes of the columnar table and the row-wise rebuild are
+    /// identical.
     #[test]
     fn columnar_views_roundtrip_through_rows(
         table in arb_table(),
@@ -109,18 +122,19 @@ proptest! {
                 table.set_at(pick as usize % rows, col, &v).unwrap();
             }
         }
-        // Row-wise rebuild from the materialized tuple view.
+        // Row-wise rebuild from the cells read through `value_at`.
         let mut rebuilt = Table::new(table.schema().clone());
-        for tuple in table.tuples() {
-            rebuilt.insert(tuple.values).unwrap();
+        for row in rows_of(&table) {
+            rebuilt.insert(row).unwrap();
         }
         prop_assert_eq!(rebuilt.len(), table.len());
-        // Every cell agrees across the iterator view, the positional
-        // accessor, and the rebuilt row store.
-        for (row, (orig, new)) in table.iter().zip(rebuilt.iter()).enumerate() {
-            for (c, (o, n)) in orig.values.iter().zip(new.values.iter()).enumerate() {
-                prop_assert_eq!(o, n);
-                prop_assert_eq!(&table.value_at(row, c).unwrap(), o);
+        // Every cell agrees across the positional accessor, the column view,
+        // and the rebuilt row store.
+        for (c, name) in ["id", "a", "b"].into_iter().enumerate() {
+            let column = table.column_values(name).unwrap();
+            prop_assert_eq!(&rebuilt.column_values(name).unwrap(), &column);
+            for (row, v) in column.iter().enumerate() {
+                prop_assert_eq!(&table.value_at(row, c).unwrap(), v);
             }
         }
         prop_assert_eq!(csv::to_csv(&rebuilt), csv::to_csv(&table));
@@ -142,9 +156,11 @@ proptest! {
             for (pick, col, v) in edits {
                 table.set_at(pick as usize % rows, col, &v).unwrap();
             }
-            let ids = table.ids();
-            let victims: Vec<_> = deleted.iter().map(|&d| ids[d as usize % rows]).collect();
-            table.delete_ids(&victims);
+            let mut keep = vec![true; rows];
+            for &d in &deleted {
+                keep[d as usize % rows] = false;
+            }
+            table.retain_rows(&keep);
         }
         let mut calls: Vec<HashMap<Value, usize>> = vec![HashMap::new(); 3];
         let mapped = table
@@ -153,7 +169,7 @@ proptest! {
                 Ok(remap(v))
             })
             .unwrap();
-        prop_assert_eq!(mapped.ids(), table.ids());
+        prop_assert_eq!(mapped.len(), table.len());
         for (c, name) in ["id", "a", "b"].into_iter().enumerate() {
             let before = table.column_values(name).unwrap();
             let after = mapped.column_values(name).unwrap();
@@ -177,9 +193,9 @@ proptest! {
             Value::Text(s) => Err(RelationError::UnknownColumn(format!("{position}:{s}"))),
             other => Ok(other.clone()),
         };
-        let expected = table
-            .iter()
-            .flat_map(|t| t.values.into_iter().enumerate())
+        let expected = rows_of(&table)
+            .into_iter()
+            .flat_map(|row| row.into_iter().enumerate())
             .find_map(|(position, v)| fail(position, &v).err());
         let result = table.map_distinct(&[0, 1, 2], fail);
         prop_assert_eq!(result.err(), expected);

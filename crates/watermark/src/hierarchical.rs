@@ -435,11 +435,15 @@ mod tests {
         let (marked, report) = wm.embed(&binned, &ds.trees, &mark).unwrap();
         assert!(report.embedded_cells > 0, "the granular column must carry bits");
         // Only the chosen column may differ from the binned table.
-        for (a, b) in binned.table.iter().zip(marked.iter()) {
-            for (idx, col) in binned.table.schema().columns().iter().enumerate() {
-                if col.name != target {
-                    assert_eq!(a.values[idx], b.values[idx], "column {} changed", col.name);
-                }
+        assert_eq!(binned.table.len(), marked.len());
+        for col in binned.table.schema().columns() {
+            if col.name != target {
+                assert_eq!(
+                    binned.table.column_values(&col.name).unwrap(),
+                    marked.column_values(&col.name).unwrap(),
+                    "column {} changed",
+                    col.name
+                );
             }
         }
         // And detection restricted to that column still works.
@@ -509,8 +513,10 @@ mod tests {
             Schema::new(keep.iter().map(|&i| marked.schema().columns()[i].clone()).collect())
                 .unwrap();
         let mut suspect = Table::new(schema);
-        for tuple in marked.iter() {
-            suspect.insert(keep.iter().map(|&i| tuple.values[i].clone()).collect()).unwrap();
+        for row in 0..marked.len() {
+            suspect
+                .insert(keep.iter().map(|&i| marked.value_at(row, i).unwrap()).collect())
+                .unwrap();
         }
 
         let report = wm.detect(&suspect, &binned.columns, &ds.trees, mark.len()).unwrap();

@@ -667,3 +667,90 @@ pub(crate) fn single_level_cell_vote(
     let Some(idx) = DomainHierarchyTree::index_in(node, &siblings) else { return Ok(None) };
     Ok(Some(idx % 2 == 1))
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::hierarchical::HierarchicalWatermarker;
+    use crate::key::{Mark, WatermarkConfig, WatermarkKey};
+    use crate::select::TupleIdentity;
+    use medshield_binning::{BinningAgent, BinningConfig};
+    use medshield_datagen::{DatasetConfig, MedicalDataset};
+    use medshield_dht::GeneralizationSet;
+    use medshield_relation::{ColumnDef, ColumnRole, Schema};
+    use std::collections::BTreeMap;
+
+    /// Assert that the codec writes exactly the reference identity bytes on
+    /// every row of `table`.
+    fn assert_codec_matches_reference(identity: &TupleIdentity, table: &Table) {
+        let resolved = identity.resolve(table.schema()).unwrap();
+        let codec = IdentCodec::build(&resolved, table);
+        let mut buf = Vec::new();
+        for row in 0..table.len() {
+            buf.clear();
+            codec.write(table.columns(), row, &mut buf);
+            assert_eq!(buf, resolved.bytes(table, row), "{identity:?}, row {row}");
+        }
+    }
+
+    #[test]
+    fn ident_codec_matches_the_reference_on_int_and_dict_columns() {
+        let schema = Schema::new(vec![
+            ColumnDef::new("mrn", ColumnRole::Identifying),
+            ColumnDef::new("ssn", ColumnRole::Identifying),
+            ColumnDef::new("age", ColumnRole::QuasiNumeric),
+            ColumnDef::new("doctor", ColumnRole::QuasiCategorical),
+        ])
+        .unwrap();
+        let mut t = Table::new(schema);
+        for i in 0..60i64 {
+            let ssn = if i % 7 == 0 { Value::Null } else { Value::text(format!("ssn-{i}")) };
+            let doctor = Value::text(["Surgeon", "Nurse", ""][(i % 3) as usize]);
+            t.insert(vec![Value::int(i * 1_000 - 7), ssn, Value::int(20 + i % 50), doctor])
+                .unwrap();
+        }
+        assert!(matches!(t.column(0).unwrap().data(), ColumnData::Int(_)));
+        assert!(matches!(t.column(1).unwrap().data(), ColumnData::Dict { .. }));
+        assert_codec_matches_reference(&TupleIdentity::IdentifyingColumns, &t);
+        // A virtual key over the quasi columns, in non-schema order.
+        let virtual_key = TupleIdentity::VirtualKey(vec!["doctor".into(), "age".into()]);
+        assert_codec_matches_reference(&virtual_key, &t);
+
+        // A column promoted after the codec was built falls back to the
+        // materializing path and still writes the reference bytes.
+        let resolved = TupleIdentity::IdentifyingColumns.resolve(t.schema()).unwrap();
+        let codec = IdentCodec::build(&resolved, &t);
+        t.column_mut(0).unwrap().promote();
+        t.set_at(3, 1, &Value::text("interned after the build")).unwrap();
+        let mut buf = Vec::new();
+        for row in 0..t.len() {
+            buf.clear();
+            codec.write(t.columns(), row, &mut buf);
+            assert_eq!(buf, resolved.bytes(&t, row), "row {row}");
+        }
+    }
+
+    #[test]
+    fn ident_codec_matches_the_reference_after_embedding() {
+        let ds = MedicalDataset::generate(&DatasetConfig::small(600));
+        let maximal: BTreeMap<String, GeneralizationSet> = ds
+            .trees
+            .iter()
+            .map(|(name, tree)| (name.clone(), GeneralizationSet::at_depth(tree, 0)))
+            .collect();
+        let binned = BinningAgent::new(BinningConfig::with_k(4))
+            .bin(&ds.table, &ds.trees, &maximal)
+            .unwrap();
+        let wm = HierarchicalWatermarker::new(WatermarkConfig::new(WatermarkKey::from_master(
+            b"owner", 5,
+        )));
+        let (marked, report) = wm.embed(&binned, &ds.trees, &Mark::from_bytes(b"m", 20)).unwrap();
+        assert!(report.changed_cells > 0);
+        // The codec is built on the table as embedding left it: target
+        // columns promoted, every ultimate node's value interned, and the
+        // moved cells rewritten by code.
+        assert_codec_matches_reference(&TupleIdentity::IdentifyingColumns, &marked);
+        let quasi = marked.schema().quasi_names().into_iter().map(String::from).collect();
+        assert_codec_matches_reference(&TupleIdentity::VirtualKey(quasi), &marked);
+    }
+}

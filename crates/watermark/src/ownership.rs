@@ -33,10 +33,11 @@ impl OwnershipProof {
     /// Compute the proof from the *original* (pre-binning) table: the mean of
     /// the numeric projections of the identifying column values.
     pub fn from_original_table(table: &Table, mark_len: usize) -> Option<OwnershipProof> {
-        let ident_indices = table.schema().identifying_indices();
-        let first = *ident_indices.first()?;
-        let values: Vec<f64> =
-            table.iter().map(|t| numeric_projection(&t.values[first].canonical_bytes())).collect();
+        let first = *table.schema().identifying_indices().first()?;
+        let column = table.column(first)?;
+        let values: Vec<f64> = (0..column.len())
+            .map(|row| numeric_projection(&column.value(row).canonical_bytes()))
+            .collect();
         if values.is_empty() {
             return None;
         }
@@ -242,8 +243,8 @@ mod tests {
         let cipher = Aes128::from_secret(b"owner-binning-secret");
         let mut disputed = encrypt_ssn(&original, &cipher);
         // The attacker deletes 20% of the tuples, spread across the table.
-        let victims: Vec<_> = disputed.ids().into_iter().step_by(5).collect();
-        disputed.delete_ids(&victims);
+        let keep: Vec<bool> = (0..disputed.len()).map(|row| row % 5 != 0).collect();
+        disputed.retain_rows(&keep);
 
         let claim = OwnershipProof::from_original_table(&original, 20).unwrap();
         let verdict = resolve_dispute(

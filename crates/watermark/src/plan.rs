@@ -5,9 +5,9 @@
 //! (Eq. 5 keys every decision on the tuple identity, never on row position).
 //! Everything that *does* need the table as a whole (schema lookups,
 //! tree/binning validation, mark duplication) is hoisted into a plan built
-//! once per run. Workers then process disjoint `&[Tuple]` / `&mut [Tuple]`
-//! row chunks against the shared plan, which is what makes the chunk-parallel
-//! engine's output byte-identical to the sequential path.
+//! once per run. Workers then scan disjoint row ranges of one shared table
+//! against the shared plan, which is what makes the chunk-parallel engine's
+//! output byte-identical to the sequential path.
 
 use crate::error::WatermarkError;
 use crate::key::{Mark, WatermarkConfig};

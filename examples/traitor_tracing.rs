@@ -29,7 +29,7 @@ fn main() {
     println!("owner released {} tuples (mark {})", release.table.len(), release.mark);
 
     // Per-recipient copies: re-embed each clinic's fingerprint over the
-    // release. Tuple selection is content-keyed, so the re-embedding
+    // release. Selecting tuples is content-keyed, so the re-embedding
     // overwrites exactly the cells the release mark occupies.
     let deriver = FingerprintDeriver::new(&owner.config().watermark.key, owner.config().mark_len);
     let wm = HierarchicalWatermarker::new(owner.config().watermark.clone());
