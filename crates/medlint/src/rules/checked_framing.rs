@@ -2,8 +2,11 @@
 //! explicit about overflow.
 //!
 //! Frame headers carry attacker-controlled `u32` lengths, and the codec
-//! walks buffers with cursor+length arithmetic. In `serve::protocol` and
-//! `core::codec`, bare `as` casts to integer types and unchecked `+`/`*`
+//! walks buffers with cursor+length arithmetic. The CSV reader walks an
+//! attacker-supplied request body the same way, and the column store it
+//! feeds moves dictionary codes between `u32` storage and `usize`
+//! addressing. In `serve::protocol`, `core::codec`, `relation::column` and
+//! `relation::csv`, bare `as` casts to integer types and unchecked `+`/`*`
 //! involving length-like values are flagged — use `try_from`,
 //! `checked_add`/`checked_mul`, or a saturating/sticky-overflow design.
 

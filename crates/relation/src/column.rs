@@ -16,6 +16,7 @@
 //! builds a new column with a fresh dictionary instead.
 
 use crate::value::Value;
+use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -25,6 +26,10 @@ use std::collections::HashMap;
 pub struct DictColumn {
     dict: Vec<Value>,
     codes: Vec<u32>,
+    /// `Value → code` for a prefix of `dict` (entries are distinct, so its
+    /// length is the prefix length). A column built by [`ColumnBuilder`]
+    /// starts unindexed; [`DictColumn::intern`] catches the index up first,
+    /// so a table that is only read never pays for it.
     index: HashMap<Value, u32>,
 }
 
@@ -59,10 +64,13 @@ impl DictColumn {
     /// dictionary of 2^32 distinct values would need hundreds of gigabytes,
     /// so the code-width saturation below is unreachable in practice.
     pub fn intern(&mut self, value: &Value) -> u32 {
+        for (slot, v) in self.dict.iter().enumerate().skip(self.index.len()) {
+            self.index.insert(v.clone(), code_of(slot));
+        }
         if let Some(&code) = self.index.get(value) {
             return code;
         }
-        let code = u32::try_from(self.dict.len()).unwrap_or(u32::MAX);
+        let code = code_of(self.dict.len());
         self.dict.push(value.clone());
         self.index.insert(value.clone(), code);
         code
@@ -89,13 +97,72 @@ impl DictColumn {
     /// The column holding exactly these rows: native integers when every
     /// interned value is an integer, this dictionary column otherwise. This
     /// is the representation [`Column::push`] reaches for the same values.
-    fn into_column(self) -> Column {
+    pub(crate) fn into_column(self) -> Column {
         let ints: Option<Vec<i64>> = self.dict.iter().map(Value::as_int).collect();
         match ints {
             Some(ints) => Column::Int(self.codes.iter().map(|&c| ints[slot(c)]).collect()),
             None => Column::Dict(self),
         }
     }
+}
+
+/// Builds one column from raw text fields (the CSV reader's per-column
+/// state). Each distinct trimmed field is parsed with [`Value::parse`] once;
+/// the finished column is the one [`Column::push`] builds from the parsed
+/// values, dictionary in first-occurrence order and codes included.
+#[derive(Debug, Default)]
+pub(crate) struct ColumnBuilder<'a> {
+    column: DictColumn,
+    /// Trimmed field → code. Keys borrow from the input where they can.
+    fields: HashMap<Cow<'a, str>, u32>,
+    /// Non-text value → code. Text values are unique by their trimmed field,
+    /// but distinct fields may parse to one integer, interval or null (`5`,
+    /// `+5` and `05`; an empty field and `∅`).
+    values: HashMap<Value, u32>,
+}
+
+impl<'a> ColumnBuilder<'a> {
+    /// Append a row holding `Value::parse(field)`.
+    pub(crate) fn push(&mut self, field: Cow<'a, str>) {
+        let trimmed = field.trim();
+        let code = match self.fields.get(trimmed) {
+            Some(&code) => code,
+            None => {
+                let value = Value::parse(trimmed);
+                let dict = &mut self.column.dict;
+                let code = match value {
+                    Value::Text(_) => {
+                        let code = code_of(dict.len());
+                        dict.push(value);
+                        code
+                    }
+                    _ => *self.values.entry(value).or_insert_with_key(|value| {
+                        let code = code_of(dict.len());
+                        dict.push(value.clone());
+                        code
+                    }),
+                };
+                let key = match field {
+                    Cow::Borrowed(field) => Cow::Borrowed(field.trim()),
+                    Cow::Owned(field) => Cow::Owned(field.trim().to_owned()),
+                };
+                self.fields.insert(key, code);
+                code
+            }
+        };
+        self.column.codes.push(code);
+    }
+
+    /// The finished column (see [`DictColumn::into_column`]).
+    pub(crate) fn finish(self) -> Column {
+        self.column.into_column()
+    }
+}
+
+/// The code of dictionary index `slot`, saturating at `u32::MAX` (see
+/// [`DictColumn::intern`]).
+fn code_of(slot: usize) -> u32 {
+    u32::try_from(slot).unwrap_or(u32::MAX)
 }
 
 /// The dictionary index of `code`.

@@ -33,6 +33,13 @@ impl Table {
         Table { schema, columns, len: 0 }
     }
 
+    /// A table over already-built columns, one per schema column, each
+    /// holding `len` rows.
+    pub(crate) fn from_columns(schema: Schema, columns: Vec<Column>, len: usize) -> Self {
+        debug_assert!(columns.len() == schema.arity() && columns.iter().all(|c| c.len() == len));
+        Table { schema, columns, len }
+    }
+
     /// The table's schema.
     pub fn schema(&self) -> &Schema {
         &self.schema
