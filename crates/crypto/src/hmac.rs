@@ -4,7 +4,7 @@
 //! construction for turning a Merkle–Damgård hash into such a keyed function
 //! without the length-extension weaknesses of naive concatenation.
 
-use crate::sha256::Sha256;
+use crate::sha256::{compress4, Lanes, Sha256};
 
 const BLOCK_LEN: usize = 64;
 const IPAD: u8 = 0x36;
@@ -44,9 +44,9 @@ pub fn hmac_sha256(key: &[u8], message: &[u8]) -> [u8; 32] {
     outer.finalize()
 }
 
-/// The ipad/opad-primed hasher pair: the RFC 2104 key schedule run once, with
-/// the two hashers left positioned just past their 64-byte pad block.
-fn primed_pair(key: &[u8]) -> (Sha256, Sha256) {
+/// The ipad/opad midstates: the RFC 2104 key schedule run once, each pad
+/// block folded into a fresh hasher's chaining state.
+fn primed_midstates(key: &[u8]) -> ([u32; 8], [u32; 8]) {
     let mut key_block = [0u8; BLOCK_LEN];
     if key.len() > BLOCK_LEN {
         let mut h = Sha256::new();
@@ -66,7 +66,44 @@ fn primed_pair(key: &[u8]) -> (Sha256, Sha256) {
     inner.update(&ipad);
     let mut outer = Sha256::new();
     outer.update(&opad);
-    (inner, outer)
+    (inner.midstate(), outer.midstate())
+}
+
+/// The number of 64-byte blocks the inner hash compresses after its pad
+/// block for a `len`-byte message: the message, `0x80` and the 8-byte length.
+fn padded_blocks(len: usize) -> usize {
+    (len + 9).div_ceil(BLOCK_LEN)
+}
+
+/// Write block `index` of the padded inner message `prefix ‖ data ‖ 0x80 ‖
+/// 0… ‖ bit length` into `out`. The length counts the 64-byte pad block
+/// already folded into the midstate.
+fn padded_block(prefix: &[u8], data: &[u8], index: usize, out: &mut [u8; BLOCK_LEN]) {
+    let start = index * BLOCK_LEN;
+    let len = prefix.len() + data.len();
+    *out = [0u8; BLOCK_LEN];
+    for (part, offset) in [(prefix, 0), (data, prefix.len())] {
+        // The part covers message bytes offset..offset + part.len().
+        let from = start.max(offset);
+        let to = (start + BLOCK_LEN).min(offset + part.len());
+        if from < to {
+            out[from - start..to - start].copy_from_slice(&part[from - offset..to - offset]);
+        }
+    }
+    if (start..start + BLOCK_LEN).contains(&len) {
+        out[len - start] = 0x80;
+    }
+    if index + 1 == padded_blocks(len) {
+        let bits = ((BLOCK_LEN + len) as u64).wrapping_mul(8);
+        out[BLOCK_LEN - 8..].copy_from_slice(&bits.to_be_bytes());
+    }
+}
+
+/// The first 16 bytes of a tag, read big-endian.
+fn wide_of(tag: &[u8; 32]) -> u128 {
+    let mut bytes = [0u8; 16];
+    bytes.copy_from_slice(&tag[..16]);
+    u128::from_be_bytes(bytes)
 }
 
 /// A precomputed HMAC-SHA256 key schedule.
@@ -74,26 +111,26 @@ fn primed_pair(key: &[u8]) -> (Sha256, Sha256) {
 /// [`hmac_sha256`] rebuilds the padded key blocks and absorbs them into fresh
 /// hashers on every call; in the watermarking hot loops that key schedule
 /// dominates the per-tuple cost because the messages themselves are short.
-/// `HmacKey` runs the schedule once at construction and caches the two primed
-/// hashers (the ipad/opad midstates), so a per-message digest costs two
-/// hasher clones. Its tags are byte-identical to [`hmac_sha256`] (pinned by
-/// tests).
+/// `HmacKey` runs the schedule once at construction and caches the two
+/// chaining states it leaves (the ipad/opad midstates), so a per-message
+/// digest starts from them. Its tags are byte-identical to [`hmac_sha256`]
+/// (pinned by tests).
 #[derive(Clone)]
 pub struct HmacKey {
-    inner: Sha256,
-    outer: Sha256,
+    inner: [u32; 8],
+    outer: [u32; 8],
 }
 
 impl HmacKey {
     /// Run the RFC 2104 key schedule for `key` and cache the resulting
     /// ipad/opad midstates.
     pub fn new(key: &[u8]) -> Self {
-        let (inner, outer) = primed_pair(key);
+        let (inner, outer) = primed_midstates(key);
         HmacKey { inner, outer }
     }
 
     /// The HMAC tag of `message`, byte-identical to [`hmac_sha256`].
-    pub fn digest(&self, message: &[u8]) -> Vec<u8> {
+    pub fn digest(&self, message: &[u8]) -> [u8; 32] {
         self.digest_parts(&[message])
     }
 
@@ -101,15 +138,64 @@ impl HmacKey {
     /// the concatenation. Streaming the parts through the inner hasher is
     /// definitionally equal to hashing their concatenation, so
     /// `digest_parts(&[a, b]) == digest(a ++ b)` byte for byte.
-    pub fn digest_parts(&self, parts: &[&[u8]]) -> Vec<u8> {
-        let mut h = self.inner.clone();
+    pub fn digest_parts(&self, parts: &[&[u8]]) -> [u8; 32] {
+        let mut h = Sha256::from_midstate(self.inner, BLOCK_LEN as u64);
         for part in parts {
             h.update(part);
         }
         let inner_digest = h.finalize();
-        let mut o = self.outer.clone();
+        let mut o = Sha256::from_midstate(self.outer, BLOCK_LEN as u64);
         o.update(&inner_digest);
-        o.finalize().to_vec()
+        o.finalize()
+    }
+
+    /// The first 16 tag bytes of `prefix ‖ data`, big-endian.
+    pub fn wide(&self, prefix: &[u8], data: &[u8]) -> u128 {
+        wide_of(&self.digest_parts(&[prefix, data]))
+    }
+
+    /// [`HmacKey::wide`] of four messages at once, lane `l` hashing
+    /// `messages[l].0 ‖ messages[l].1`.
+    ///
+    /// The lanes share one run of the 4-lane compression per block: every
+    /// lane starts from the cached ipad midstate, its padded message is
+    /// gathered into the lane's schedule words, and the outer hash runs from
+    /// fixed words (the 32-byte inner digest, `0x80`, a length of 768 bits).
+    /// The wide values are read straight from the outer state words. Lanes
+    /// whose padded messages span different block counts cannot share
+    /// compressions and are hashed one at a time instead.
+    pub fn wide4(&self, messages: [(&[u8], &[u8]); 4]) -> [u128; 4] {
+        let blocks = padded_blocks(messages[0].0.len() + messages[0].1.len());
+        if messages.iter().any(|(prefix, data)| padded_blocks(prefix.len() + data.len()) != blocks)
+        {
+            return messages.map(|(prefix, data)| self.wide(prefix, data));
+        }
+        let mut state: [Lanes; 8] = self.inner.map(|word| [word; 4]);
+        let mut words = [[0u32; 4]; 16];
+        let mut block = [0u8; BLOCK_LEN];
+        for index in 0..blocks {
+            for (lane, (prefix, data)) in messages.iter().enumerate() {
+                padded_block(prefix, data, index, &mut block);
+                for (word, bytes) in words.iter_mut().zip(block.chunks_exact(4)) {
+                    word[lane] = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+                }
+            }
+            compress4(&mut state, &words);
+        }
+        // The outer message is the inner digest (the eight state words),
+        // then 0x80, zeros and its bit length: 64 pad bytes + 32 digest bytes.
+        let mut outer_words = [[0u32; 4]; 16];
+        outer_words[..8].copy_from_slice(&state);
+        outer_words[8] = [0x8000_0000; 4];
+        outer_words[15] = [((BLOCK_LEN + 32) * 8) as u32; 4];
+        let mut outer: [Lanes; 8] = self.outer.map(|word| [word; 4]);
+        compress4(&mut outer, &outer_words);
+        std::array::from_fn(|lane| {
+            (u128::from(outer[0][lane]) << 96)
+                | (u128::from(outer[1][lane]) << 64)
+                | (u128::from(outer[2][lane]) << 32)
+                | u128::from(outer[3][lane])
+        })
     }
 }
 
@@ -171,7 +257,7 @@ mod tests {
         for key in keys {
             let cached = HmacKey::new(key);
             for msg in messages {
-                assert_eq!(cached.digest(msg), hmac_sha256(key, msg).to_vec());
+                assert_eq!(cached.digest(msg), hmac_sha256(key, msg));
             }
         }
     }
@@ -195,7 +281,7 @@ mod tests {
         let key = HmacKey::new(b"watermark-key");
         for i in 0..32u32 {
             let msg = i.to_be_bytes();
-            assert_eq!(key.digest(&msg), hmac_sha256(b"watermark-key", &msg).to_vec());
+            assert_eq!(key.digest(&msg), hmac_sha256(b"watermark-key", &msg));
         }
     }
 }

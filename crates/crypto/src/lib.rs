@@ -31,6 +31,20 @@
 //!   that yields `u64` values, the form in which the rest of the framework
 //!   consumes `H(ti.ident, k) mod η`.
 //!
+//! The watermark kernels hash one short message per tuple and per selected
+//! cell, so the PRF has lane entry points: [`HmacKey::wide4`] and
+//! [`KeyedPrf::prefixed_value_wide4`] hash four `(prefix, data)` messages
+//! at once and return the first 16 tag bytes of each as a `u128`. They run
+//! one SHA-256 compression over four states, written as element-wise
+//! arithmetic on `[u32; 4]` lanes that the optimizer turns into 128-bit
+//! vector code on the baseline target, with no `unsafe` and no
+//! `std::arch`. That compression is `#[inline(never)]`: inlined into its
+//! callers, it lost the vectorization (on a shared 2-core x86-64 host a
+//! tag of an 81-byte identity took about 450 ns instead of 365 ns; the
+//! scalar path takes about 520 ns).
+//! Lanes whose padded messages span different block counts fall back to
+//! one-at-a-time hashing.
+//!
 //! The crate is `#![forbid(unsafe_code)]` and uses only the standard library.
 //!
 //! ```

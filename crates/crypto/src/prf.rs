@@ -16,9 +16,9 @@ use crate::hmac::HmacKey;
 /// A keyed PRF mapping byte strings to uniformly distributed `u64` values.
 ///
 /// The HMAC ipad/opad key schedule is run once at construction and cached
-/// ([`HmacKey`]), so per-message derivations cost two midstate clones rather
-/// than a fresh key schedule — the difference dominates the watermarking hot
-/// loops, where messages are short tuple identifiers.
+/// ([`HmacKey`]), so per-message derivations start from the two midstates
+/// rather than a fresh key schedule — the difference dominates the
+/// watermarking hot loops, where messages are short tuple identifiers.
 #[derive(Debug, Clone)]
 pub struct KeyedPrf {
     hmac: HmacKey,
@@ -31,14 +31,14 @@ impl KeyedPrf {
     }
 
     /// The full keyed digest of `data`.
-    pub fn digest(&self, data: &[u8]) -> Vec<u8> {
+    pub fn digest(&self, data: &[u8]) -> [u8; 32] {
         self.hmac.digest(data)
     }
 
     /// The full keyed digest of the concatenation of `parts`, streamed so the
     /// caller never materializes the concatenated message. Byte-identical to
     /// `digest` of the concatenation.
-    pub fn digest_parts(&self, parts: &[&[u8]]) -> Vec<u8> {
+    pub fn digest_parts(&self, parts: &[&[u8]]) -> [u8; 32] {
         self.hmac.digest_parts(parts)
     }
 
@@ -46,20 +46,14 @@ impl KeyedPrf {
     /// digest (big-endian). The digest is a 32-byte HMAC-SHA256 tag, so
     /// this never truncates below eight bytes.
     pub fn value(&self, data: &[u8]) -> u64 {
-        let digest = self.digest(data);
-        let mut bytes = [0u8; 8];
-        bytes.copy_from_slice(&digest[..8]);
-        u64::from_be_bytes(bytes)
+        (self.value_wide(data) >> 64) as u64
     }
 
     /// Map `data` to a `u128` from the first sixteen bytes of the keyed
     /// digest (big-endian). This is the wide value backing the modular
     /// reductions below.
     pub fn value_wide(&self, data: &[u8]) -> u128 {
-        let digest = self.digest(data);
-        let mut bytes = [0u8; 16];
-        bytes.copy_from_slice(&digest[..16]);
-        u128::from_be_bytes(bytes)
+        self.hmac.wide(&[], data)
     }
 
     /// `H(data, key) mod modulus`. Returns 0 when `modulus` is 0 (callers
@@ -98,7 +92,7 @@ impl KeyedPrf {
     /// derivation primitive behind per-recipient fingerprints: the owner key
     /// plus a recipient identity as the label yields an independent digest
     /// without storing any new key material.
-    pub fn labeled_digest(&self, label: &str, data: &[u8]) -> Vec<u8> {
+    pub fn labeled_digest(&self, label: &str, data: &[u8]) -> [u8; 32] {
         self.hmac.digest_parts(&[label.as_bytes(), &[0x1f], data])
     }
 
@@ -118,10 +112,14 @@ impl KeyedPrf {
     /// `value_wide(label ++ 0x1f ++ data)` — the parts are streamed through
     /// the cached HMAC midstate instead of concatenated.
     pub fn prefixed_value_wide(&self, prefix: &[u8], data: &[u8]) -> u128 {
-        let digest = self.digest_parts(&[prefix, data]);
-        let mut bytes = [0u8; 16];
-        bytes.copy_from_slice(&digest[..16]);
-        u128::from_be_bytes(bytes)
+        self.hmac.wide(prefix, data)
+    }
+
+    /// [`KeyedPrf::prefixed_value_wide`] of four `(prefix, data)` messages
+    /// at once, through the 4-lane HMAC ([`HmacKey::wide4`]). Batch kernels
+    /// fill spare lanes by repeating a message.
+    pub fn prefixed_value_wide4(&self, messages: [(&[u8], &[u8]); 4]) -> [u128; 4] {
+        self.hmac.wide4(messages)
     }
 
     /// Reduce a wide value obtained from [`KeyedPrf::value_wide`] or
@@ -270,7 +268,7 @@ mod tests {
         use crate::hmac::hmac_sha256;
         for key in [&b"k"[..], &[0xaa; 131][..]] {
             let msg = b"tuple-ident";
-            assert_eq!(KeyedPrf::new(key).digest(msg), hmac_sha256(key, msg).to_vec());
+            assert_eq!(KeyedPrf::new(key).digest(msg), hmac_sha256(key, msg));
         }
     }
 

@@ -1,6 +1,7 @@
 //! Property-based tests of the cryptographic primitives.
 
 use medshield_crypto::{aes::Aes128, hex, hmac, sha256, HmacKey, KeyedPrf, SHA256_DIGEST_LEN};
+use proptest::collection::vec;
 use proptest::prelude::*;
 
 proptest! {
@@ -93,5 +94,59 @@ proptest! {
                       data in prop::collection::vec(any::<u8>(), 0..128)) {
         prop_assert_eq!(HmacKey::new(&key).digest(&data).len(), SHA256_DIGEST_LEN);
         prop_assert_eq!(KeyedPrf::new(&key).digest(&data).len(), SHA256_DIGEST_LEN);
+    }
+}
+
+/// One lane's message: a label-like prefix and identity-like data.
+fn lane() -> impl Strategy<Value = (Vec<u8>, Vec<u8>)> {
+    (vec(any::<u8>(), 0..=24), vec(any::<u8>(), 0..=200))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+    /// The 4-lane PRF equals the naive HMAC and the scalar path on every
+    /// lane. Keys of 0–131 bytes cover both RFC 2104 key cases (padded and
+    /// hashed first); random prefix and data lengths put lanes on different
+    /// padded block counts, which takes the one-at-a-time fallback.
+    #[test]
+    fn four_lane_prf_matches_naive_hmac(key in vec(any::<u8>(), 0..=131),
+                                        a in lane(), b in lane(), c in lane(), d in lane()) {
+        let lanes = [a, b, c, d];
+        let prf = KeyedPrf::new(&key);
+        let wide = prf.prefixed_value_wide4(
+            std::array::from_fn(|l| (lanes[l].0.as_slice(), lanes[l].1.as_slice())),
+        );
+        for (l, (prefix, data)) in lanes.iter().enumerate() {
+            let mut message = prefix.clone();
+            message.extend_from_slice(data);
+            let tag = hmac::hmac_sha256(&key, &message);
+            let mut first = [0u8; 16];
+            first.copy_from_slice(&tag[..16]);
+            prop_assert!(wide[l] == u128::from_be_bytes(first), "lane {l} differs from the naive HMAC");
+            prop_assert!(wide[l] == prf.prefixed_value_wide(prefix, data), "lane {l} differs from the scalar path");
+        }
+    }
+
+    /// Four lanes of one shape share compressions (no fallback): the lane
+    /// path itself must match the naive HMAC for every length.
+    #[test]
+    fn four_lane_prf_on_equal_lengths(key in vec(any::<u8>(), 0..=131),
+                                      prefix_len in 0usize..=24,
+                                      data_len in 0usize..=200,
+                                      fill in vec(any::<u8>(), 4 * 224..=4 * 224)) {
+        let lanes: Vec<(&[u8], &[u8])> = fill
+            .chunks_exact(224)
+            .map(|bytes| (&bytes[..prefix_len], &bytes[24..24 + data_len]))
+            .collect();
+        let wide = KeyedPrf::new(&key).prefixed_value_wide4([lanes[0], lanes[1], lanes[2], lanes[3]]);
+        for (l, (prefix, data)) in lanes.iter().enumerate() {
+            let mut message = prefix.to_vec();
+            message.extend_from_slice(data);
+            let tag = hmac::hmac_sha256(&key, &message);
+            let mut first = [0u8; 16];
+            first.copy_from_slice(&tag[..16]);
+            prop_assert!(wide[l] == u128::from_be_bytes(first), "lane {l} differs from the naive HMAC");
+        }
     }
 }

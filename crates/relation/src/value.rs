@@ -97,27 +97,36 @@ impl Value {
     /// encoding is prefix-free across variants so distinct values never
     /// collide structurally.
     pub fn canonical_bytes(&self) -> Vec<u8> {
+        // Sized exactly: binning encrypts one of these per distinct
+        // identifier.
+        let mut out = Vec::with_capacity(match self {
+            Value::Null => 1,
+            Value::Int(_) => 9,
+            Value::Text(s) => 9 + s.len(),
+            Value::Interval { .. } => 17,
+        });
+        self.write_canonical_bytes(&mut out);
+        out
+    }
+
+    /// Append [`Value::canonical_bytes`] to `out`, for callers that frame
+    /// many values into one buffer.
+    pub fn write_canonical_bytes(&self, out: &mut Vec<u8>) {
         match self {
-            Value::Null => vec![0x00],
+            Value::Null => out.push(0x00),
             Value::Int(v) => {
-                let mut out = Vec::with_capacity(9);
                 out.push(0x01);
                 out.extend_from_slice(&v.to_be_bytes());
-                out
             }
             Value::Text(s) => {
-                let mut out = Vec::with_capacity(1 + 8 + s.len());
                 out.push(0x02);
                 out.extend_from_slice(&(s.len() as u64).to_be_bytes());
                 out.extend_from_slice(s.as_bytes());
-                out
             }
             Value::Interval { lo, hi } => {
-                let mut out = Vec::with_capacity(17);
                 out.push(0x03);
                 out.extend_from_slice(&lo.to_be_bytes());
                 out.extend_from_slice(&hi.to_be_bytes());
-                out
             }
         }
     }

@@ -98,7 +98,7 @@ impl DetectionReport {
 /// row chunk, merged in any order, resolves to exactly the sequential
 /// [`DetectionReport`] (vote weights are small integral counts, so the
 /// floating-point sums are exact).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DetectionTally {
     votes: VoteAccumulator,
     selected_tuples: usize,

@@ -6,21 +6,28 @@
 //! re-resolve the cell's value against the domain hierarchy tree. With the
 //! columnar [`Table`] core all three are hoisted out of the row loop:
 //!
-//! * **Identity bytes** — the framed byte encoding of each dictionary entry
-//!   of an identity column is precomputed once per run (`IdentCodec`);
-//!   the per-row work is a code lookup plus a `memcpy`. Integer identity
-//!   columns are framed inline from the native `i64` vector.
+//! * **Identity bytes** — every dictionary entry of an identity column is
+//!   framed once per run into one contiguous buffer (`IdentCodec`); the
+//!   per-row work is a code lookup plus a `memcpy`. Integer identity columns
+//!   are framed inline from the native `i64` vector.
 //! * **PRF label schedules** — the per-column `bit:` / `perm:` label prefixes
-//!   are precomputed ([`KeyedPrf::label_prefix`]) and each per-cell PRF is a
-//!   single midstate-cached HMAC over `prefix ‖ ident`
-//!   ([`KeyedPrf::prefixed_value_wide`]). The 128-bit wide value is reduced
-//!   per sibling-set size with [`KeyedPrf::reduce_wide`], which is exactly
-//!   the reduction the labeled per-call path performs — so one HMAC now
+//!   are precomputed ([`KeyedPrf::label_prefix`]) and each per-cell PRF is
+//!   one midstate-cached HMAC over `prefix ‖ ident`. The 128-bit wide value
+//!   is reduced per sibling-set size with [`KeyedPrf::reduce_wide`], which is
+//!   exactly the reduction the labeled per-call path performs — so one HMAC
 //!   serves every level of a tree walk.
 //! * **Tree resolution** — everything about a cell that depends only on its
 //!   *value* (null checks, ultimate/maximal node lookup, detection's climb
 //!   and per-level vote) is memoized per dictionary code, so each distinct
 //!   value is resolved once per run instead of once per row.
+//!
+//! Both kernels walk their rows in blocks of up to 64 (`RowBlock`): frame
+//! the block's identities, select them four per call of the 4-lane PRF
+//! ([`KeyedPrf::prefixed_value_wide4`]), collect the selected cells in
+//! row-then-column order, hash those four at a time, and only then vote or
+//! walk the tree, in the same order. A cell's outcome depends only on its
+//! own tuple, so the result — and the first error — is the row-at-a-time
+//! loop's.
 //!
 //! Embedding never mutates the table inside the hot loop: workers scan
 //! disjoint row ranges of a shared `&Table` and emit per-column *edit lists*
@@ -32,7 +39,7 @@
 use crate::error::WatermarkError;
 use crate::hierarchical::{climb_and_read, DetectionTally, EmbeddingReport};
 use crate::plan::{DetectPlan, EmbedPlan, PlanColumn};
-use crate::select::{set_parity, ResolvedIdentity};
+use crate::select::{set_parity, ResolvedIdentity, Selector};
 use crate::voting::{level_weights, majority, weighted_majority};
 use medshield_crypto::KeyedPrf;
 use medshield_dht::{DomainHierarchyTree, GeneralizationSet, NodeId};
@@ -42,9 +49,11 @@ use std::ops::Range;
 
 /// Length-prefix one identity field the way `ResolvedIdentity::bytes` does.
 fn frame_value_into(value: &Value, out: &mut Vec<u8>) {
-    let field = value.canonical_bytes();
-    out.extend_from_slice(&(field.len() as u64).to_be_bytes());
-    out.extend_from_slice(&field);
+    let at = out.len();
+    out.extend_from_slice(&[0u8; 8]);
+    value.write_canonical_bytes(out);
+    let len = (out.len() - at - 8) as u64;
+    out[at..at + 8].copy_from_slice(&len.to_be_bytes());
 }
 
 /// One identity column, pre-encoded for per-row byte assembly.
@@ -55,12 +64,14 @@ enum IdentField {
         /// Schema index of the column.
         col: usize,
     },
-    /// A dictionary column: every entry's framed bytes precomputed once.
+    /// A dictionary column: every entry framed once, back to back.
     Dict {
         /// Schema index of the column.
         col: usize,
-        /// Framed identity bytes per dictionary code.
-        framed: Vec<Vec<u8>>,
+        /// The framed identity bytes of every dictionary entry.
+        framed: Vec<u8>,
+        /// Entry `code` is `framed[offsets[code]..offsets[code + 1]]`.
+        offsets: Vec<usize>,
     },
 }
 
@@ -82,13 +93,14 @@ impl IdentCodec {
             .map(|&col| match table.columns()[col].data() {
                 ColumnData::Int(_) => IdentField::Int { col },
                 ColumnData::Dict { dict, .. } => {
-                    let mut framed = Vec::with_capacity(dict.len());
+                    let mut framed = Vec::new();
+                    let mut offsets = Vec::with_capacity(dict.len() + 1);
+                    offsets.push(0);
                     for v in dict {
-                        let mut buf = Vec::new();
-                        frame_value_into(v, &mut buf);
-                        framed.push(buf);
+                        frame_value_into(v, &mut framed);
+                        offsets.push(framed.len());
                     }
-                    IdentField::Dict { col, framed }
+                    IdentField::Dict { col, framed, offsets }
                 }
             })
             .collect();
@@ -112,20 +124,93 @@ impl IdentCodec {
                         frame_value_into(&columns[*col].value(row), out);
                     }
                 }
-                IdentField::Dict { col, framed } => {
-                    let mut done = false;
-                    if let ColumnData::Dict { codes, .. } = columns[*col].data() {
-                        if let Some(bytes) = framed.get(codes[row] as usize) {
-                            out.extend_from_slice(bytes);
-                            done = true;
+                IdentField::Dict { col, framed, offsets } => {
+                    let entry = match columns[*col].data() {
+                        ColumnData::Dict { codes, .. } => {
+                            let code = codes[row] as usize;
+                            offsets.get(code).zip(offsets.get(code + 1))
                         }
-                    }
-                    if !done {
-                        frame_value_into(&columns[*col].value(row), out);
+                        ColumnData::Int(_) => None,
+                    };
+                    match entry {
+                        Some((&from, &to)) => out.extend_from_slice(&framed[from..to]),
+                        // An entry interned after the build: materialize it.
+                        None => frame_value_into(&columns[*col].value(row), out),
                     }
                 }
             }
         }
+    }
+}
+
+/// Rows per block of the batched kernels: enough to keep the PRF lanes full,
+/// few enough that the block's identities stay in cache (O(64 identities)
+/// of scratch per worker).
+const BLOCK_ROWS: usize = 64;
+
+/// Messages per call of the lane PRF.
+const LANES: usize = 4;
+
+/// One block of rows: their framed identities, back to back, and which of
+/// them Eq. (5) selects. Reused across the blocks of a range.
+#[derive(Debug, Default)]
+struct RowBlock {
+    /// The first row of the block.
+    start: usize,
+    /// The framed identities of the block's rows.
+    idents: Vec<u8>,
+    /// Row `start + i` has identity `idents[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<usize>,
+    /// Block offsets of the selected rows, ascending.
+    selected: Vec<usize>,
+}
+
+impl RowBlock {
+    /// Frame the identities of `rows` and select among them; `wides` is
+    /// scratch for their selection PRF values.
+    fn load(
+        &mut self,
+        codec: &IdentCodec,
+        columns: &[Column],
+        rows: Range<usize>,
+        selector: &Selector,
+        wides: &mut Vec<u128>,
+    ) {
+        self.start = rows.start;
+        self.idents.clear();
+        self.offsets.clear();
+        self.offsets.push(0);
+        for row in rows {
+            codec.write(columns, row, &mut self.idents);
+            self.offsets.push(self.idents.len());
+        }
+        let count = self.offsets.len() - 1;
+        wide_values(selector.selection_prf(), count, |i| (&[], self.ident(i)), wides);
+        self.selected.clear();
+        self.selected.extend((0..count).filter(|&i| selector.selects_wide(wides[i])));
+    }
+
+    /// The framed identity of block row `i`.
+    fn ident(&self, i: usize) -> &[u8] {
+        &self.idents[self.offsets[i]..self.offsets[i + 1]]
+    }
+}
+
+/// The wide PRF values of `count` messages, `prefix ‖ data` as `message(i)`
+/// gives them, four per call of the lane PRF. The last message fills the
+/// spare lanes of the final call.
+fn wide_values<'a>(
+    prf: &KeyedPrf,
+    count: usize,
+    message: impl Fn(usize) -> (&'a [u8], &'a [u8]),
+    out: &mut Vec<u128>,
+) {
+    out.clear();
+    for first in (0..count).step_by(LANES) {
+        let wide = prf.prefixed_value_wide4(std::array::from_fn(|lane| {
+            message((first + lane).min(count - 1))
+        }));
+        out.extend_from_slice(&wide[..LANES.min(count - first)]);
     }
 }
 
@@ -179,15 +264,28 @@ struct EmbedColumn {
 /// One row's write-back: the new dictionary code for a (row, column) cell.
 /// The `Value` variant only fires on the defensive walk exit (a non-ultimate
 /// leaf), which consistent binning state never produces.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 enum Edit {
     Code(usize, u32),
     Value(usize, Value),
 }
 
+/// One selected cell of a block, ready for its PRF values and tree walk.
+#[derive(Debug, Clone, Copy)]
+struct EmbedJob {
+    /// Block offset of the cell's row.
+    slot: usize,
+    /// Index of the cell's column in the plan.
+    column: usize,
+    /// The cell's dictionary code.
+    code: u32,
+    /// Where the walk starts (see [`CellMemo::Start`]).
+    node: NodeId,
+}
+
 /// The edits and report of one row range, produced by
 /// [`EmbedKernel::run_range`] and consumed by [`EmbedKernel::apply`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EmbedChunk {
     report: EmbeddingReport,
     edits: Vec<Vec<Edit>>,
@@ -243,53 +341,83 @@ impl EmbedKernel {
         let columns = table.columns();
         let prf = plan.core.selector.permutation_prf();
         let wmd_len = plan.wmd.len() as u64;
-        let mut buf = Vec::new();
-        for row in range {
-            buf.clear();
-            ident.write(columns, row, &mut buf);
-            if !plan.core.selector.selects(&buf) {
-                continue;
-            }
-            report.selected_tuples += 1;
-            for (ci, (st, pc)) in self.columns.iter().zip(&plan.core.columns).enumerate() {
-                let code = match columns[pc.index].data() {
-                    ColumnData::Dict { codes, .. } => codes[row],
-                    // Prepared columns are always dictionary-encoded; treat a
-                    // mismatch as an unresolvable cell rather than panicking.
-                    ColumnData::Int(_) => continue,
-                };
-                let start = match st.memo.get(code as usize).copied().unwrap_or(CellMemo::Ignore) {
-                    CellMemo::Ignore => continue,
-                    CellMemo::Skip => {
-                        report.skipped_cells += 1;
-                        continue;
-                    }
-                    CellMemo::Recheck { target } => {
-                        let max_node = pc
-                            .binning
-                            .maximal
-                            .covering_node(pc.tree, target)
-                            .map_err(WatermarkError::Dht)?;
-                        if pc.binning.ultimate.contains(max_node) {
+        let mut block = RowBlock::default();
+        let mut jobs: Vec<EmbedJob> = Vec::new();
+        let mut wides = Vec::new();
+        for start in range.clone().step_by(BLOCK_ROWS) {
+            block.load(
+                ident,
+                columns,
+                start..range.end.min(start + BLOCK_ROWS),
+                &plan.core.selector,
+                &mut wides,
+            );
+            // The block's cells in row-then-column order. A covering-node
+            // failure ends the collection; it surfaces after the cells
+            // before it, as in a row-at-a-time walk.
+            jobs.clear();
+            let mut failure = None;
+            'rows: for &slot in &block.selected {
+                let row = block.start + slot;
+                report.selected_tuples += 1;
+                for (column, (st, pc)) in self.columns.iter().zip(&plan.core.columns).enumerate() {
+                    let code = match columns[pc.index].data() {
+                        ColumnData::Dict { codes, .. } => codes[row],
+                        // Prepared columns are always dictionary-encoded;
+                        // treat a mismatch as an unresolvable cell rather
+                        // than panicking.
+                        ColumnData::Int(_) => continue,
+                    };
+                    let node = match st.memo.get(code as usize).copied().unwrap_or(CellMemo::Ignore)
+                    {
+                        CellMemo::Ignore => continue,
+                        CellMemo::Skip => {
                             report.skipped_cells += 1;
                             continue;
                         }
-                        max_node
-                    }
-                    CellMemo::Start { node } => node,
-                };
-                let bit_wide = prf.prefixed_value_wide(&st.bit_prefix, &buf);
-                let bit = plan.wmd[KeyedPrf::reduce_wide(bit_wide, wmd_len) as usize];
-                let perm_wide = prf.prefixed_value_wide(&st.perm_prefix, &buf);
+                        CellMemo::Recheck { target } => {
+                            match pc.binning.maximal.covering_node(pc.tree, target) {
+                                Err(e) => {
+                                    failure = Some(WatermarkError::Dht(e));
+                                    break 'rows;
+                                }
+                                Ok(max_node) if pc.binning.ultimate.contains(max_node) => {
+                                    report.skipped_cells += 1;
+                                    continue;
+                                }
+                                Ok(max_node) => max_node,
+                            }
+                        }
+                        CellMemo::Start { node } => node,
+                    };
+                    jobs.push(EmbedJob { slot, column, code, node });
+                }
+            }
+            // Two messages per cell: its `bit:` then its `perm:` value.
+            wide_values(
+                prf,
+                2 * jobs.len(),
+                |m| {
+                    let job = &jobs[m / 2];
+                    let st = &self.columns[job.column];
+                    let prefix = if m % 2 == 0 { &st.bit_prefix } else { &st.perm_prefix };
+                    (prefix, block.ident(job.slot))
+                },
+                &mut wides,
+            );
+            for (job, wide) in jobs.iter().zip(wides.chunks_exact(2)) {
+                let (st, pc) = (&self.columns[job.column], &plan.core.columns[job.column]);
+                let row = block.start + job.slot;
+                let bit = plan.wmd[KeyedPrf::reduce_wide(wide[0], wmd_len) as usize];
                 let new_node = match self.style {
                     EmbedStyle::Hierarchical => {
                         let node =
-                            descend_wide(pc.tree, &pc.binning.ultimate, start, perm_wide, bit)?;
+                            descend_wide(pc.tree, &pc.binning.ultimate, job.node, wide[1], bit)?;
                         report.embedded_cells += 1;
                         node
                     }
                     EmbedStyle::SingleLevel => {
-                        match permute_wide(pc.tree, &pc.binning.ultimate, start, perm_wide, bit)? {
+                        match permute_wide(pc.tree, &pc.binning.ultimate, job.node, wide[1], bit)? {
                             Some(node) => node,
                             None => continue,
                         }
@@ -297,11 +425,11 @@ impl EmbedKernel {
                 };
                 match st.node_code.get(&new_node) {
                     Some(&new_code) => {
-                        if new_code != code {
+                        if new_code != job.code {
                             if self.style == EmbedStyle::Hierarchical {
                                 report.changed_cells += 1;
                             }
-                            edits[ci].push(Edit::Code(row, new_code));
+                            edits[job.column].push(Edit::Code(row, new_code));
                         }
                     }
                     None => {
@@ -314,9 +442,12 @@ impl EmbedKernel {
                         {
                             report.changed_cells += 1;
                         }
-                        edits[ci].push(Edit::Value(row, new_value));
+                        edits[job.column].push(Edit::Value(row, new_value));
                     }
                 }
+            }
+            if let Some(e) = failure {
+                return Err(e);
             }
         }
         Ok(EmbedChunk { report, edits })
@@ -589,30 +720,51 @@ impl DetectKernel {
         let columns = table.columns();
         let prf = plan.core.selector.permutation_prf();
         let wmd_len = plan.wmd_len() as u64;
-        let mut buf = Vec::new();
-        for row in range {
-            buf.clear();
-            ident.write(columns, row, &mut buf);
-            if !plan.core.selector.selects(&buf) {
-                continue;
+        let mut block = RowBlock::default();
+        // (block offset, plan column, vote) of every voting cell of a block,
+        // in row-then-column order.
+        let mut jobs: Vec<(usize, usize, bool)> = Vec::new();
+        let mut wides = Vec::new();
+        for start in range.clone().step_by(BLOCK_ROWS) {
+            block.load(
+                ident,
+                columns,
+                start..range.end.min(start + BLOCK_ROWS),
+                &plan.core.selector,
+                &mut wides,
+            );
+            jobs.clear();
+            for &slot in &block.selected {
+                let row = block.start + slot;
+                tally.note_selected();
+                for (column, (dc, pc)) in self.columns.iter().zip(&plan.core.columns).enumerate() {
+                    let vote = match (&dc.votes, columns[pc.index].data()) {
+                        (VoteMemo::Dict(memo), ColumnData::Dict { codes, .. }) => {
+                            memo.get(codes[row] as usize).copied().flatten()
+                        }
+                        (VoteMemo::Int(memo), ColumnData::Int(values)) => {
+                            memo.get(&values[row]).copied().flatten()
+                        }
+                        // Layout changed between prepare and run (contract
+                        // violation): treat as attacker garbage, no vote.
+                        _ => None,
+                    };
+                    if let Some(bit) = vote {
+                        jobs.push((slot, column, bit));
+                    }
+                }
             }
-            tally.note_selected();
-            for (dc, pc) in self.columns.iter().zip(&plan.core.columns) {
-                let vote = match (&dc.votes, columns[pc.index].data()) {
-                    (VoteMemo::Dict(memo), ColumnData::Dict { codes, .. }) => {
-                        memo.get(codes[row] as usize).copied().flatten()
-                    }
-                    (VoteMemo::Int(memo), ColumnData::Int(values)) => {
-                        memo.get(&values[row]).copied().flatten()
-                    }
-                    // Layout changed between prepare and run (contract
-                    // violation): treat as attacker garbage, no vote.
-                    _ => None,
-                };
-                let Some(bit) = vote else { continue };
-                let pos =
-                    KeyedPrf::reduce_wide(prf.prefixed_value_wide(&dc.bit_prefix, &buf), wmd_len);
-                tally.vote(pos as usize, bit, 1.0)?;
+            wide_values(
+                prf,
+                jobs.len(),
+                |j| {
+                    let (slot, column, _) = jobs[j];
+                    (&self.columns[column].bit_prefix, block.ident(slot))
+                },
+                &mut wides,
+            );
+            for (&(_, _, bit), &wide) in jobs.iter().zip(&wides) {
+                tally.vote(KeyedPrf::reduce_wide(wide, wmd_len) as usize, bit, 1.0)?;
             }
         }
         Ok(tally)
@@ -668,17 +820,169 @@ pub(crate) fn single_level_cell_vote(
     Ok(Some(idx % 2 == 1))
 }
 
+/// The row-at-a-time kernels the batched ones replaced: one scalar PRF per
+/// row and per cell. Kept as the reference the batched kernels are tested
+/// against.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// [`EmbedKernel::run_range`], one row at a time.
+    pub(super) fn embed_rows(
+        kernel: &EmbedKernel,
+        plan: &EmbedPlan<'_>,
+        table: &Table,
+        range: Range<usize>,
+    ) -> Result<EmbedChunk, WatermarkError> {
+        let mut report = EmbeddingReport::empty(plan.wmd_len());
+        let mut edits: Vec<Vec<Edit>> = vec![Vec::new(); kernel.columns.len()];
+        let Some(ident) = &kernel.ident else {
+            // No identity: nothing can be selected (embed plans always carry
+            // one; this mirrors the old guard against misused detect plans).
+            return Ok(EmbedChunk { report, edits });
+        };
+        let columns = table.columns();
+        let prf = plan.core.selector.permutation_prf();
+        let wmd_len = plan.wmd.len() as u64;
+        let mut buf = Vec::new();
+        for row in range {
+            buf.clear();
+            ident.write(columns, row, &mut buf);
+            if !plan.core.selector.selects(&buf) {
+                continue;
+            }
+            report.selected_tuples += 1;
+            for (ci, (st, pc)) in kernel.columns.iter().zip(&plan.core.columns).enumerate() {
+                let code = match columns[pc.index].data() {
+                    ColumnData::Dict { codes, .. } => codes[row],
+                    // Prepared columns are always dictionary-encoded; treat a
+                    // mismatch as an unresolvable cell rather than panicking.
+                    ColumnData::Int(_) => continue,
+                };
+                let start = match st.memo.get(code as usize).copied().unwrap_or(CellMemo::Ignore) {
+                    CellMemo::Ignore => continue,
+                    CellMemo::Skip => {
+                        report.skipped_cells += 1;
+                        continue;
+                    }
+                    CellMemo::Recheck { target } => {
+                        let max_node = pc
+                            .binning
+                            .maximal
+                            .covering_node(pc.tree, target)
+                            .map_err(WatermarkError::Dht)?;
+                        if pc.binning.ultimate.contains(max_node) {
+                            report.skipped_cells += 1;
+                            continue;
+                        }
+                        max_node
+                    }
+                    CellMemo::Start { node } => node,
+                };
+                let bit_wide = prf.prefixed_value_wide(&st.bit_prefix, &buf);
+                let bit = plan.wmd[KeyedPrf::reduce_wide(bit_wide, wmd_len) as usize];
+                let perm_wide = prf.prefixed_value_wide(&st.perm_prefix, &buf);
+                let new_node = match kernel.style {
+                    EmbedStyle::Hierarchical => {
+                        let node =
+                            descend_wide(pc.tree, &pc.binning.ultimate, start, perm_wide, bit)?;
+                        report.embedded_cells += 1;
+                        node
+                    }
+                    EmbedStyle::SingleLevel => {
+                        match permute_wide(pc.tree, &pc.binning.ultimate, start, perm_wide, bit)? {
+                            Some(node) => node,
+                            None => continue,
+                        }
+                    }
+                };
+                match st.node_code.get(&new_node) {
+                    Some(&new_code) => {
+                        if new_code != code {
+                            if kernel.style == EmbedStyle::Hierarchical {
+                                report.changed_cells += 1;
+                            }
+                            edits[ci].push(Edit::Code(row, new_code));
+                        }
+                    }
+                    None => {
+                        // Defensive walk exit on a non-ultimate leaf: write
+                        // the value through the slow path.
+                        let new_value =
+                            pc.tree.node_value(new_node).map_err(WatermarkError::Dht)?;
+                        if kernel.style == EmbedStyle::Hierarchical
+                            && new_value != columns[pc.index].value(row)
+                        {
+                            report.changed_cells += 1;
+                        }
+                        edits[ci].push(Edit::Value(row, new_value));
+                    }
+                }
+            }
+        }
+        Ok(EmbedChunk { report, edits })
+    }
+
+    /// [`DetectKernel::run_range`], one row at a time.
+    pub(super) fn detect_rows(
+        kernel: &DetectKernel,
+        plan: &DetectPlan<'_>,
+        table: &Table,
+        range: Range<usize>,
+    ) -> Result<DetectionTally, WatermarkError> {
+        let mut tally = DetectionTally::new(plan.wmd_len());
+        let Some(ident) = &kernel.ident else {
+            // The suspect table lost the virtual-key columns: no tuple can be
+            // re-identified, so the run legitimately collects zero votes.
+            return Ok(tally);
+        };
+        let columns = table.columns();
+        let prf = plan.core.selector.permutation_prf();
+        let wmd_len = plan.wmd_len() as u64;
+        let mut buf = Vec::new();
+        for row in range {
+            buf.clear();
+            ident.write(columns, row, &mut buf);
+            if !plan.core.selector.selects(&buf) {
+                continue;
+            }
+            tally.note_selected();
+            for (dc, pc) in kernel.columns.iter().zip(&plan.core.columns) {
+                let vote = match (&dc.votes, columns[pc.index].data()) {
+                    (VoteMemo::Dict(memo), ColumnData::Dict { codes, .. }) => {
+                        memo.get(codes[row] as usize).copied().flatten()
+                    }
+                    (VoteMemo::Int(memo), ColumnData::Int(values)) => {
+                        memo.get(&values[row]).copied().flatten()
+                    }
+                    // Layout changed between prepare and run (contract
+                    // violation): treat as attacker garbage, no vote.
+                    _ => None,
+                };
+                let Some(bit) = vote else { continue };
+                let pos =
+                    KeyedPrf::reduce_wide(prf.prefixed_value_wide(&dc.bit_prefix, &buf), wmd_len);
+                tally.vote(pos as usize, bit, 1.0)?;
+            }
+        }
+        Ok(tally)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hierarchical::HierarchicalWatermarker;
     use crate::key::{Mark, WatermarkConfig, WatermarkKey};
     use crate::select::TupleIdentity;
-    use medshield_binning::{BinningAgent, BinningConfig};
+    use medshield_binning::{BinningAgent, BinningConfig, ColumnBinning};
     use medshield_datagen::{DatasetConfig, MedicalDataset};
     use medshield_dht::GeneralizationSet;
     use medshield_relation::{ColumnDef, ColumnRole, Schema};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use std::collections::BTreeMap;
+    use std::sync::OnceLock;
 
     /// Assert that the codec writes exactly the reference identity bytes on
     /// every row of `table`.
@@ -752,5 +1056,140 @@ mod tests {
         assert_codec_matches_reference(&TupleIdentity::IdentifyingColumns, &marked);
         let quasi = marked.schema().quasi_names().into_iter().map(String::from).collect();
         assert_codec_matches_reference(&TupleIdentity::VirtualKey(quasi), &marked);
+    }
+
+    /// A 300-row hospital table and its trees.
+    fn hospital() -> &'static MedicalDataset {
+        static HOSPITAL: OnceLock<MedicalDataset> = OnceLock::new();
+        HOSPITAL.get_or_init(|| MedicalDataset::generate(&DatasetConfig::small(300)))
+    }
+
+    /// The first `rows` rows of the hospital table behind two identity
+    /// columns: `mrn`, all integers (a native `Int` column), and `ssn`, text
+    /// with nulls and repeats (a `Dict` column).
+    fn with_identities(rows: usize, mrn: &[i64], ssn: &[u32]) -> Table {
+        let base = &hospital().table;
+        let mut defs = vec![ColumnDef::new("mrn", ColumnRole::Identifying)];
+        defs.extend(base.schema().columns().iter().cloned());
+        let mut table = Table::new(Schema::new(defs).unwrap());
+        let ssn_col = base.schema().index_of("ssn").unwrap();
+        for row in 0..rows {
+            let mut values = vec![Value::int(mrn[row])];
+            for col in 0..base.schema().arity() {
+                values.push(if col == ssn_col {
+                    match ssn[row] {
+                        v if v % 5 == 0 => Value::Null,
+                        v => Value::text(format!("ssn-{v}")),
+                    }
+                } else {
+                    base.value_at(row, col).unwrap()
+                });
+            }
+            table.insert(values).unwrap();
+        }
+        table
+    }
+
+    /// Equal results, errors compared by their message.
+    fn assert_same<T: PartialEq + std::fmt::Debug>(
+        batched: Result<T, WatermarkError>,
+        reference: Result<T, WatermarkError>,
+    ) {
+        match (batched, reference) {
+            (Ok(b), Ok(r)) => assert_eq!(b, r),
+            (b, r) => assert_eq!(format!("{b:?}"), format!("{r:?}")),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The batched kernels give the row-at-a-time kernels' edits, report
+        /// and tally on any row range: row counts that are not multiples of
+        /// the lane or block size, ranges from odd offsets, integer, text
+        /// (with nulls) and virtual-key identities, both embedding styles,
+        /// ultimate nodes at any depth, and (with a maximal set below some
+        /// ultimate nodes) the covering-node error of the first failing cell.
+        #[test]
+        fn batched_kernels_match_the_row_at_a_time_reference(
+            rows in 0usize..=300,
+            bounds in (0usize..=300, 0usize..=300),
+            ids in (vec(any::<i64>(), 300..=300), vec(0u32..60, 300..=300)),
+            identity in 0usize..4,
+            key in (any::<u32>(), 1u64..=4),
+            depths in (
+                vec(0usize..=4, 5..=5),
+                prop_oneof![Just(None), (0usize..5, 1usize..=3).prop_map(Some)],
+            ),
+        ) {
+            let trees = &hospital().trees;
+            let table = with_identities(rows, &ids.0, &ids.1);
+            let start = bounds.0 % (rows + 1);
+            let range = start..rows - bounds.1 % (rows - start + 1);
+            let mut config = WatermarkConfig::new(WatermarkKey::from_master(
+                &key.0.to_be_bytes(),
+                key.1,
+            ));
+            config.virtual_key_columns = match identity {
+                0 => vec!["mrn".into()],
+                1 => vec!["ssn".into()],
+                2 => vec!["mrn".into(), "ssn".into()],
+                _ => vec!["doctor".into(), "age".into()],
+            };
+            // Raw values under ultimate nodes `depths` levels down (a
+            // shallow leaf stands for itself), maximal nodes at the roots; or,
+            // for one column, maximal nodes that leave some ultimate nodes
+            // uncovered.
+            let columns: Vec<ColumnBinning> = trees
+                .iter()
+                .zip(&depths.0)
+                .enumerate()
+                .map(|(i, ((name, tree), depth))| {
+                    let ultimate = GeneralizationSet::at_depth(tree, *depth);
+                    let maximal = match depths.1 {
+                        Some((column, deeper)) if column == i => {
+                            GeneralizationSet::at_depth(tree, deeper)
+                        }
+                        _ => GeneralizationSet::at_depth(tree, 0),
+                    };
+                    ColumnBinning {
+                        column: name.clone(),
+                        maximal,
+                        minimal: ultimate.clone(),
+                        ultimate,
+                    }
+                })
+                .collect();
+            let mark = Mark::from_bytes(b"mark", 20);
+            for style in [EmbedStyle::Hierarchical, EmbedStyle::SingleLevel] {
+                let plan = EmbedPlan::build(&config, table.schema(), &columns, trees, &mark).unwrap();
+                let mut marked = table.snapshot();
+                let kernel = EmbedKernel::prepare(&plan, &mut marked, style).unwrap();
+                assert_same(
+                    kernel.run_range(&plan, &marked, range.clone()),
+                    reference::embed_rows(&kernel, &plan, &marked, range.clone()),
+                );
+                // Detect over the marked table (or the unmarked one, when
+                // embedding fails).
+                if let Ok(chunk) = kernel.run_range(&plan, &marked, 0..rows) {
+                    kernel.apply(&plan, &mut marked, vec![chunk]).unwrap();
+                }
+                let plan = DetectPlan::build(&config, marked.schema(), &columns, trees, mark.len())
+                    .unwrap();
+                let kernel = match style {
+                    EmbedStyle::Hierarchical => DetectKernel::prepare(&plan, &marked, |pc, v| {
+                        hierarchical_cell_vote(pc, v, false)
+                    }),
+                    EmbedStyle::SingleLevel => {
+                        DetectKernel::prepare(&plan, &marked, single_level_cell_vote)
+                    }
+                }
+                .unwrap();
+                assert_same(
+                    kernel.run_range(&plan, &marked, range.clone()),
+                    reference::detect_rows(&kernel, &plan, &marked, range.clone()),
+                );
+            }
+        }
     }
 }

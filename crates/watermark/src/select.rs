@@ -128,6 +128,20 @@ impl Selector {
         self.selection.selects(ident, self.eta)
     }
 
+    /// Eq. (5) on the selection PRF's wide value of an identity:
+    /// `selects_wide(selection_prf().value_wide(ident)) == selects(ident)`.
+    /// Batch kernels compute the wide values four at a time.
+    pub(crate) fn selects_wide(&self, wide: u128) -> bool {
+        // `Selector::new` rejects η = 0, and every wide value is 0 mod 1.
+        KeyedPrf::reduce_wide(wide, self.eta) == 0
+    }
+
+    /// The selection PRF of Eq. (5), for batch kernels (see
+    /// [`Selector::selects_wide`]).
+    pub(crate) fn selection_prf(&self) -> &KeyedPrf {
+        &self.selection
+    }
+
     /// Index of the mark bit carried by this tuple in `column`
     /// (`H(ident, k2) mod |wmd|`, domain-separated per column).
     pub fn bit_index(&self, ident: &[u8], column: &str, wmd_len: usize) -> usize {

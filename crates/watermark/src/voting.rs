@@ -93,7 +93,7 @@ pub fn level_weights(level_count: usize) -> Vec<f64> {
 }
 
 /// An accumulator of votes for the bits of the extended mark `wmd`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VoteAccumulator {
     ones: Vec<f64>,
     totals: Vec<f64>,
