@@ -77,15 +77,6 @@ impl KeyedPrf {
         self.value_mod(data, eta) == 0
     }
 
-    /// Labeled variant of [`KeyedPrf::value_mod`]: the same 128-bit wide
-    /// reduction, applied to the digest of the domain-separated message
-    /// `label ++ 0x1f ++ data` (the unit separator never appears in labels),
-    /// so the same key can safely drive independent decisions (e.g.
-    /// permutation index vs mark-bit index) without correlation.
-    pub fn labeled_value_mod(&self, label: &str, data: &[u8], modulus: u64) -> u64 {
-        Self::reduce_wide(self.prefixed_value_wide(&Self::label_prefix(label), data), modulus)
-    }
-
     /// The full keyed digest of the domain-separated message
     /// `label ++ 0x1f ++ data`, streamed through the cached HMAC midstate.
     /// Byte-identical to `digest` of the labeled message. This is the
@@ -97,9 +88,11 @@ impl KeyedPrf {
     }
 
     /// The domain-separation prefix for `label`: the label bytes plus the
-    /// unit separator. Hoist this out of a hot loop and pass it to
-    /// [`KeyedPrf::prefixed_value_wide`] to avoid re-formatting the label and
-    /// concatenating the message per call.
+    /// unit separator (which never appears in labels), so the same key can
+    /// drive independent decisions (e.g. permutation index vs mark-bit
+    /// index) without correlation. Hoist this out of a hot loop and pass it
+    /// to [`KeyedPrf::prefixed_value_wide`] to avoid re-formatting the label
+    /// and concatenating the message per call.
     pub fn label_prefix(label: &str) -> Vec<u8> {
         let mut prefix = Vec::with_capacity(label.len() + 1);
         prefix.extend_from_slice(label.as_bytes());
@@ -187,12 +180,21 @@ mod tests {
         );
     }
 
+    /// The labeled value `H(label ++ 0x1f ++ data, key) mod modulus`, the
+    /// way the watermark kernels derive it.
+    fn labeled_value_mod(prf: &KeyedPrf, label: &str, data: &[u8], modulus: u64) -> u64 {
+        KeyedPrf::reduce_wide(
+            prf.prefixed_value_wide(&KeyedPrf::label_prefix(label), data),
+            modulus,
+        )
+    }
+
     #[test]
     fn labels_decorrelate() {
         let prf = KeyedPrf::new(b"k2");
         assert_ne!(
-            prf.labeled_value_mod("perm", b"tuple", u64::MAX),
-            prf.labeled_value_mod("bit", b"tuple", u64::MAX)
+            labeled_value_mod(&prf, "perm", b"tuple", u64::MAX),
+            labeled_value_mod(&prf, "bit", b"tuple", u64::MAX)
         );
     }
 
@@ -214,18 +216,9 @@ mod tests {
     }
 
     #[test]
-    fn labeled_value_mod_respects_modulus() {
-        let prf = KeyedPrf::new(b"k2");
-        for m in 1..20u64 {
-            assert!(prf.labeled_value_mod("perm", b"t", m) < m);
-        }
-        assert_eq!(prf.labeled_value_mod("perm", b"t", 0), 0);
-    }
-
-    #[test]
     fn wide_reduction_agrees_across_entry_points() {
-        // `value_mod` and `labeled_value_mod` must reduce the same wide value
-        // the label-less / labeled digests produce.
+        // `value_mod` and the prefixed wide value must reduce the same wide
+        // value the label-less / labeled digests produce.
         let prf = KeyedPrf::new(b"k");
         for m in [1u64, 2, 3, 7, 10, 1000, u64::from(u32::MAX) + 17, u64::MAX] {
             assert_eq!(prf.value_mod(b"t", m), (prf.value_wide(b"t") % u128::from(m)) as u64);
@@ -236,7 +229,7 @@ mod tests {
                 v
             };
             assert_eq!(
-                prf.labeled_value_mod("perm", b"t", m),
+                labeled_value_mod(&prf, "perm", b"t", m),
                 (prf.value_wide(&msg) % u128::from(m)) as u64
             );
         }
@@ -246,17 +239,20 @@ mod tests {
     fn prefixed_wide_value_matches_labeled_path() {
         // The batch kernels derive one wide value per (ident, column) via the
         // precomputed label prefix and reduce it per level; every reduction
-        // must equal the per-call labeled_value_mod it replaces.
+        // must equal the reduction of the concatenated labeled message, and
+        // stay below a non-zero modulus.
         let prf = KeyedPrf::new(b"k2");
         let prefix = KeyedPrf::label_prefix("perm:diagnosis");
         for i in 0..16u32 {
             let ident = i.to_be_bytes();
             let wide = prf.prefixed_value_wide(&prefix, &ident);
+            let mut msg = b"perm:diagnosis".to_vec();
+            msg.push(0x1f);
+            msg.extend_from_slice(&ident);
+            assert_eq!(wide, prf.value_wide(&msg));
             for m in [0u64, 1, 2, 3, 7, 10, 255, u64::MAX] {
-                assert_eq!(
-                    KeyedPrf::reduce_wide(wide, m),
-                    prf.labeled_value_mod("perm:diagnosis", &ident, m)
-                );
+                assert_eq!(KeyedPrf::reduce_wide(wide, m), prf.value_mod(&msg, m));
+                assert!(m == 0 || KeyedPrf::reduce_wide(wide, m) < m);
             }
         }
     }
@@ -274,7 +270,7 @@ mod tests {
 
     #[test]
     fn chi_square_uniformity_over_small_moduli() {
-        // Chi-square goodness-of-fit of `labeled_value_mod` over moduli that
+        // Chi-square goodness-of-fit of the labeled value over moduli that
         // are not powers of two (the cases a truncating reduction would bias).
         // With m-1 degrees of freedom the 99.9% critical values are well below
         // the thresholds used here, so a systematic bias fails loudly while
@@ -284,7 +280,7 @@ mod tests {
             let n = 12_000u32;
             let mut counts = vec![0u64; m as usize];
             for i in 0..n {
-                counts[prf.labeled_value_mod("bucket", &i.to_be_bytes(), m) as usize] += 1;
+                counts[labeled_value_mod(&prf, "bucket", &i.to_be_bytes(), m) as usize] += 1;
             }
             let expected = f64::from(n) / m as f64;
             let chi2: f64 = counts.iter().map(|&c| (c as f64 - expected).powi(2) / expected).sum();

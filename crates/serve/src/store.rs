@@ -16,6 +16,9 @@
 //!   (length-prefixed,         (atomic tmp+rename,   ▲
 //!    CRC-32 framed            same framing)         │
 //!    records)                 torn WAL tail truncated┘
+//!                                 │ old generation kept as
+//!                                 ▼ snapshot.spare, rewritten in place
+//!                                   by the next compaction
 //! ```
 //!
 //! * **WAL records** are `[u32 len][u32 crc32][payload]` frames over the
@@ -23,10 +26,32 @@
 //!   tear the *tail*, which recovery detects (short frame, impossible
 //!   length, checksum mismatch) and truncates before serving resumes.
 //! * **Snapshots** are written to `snapshot.tmp`, fsynced, renamed over
-//!   `snapshot.bin` and only then is the WAL truncated — at every instant
-//!   one of (old snapshot + full WAL) or (new snapshot + truncated WAL)
-//!   recovers the full map, and replaying a WAL record already folded into
-//!   the snapshot is idempotent.
+//!   `snapshot.bin` and only then is the WAL truncated. The previous
+//!   generation's file is kept as `snapshot.spare` (its contents are never
+//!   read) and recycled as the next `snapshot.tmp`: dropping the last link
+//!   of a large file frees its blocks synchronously, which on a disk
+//!   mounted with `discard` holds the WAL lock for up to a second. A
+//!   compaction runs, in order:
+//!   1. rename `snapshot.spare` to `snapshot.tmp` (create `snapshot.tmp`
+//!      when there is no spare);
+//!   2. overwrite it from offset 0, `set_len` it to the exact length and
+//!      `fdatasync` it;
+//!   3. hard-link `snapshot.bin` as `snapshot.spare`, so the rename below
+//!      drops a link instead of freeing the old file;
+//!   4. rename `snapshot.tmp` over `snapshot.bin` (removing the fresh link
+//!      if the rename fails);
+//!   5. fsync the directory;
+//!   6. truncate and `fdatasync` the WAL.
+//!
+//!   Crash argument: until step 4 is durable, recovery reads the old
+//!   `snapshot.bin` plus the full WAL, and a leftover `snapshot.tmp` is
+//!   discarded at open. After step 4 it reads the new `snapshot.bin` plus
+//!   the full WAL, and replaying a record already folded into the snapshot
+//!   is idempotent. After step 6 it reads the new snapshot plus the empty
+//!   WAL. A crash between steps 3 and 4 leaves `snapshot.spare` as a second
+//!   link to the live `snapshot.bin`, so the store never writes into a
+//!   spare that is the same inode as `snapshot.bin`: such a spare is
+//!   discarded at open and before each reuse.
 //! * **fsync batching (group commit):** [`ReleaseStore::append`] only
 //!   writes; [`ReleaseStore::sync`] makes everything appended so far
 //!   durable before a `protect` reply is released, and concurrent workers
@@ -48,7 +73,8 @@ use medshield_core::codec::{self, CodecError, Reader, Writer};
 use medshield_watermark::{Mark, OwnershipProof};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write as IoWrite};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write as IoWrite};
+use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -265,11 +291,17 @@ impl ReleaseStore for MemoryStore {
 const WAL_FILE: &str = "wal.log";
 const SNAPSHOT_FILE: &str = "snapshot.bin";
 const SNAPSHOT_TMP: &str = "snapshot.tmp";
+const SNAPSHOT_SPARE: &str = "snapshot.spare";
 const LOCK_FILE: &str = "lock";
 
 /// Magic prefixes identifying (and versioning) the two file formats.
 const WAL_MAGIC: &[u8; 8] = b"MSWAL\x01\r\n";
 const SNAPSHOT_MAGIC: &[u8; 8] = b"MSSNP\x01\r\n";
+
+/// Capacity of the buffered writer a compaction streams the snapshot
+/// through: the snapshot is written in blocks of this size, not one
+/// `write` per record.
+const SNAPSHOT_BUFFER: usize = 256 * 1024;
 
 /// Recovery refuses record lengths beyond this: a frame header announcing
 /// more is a torn or foreign tail, not a release record (real records are
@@ -372,6 +404,7 @@ impl DurableStore {
         if tmp.exists() {
             let _ = std::fs::remove_file(&tmp);
         }
+        discard_linked_spare(&dir)?;
 
         let mut map = HashMap::new();
         let mut next: u64 = 1;
@@ -451,9 +484,9 @@ impl DurableStore {
         self.snapshot_locked(&mut wal)
     }
 
-    /// Write `snapshot.tmp`, fsync it, rename it over `snapshot.bin`, fsync
-    /// the directory, and only then truncate the WAL. Requires the WAL lock
-    /// so no append can land between the map capture and the truncation.
+    /// Compact under the WAL lock, so no append can land between the map
+    /// capture and the truncation. The six steps and their crash argument
+    /// are in the module docs.
     fn snapshot_locked(&self, wal: &mut Wal) -> Result<(), StoreError> {
         wal.since_snapshot = 0;
         let mut entries: Vec<(u64, Arc<StoredRelease>)> = {
@@ -462,17 +495,38 @@ impl DurableStore {
         };
         entries.sort_by_key(|(id, _)| *id);
 
+        // Steps 1–2: recycle the spare as snapshot.tmp and overwrite it,
+        // streaming each record through one reused payload buffer.
         let tmp_path = self.dir.join(SNAPSHOT_TMP);
-        let mut tmp = File::create(&tmp_path)?;
-        tmp.write_all(SNAPSHOT_MAGIC)?;
-        tmp.write_all(&self.next.load(Ordering::Relaxed).to_le_bytes())?;
-        tmp.write_all(&(entries.len() as u64).to_le_bytes())?;
+        let mut out = BufWriter::with_capacity(SNAPSHOT_BUFFER, self.open_snapshot_tmp(&tmp_path)?);
+        out.write_all(SNAPSHOT_MAGIC)?;
+        out.write_all(&self.next.load(Ordering::Relaxed).to_le_bytes())?;
+        out.write_all(&(entries.len() as u64).to_le_bytes())?;
+        let mut payload = Vec::new();
         for (id, release) in &entries {
-            tmp.write_all(&frame_record(&encode_release_record(*id, release)?))?;
+            let mut w = Writer::reusing(payload);
+            write_release_record(&mut w, *id, release);
+            payload = w.into_bytes()?;
+            out.write_all(&frame_header(&payload))?;
+            out.write_all(&payload)?;
         }
+        let mut tmp = out.into_inner().map_err(|e| StoreError::Io(e.into_error()))?;
+        let len = tmp.stream_position()?;
+        tmp.set_len(len)?;
         tmp.sync_data()?;
         drop(tmp);
-        std::fs::rename(&tmp_path, self.dir.join(SNAPSHOT_FILE))?;
+        // Steps 3–4: keep the old generation alive as the next spare, then
+        // swap the new snapshot in. With no snapshot yet (or a filesystem
+        // without hard links) the rename frees the old file instead.
+        let snapshot_path = self.dir.join(SNAPSHOT_FILE);
+        let spare_path = self.dir.join(SNAPSHOT_SPARE);
+        let linked = std::fs::hard_link(&snapshot_path, &spare_path).is_ok();
+        if let Err(e) = std::fs::rename(&tmp_path, &snapshot_path) {
+            if linked {
+                let _ = std::fs::remove_file(&spare_path);
+            }
+            return Err(e.into());
+        }
         // The rename itself must be durable before the WAL loses the same
         // records. If the directory cannot be fsynced, skip the truncation:
         // the log keeps everything and compaction retries later.
@@ -485,6 +539,34 @@ impl DurableStore {
         wal.len = WAL_MAGIC.len() as u64;
         Ok(())
     }
+
+    /// Open `snapshot.tmp` for overwriting: the previous generation's
+    /// `snapshot.spare` renamed into place when there is one (its blocks are
+    /// rewritten rather than freed and reallocated), a new file otherwise.
+    fn open_snapshot_tmp(&self, tmp_path: &Path) -> Result<File, StoreError> {
+        discard_linked_spare(&self.dir)?;
+        match std::fs::rename(self.dir.join(SNAPSHOT_SPARE), tmp_path) {
+            Ok(()) => Ok(OpenOptions::new().write(true).open(tmp_path)?),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(File::create(tmp_path)?),
+            Err(e) => Err(e.into()),
+        }
+    }
+}
+
+/// Remove `snapshot.spare` when it is the same file as `snapshot.bin` — a
+/// crash between compaction's link and rename leaves it as a second link —
+/// because the next compaction overwrites the spare in place.
+fn discard_linked_spare(dir: &Path) -> Result<(), StoreError> {
+    let spare_path = dir.join(SNAPSHOT_SPARE);
+    let (Ok(spare), Ok(snapshot)) =
+        (std::fs::metadata(&spare_path), std::fs::metadata(dir.join(SNAPSHOT_FILE)))
+    else {
+        return Ok(());
+    };
+    if (spare.dev(), spare.ino()) == (snapshot.dev(), snapshot.ino()) {
+        std::fs::remove_file(&spare_path)?;
+    }
+    Ok(())
 }
 
 impl ReleaseStore for DurableStore {
@@ -660,11 +742,17 @@ fn read_u64_at(bytes: &[u8], at: usize) -> Option<u64> {
     Some(u64::from_le_bytes(raw.try_into().ok()?))
 }
 
+/// The `[u32 len][u32 crc32]` header framing `payload`, little-endian.
+fn frame_header(payload: &[u8]) -> [u8; 8] {
+    let [l0, l1, l2, l3] = (payload.len() as u32).to_le_bytes();
+    let [c0, c1, c2, c3] = codec::crc32(payload).to_le_bytes();
+    [l0, l1, l2, l3, c0, c1, c2, c3]
+}
+
 /// Frame a record payload: `[u32 len][u32 crc32][payload]`, little-endian.
 fn frame_record(payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(payload.len() + 8);
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&codec::crc32(payload).to_le_bytes());
+    frame.extend_from_slice(&frame_header(payload));
     frame.extend_from_slice(payload);
     frame
 }
@@ -674,29 +762,35 @@ fn frame_record(payload: &[u8]) -> Vec<u8> {
 /// written in the v1 format so pre-refactor stores round-trip byte-for-byte.
 fn encode_release_record(id: u64, release: &StoredRelease) -> Result<Vec<u8>, CodecError> {
     let mut w = Writer::new();
+    write_release_record(&mut w, id, release);
+    w.into_bytes()
+}
+
+/// Encode one release record payload into `w` (see
+/// [`encode_release_record`]).
+fn write_release_record(w: &mut Writer, id: u64, release: &StoredRelease) {
     let version = if release.recipients.is_empty() { RELEASE_RECORD_V1 } else { RELEASE_RECORD_V2 };
     w.u8(version);
     w.u64(id);
     w.count_u32(release.columns.len());
     for column in &release.columns {
-        codec::write_column_binning(&mut w, column);
+        codec::write_column_binning(w, column);
     }
-    codec::write_mark(&mut w, &release.mark);
+    codec::write_mark(w, &release.mark);
     match &release.ownership {
         None => w.u8(0),
         Some(proof) => {
             w.u8(1);
-            codec::write_ownership_proof(&mut w, proof);
+            codec::write_ownership_proof(w, proof);
         }
     }
     if version == RELEASE_RECORD_V2 {
         w.count_u32(release.recipients.len());
         for recipient in &release.recipients {
             w.str(&recipient.name);
-            codec::write_mark(&mut w, &recipient.mark);
+            codec::write_mark(w, &recipient.mark);
         }
     }
-    w.into_bytes()
 }
 
 /// Encode one recipient-add record payload (version, release id, name, mark).

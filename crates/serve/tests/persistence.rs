@@ -11,7 +11,8 @@ use medshield_dht::GeneralizationSet;
 use medshield_serve::store::{DurableStore, ReleaseStore, StoredRecipient, StoredRelease};
 use medshield_watermark::{Mark, OwnershipProof};
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::os::unix::fs::MetadataExt;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
@@ -149,6 +150,153 @@ fn a_v1_single_mark_store_recovers_byte_identically_under_the_new_codec() {
     assert_eq!(upgraded.recipients.len(), 1);
     assert_eq!(upgraded.recipients[0].name, "clinic");
     assert_eq!(upgraded.recipients[0].mark, mark);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `(dev, ino)` of a file: which file a directory entry names.
+fn file_id(path: &Path) -> (u64, u64) {
+    let meta = std::fs::metadata(path).unwrap();
+    (meta.dev(), meta.ino())
+}
+
+/// Open a store in `dir`, append `seeds` and make them durable.
+fn append_all(dir: &Path, seeds: impl IntoIterator<Item = u64>) -> DurableStore {
+    let store = DurableStore::open(dir, 0).unwrap();
+    for seed in seeds {
+        store.append(release(seed)).unwrap();
+    }
+    store.sync().unwrap();
+    store
+}
+
+/// Assert that `dir` recovers exactly the releases `seeds[i]` under ids
+/// `1..=seeds.len()`.
+fn assert_recovers(dir: &Path, seeds: &[u64]) {
+    let store = DurableStore::open(dir, 0).unwrap();
+    assert_eq!(store.recovered_releases(), seeds.len());
+    for (id, seed) in (1u64..).zip(seeds) {
+        assert_eq!(&*store.get(id).unwrap(), &release(*seed), "release {id}");
+    }
+    assert_eq!(store.next_id(), seeds.len() as u64 + 1);
+}
+
+#[test]
+fn a_spare_linked_to_the_snapshot_is_never_written_into() {
+    let dir = fresh_dir("spare-link");
+    {
+        let store = append_all(&dir, 0..3);
+        store.compact().unwrap();
+        store.append(release(3)).unwrap();
+        store.sync().unwrap();
+    }
+    // A crash between compaction's link and rename leaves snapshot.spare as
+    // a second link to the live snapshot.bin. A third link outside the
+    // store's names witnesses whether that file is written while it is
+    // still the snapshot.
+    let snapshot = dir.join("snapshot.bin");
+    std::fs::hard_link(&snapshot, dir.join("snapshot.spare")).unwrap();
+    std::fs::hard_link(&snapshot, dir.join("witness")).unwrap();
+    let live = file_id(&snapshot);
+    let original = std::fs::read(&snapshot).unwrap();
+    {
+        let store = DurableStore::open(&dir, 0).unwrap();
+        assert_eq!(store.recovered_releases(), 4);
+        store.compact().unwrap();
+        assert_ne!(file_id(&snapshot), live, "the new snapshot went into the live file");
+        assert_eq!(
+            std::fs::read(dir.join("witness")).unwrap(),
+            original,
+            "the live snapshot.bin was overwritten in place"
+        );
+        // Retired by that compaction, the old file is the next one's spare.
+        store.append(release(4)).unwrap();
+        store.compact().unwrap();
+        store.append(release(5)).unwrap();
+        store.sync().unwrap();
+    }
+    assert_recovers(&dir, &[0, 1, 2, 3, 4, 5]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_complete_older_snapshot_left_as_tmp_is_discarded_unread() {
+    let dir = fresh_dir("older-tmp");
+    {
+        let store = append_all(&dir, 0..2);
+        store.compact().unwrap();
+        store.append(release(2)).unwrap();
+        store.sync().unwrap();
+    }
+    // A crash right after compaction renamed the spare to snapshot.tmp
+    // leaves a complete, well-formed older snapshot there. This one
+    // disagrees with the live state (other releases under ids 1–2, next id
+    // 50), so reading it would show.
+    let mut older = b"MSSNP\x01\r\n".to_vec();
+    older.extend_from_slice(&50u64.to_le_bytes());
+    older.extend_from_slice(&2u64.to_le_bytes());
+    for id in 1..=2u64 {
+        older.extend_from_slice(&frame(&v1_record(id, &release(90 + id))));
+    }
+    std::fs::write(dir.join("snapshot.tmp"), &older).unwrap();
+    assert_recovers(&dir, &[0, 1, 2]);
+    assert!(!dir.join("snapshot.tmp").exists());
+    // Compaction goes on as usual afterwards.
+    {
+        let store = DurableStore::open(&dir, 0).unwrap();
+        store.compact().unwrap();
+        store.append(release(3)).unwrap();
+        store.compact().unwrap();
+    }
+    assert_recovers(&dir, &[0, 1, 2, 3]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_garbage_spare_does_not_change_recovery() {
+    let dir = fresh_dir("garbage-spare");
+    {
+        let store = append_all(&dir, 0..3);
+        store.compact().unwrap();
+        store.append(release(3)).unwrap();
+        store.sync().unwrap();
+    }
+    // The spare's contents are never read, and the compaction that reuses
+    // it cuts it to the new snapshot's exact length.
+    let garbage =
+        vec![0xA5u8; 3 * std::fs::metadata(dir.join("snapshot.bin")).unwrap().len() as usize];
+    std::fs::write(dir.join("snapshot.spare"), &garbage).unwrap();
+    assert_recovers(&dir, &[0, 1, 2, 3]);
+    {
+        let store = DurableStore::open(&dir, 0).unwrap();
+        store.compact().unwrap();
+        store.append(release(4)).unwrap();
+        store.sync().unwrap();
+    }
+    assert_recovers(&dir, &[0, 1, 2, 3, 4]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn compaction_recycles_the_previous_snapshot_file() {
+    let dir = fresh_dir("recycle");
+    let store = append_all(&dir, [0]);
+    store.compact().unwrap();
+    let first = file_id(&dir.join("snapshot.bin"));
+    store.append(release(1)).unwrap();
+    store.compact().unwrap();
+    // The previous snapshot.bin lives on as the spare instead of being
+    // freed…
+    let second = file_id(&dir.join("snapshot.bin"));
+    assert_ne!(second, first);
+    assert_eq!(file_id(&dir.join("snapshot.spare")), first);
+    store.append(release(2)).unwrap();
+    store.compact().unwrap();
+    // …and the next compaction writes the new snapshot into it.
+    assert_eq!(file_id(&dir.join("snapshot.bin")), first);
+    assert_eq!(file_id(&dir.join("snapshot.spare")), second);
+    assert!(!dir.join("snapshot.tmp").exists());
+    drop(store);
+    assert_recovers(&dir, &[0, 1, 2]);
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -123,8 +123,10 @@ impl Selector {
         })
     }
 
-    /// Eq. (5): is this tuple watermarked?
-    pub fn selects(&self, ident: &[u8]) -> bool {
+    /// Eq. (5): is this tuple watermarked? The per-row reference the
+    /// batched kernels ([`Selector::selects_wide`]) are tested against.
+    #[cfg(test)]
+    pub(crate) fn selects(&self, ident: &[u8]) -> bool {
         self.selection.selects(ident, self.eta)
     }
 
@@ -142,30 +144,12 @@ impl Selector {
         &self.selection
     }
 
-    /// Index of the mark bit carried by this tuple in `column`
-    /// (`H(ident, k2) mod |wmd|`, domain-separated per column).
-    pub fn bit_index(&self, ident: &[u8], column: &str, wmd_len: usize) -> usize {
-        if wmd_len == 0 {
-            return 0;
-        }
-        self.permutation.labeled_value_mod(&format!("bit:{column}"), ident, wmd_len as u64) as usize
-    }
-
-    /// Raw permutation index for a sibling set of size `set_len`
-    /// (`H(ident, k2) mod |S|`, domain-separated per column).
-    pub fn permutation_index(&self, ident: &[u8], column: &str, set_len: usize) -> usize {
-        if set_len == 0 {
-            return 0;
-        }
-        self.permutation.labeled_value_mod(&format!("perm:{column}"), ident, set_len as u64)
-            as usize
-    }
-
-    /// The permutation/bit-index PRF, for batch kernels that hoist the label
-    /// prefix out of the row loop and reduce one wide PRF value per level
-    /// ([`KeyedPrf::prefixed_value_wide`] + [`KeyedPrf::reduce_wide`] —
-    /// bit-identical to [`Selector::bit_index`] /
-    /// [`Selector::permutation_index`]).
+    /// The permutation/bit-index PRF (`k2`). The kernels derive the mark-bit
+    /// index `H(ident, k2) mod |wmd|` and the permutation index
+    /// `H(ident, k2) mod |S|` from it, domain-separated per column by the
+    /// label prefixes `bit:<column>` and `perm:<column>`
+    /// ([`KeyedPrf::label_prefix`] hoisted out of the row loop, then
+    /// [`KeyedPrf::prefixed_value_wide`] + [`KeyedPrf::reduce_wide`]).
     pub(crate) fn permutation_prf(&self) -> &KeyedPrf {
         &self.permutation
     }
@@ -352,31 +336,17 @@ mod tests {
     }
 
     #[test]
-    fn indices_are_deterministic_and_in_range() {
-        let key = WatermarkKey::from_master(b"secret", 5);
-        let sel = Selector::new(&key).unwrap();
-        for i in 0..200u32 {
-            let ident = i.to_be_bytes();
-            let b = sel.bit_index(&ident, "age", 160);
-            assert!(b < 160);
-            assert_eq!(b, sel.bit_index(&ident, "age", 160));
-            let p = sel.permutation_index(&ident, "age", 7);
-            assert!(p < 7);
-        }
-        // Degenerate lengths.
-        assert_eq!(sel.bit_index(b"x", "age", 0), 0);
-        assert_eq!(sel.permutation_index(b"x", "age", 0), 0);
-    }
-
-    #[test]
     fn column_separation_of_indices() {
+        // The kernels' per-column label prefixes must decorrelate the bit
+        // indices two columns derive for the same tuple.
         let key = WatermarkKey::from_master(b"secret", 5);
-        let sel = Selector::new(&key).unwrap();
+        let prf = Selector::new(&key).unwrap().permutation_prf().clone();
+        let bit_index = |ident: &[u8], column: &str| {
+            let prefix = KeyedPrf::label_prefix(&format!("bit:{column}"));
+            KeyedPrf::reduce_wide(prf.prefixed_value_wide(&prefix, ident), 1000)
+        };
         let differing = (0..100u32)
-            .filter(|i| {
-                sel.bit_index(&i.to_be_bytes(), "age", 1000)
-                    != sel.bit_index(&i.to_be_bytes(), "doctor", 1000)
-            })
+            .filter(|i| bit_index(&i.to_be_bytes(), "age") != bit_index(&i.to_be_bytes(), "doctor"))
             .count();
         assert!(differing > 50, "column labels should decorrelate bit indices");
     }
