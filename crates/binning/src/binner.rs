@@ -151,11 +151,11 @@ impl BinningAgent {
         let columns = per_column
             .into_iter()
             .zip(multi.ultimate)
-            .map(|((column, maximal, minimal), ultimate)| ColumnBinning {
-                column,
-                maximal,
-                minimal,
-                ultimate,
+            .map(|((column, maximal, minimal), ultimate)| {
+                // A column the search left at its minimal nodes keeps one
+                // shared node list for both sets.
+                let ultimate = if ultimate == minimal { minimal.clone() } else { ultimate };
+                ColumnBinning { column, maximal, minimal, ultimate }
             })
             .collect();
 
@@ -521,6 +521,21 @@ mod tests {
         let per_attr_nodes: usize = per_attr.columns.iter().map(|c| c.ultimate.len()).sum();
         let full_nodes: usize = full.columns.iter().map(|c| c.ultimate.len()).sum();
         assert!(per_attr_nodes >= full_nodes);
+    }
+
+    #[test]
+    fn an_ultimate_equal_to_minimal_shares_its_storage() {
+        let ds = small_dataset(800);
+        let agent = BinningAgent::new(BinningConfig::with_k(8));
+        let maximal = maximal_at_depth(&ds.trees, 0);
+        let per_attr = agent.bin_per_attribute(&ds.table, &ds.trees, &maximal).unwrap();
+        for cb in &per_attr.columns {
+            assert!(cb.ultimate.shares_nodes_with(&cb.minimal), "column {}", cb.column);
+        }
+        let full = agent.bin(&ds.table, &ds.trees, &maximal).unwrap();
+        for cb in &full.columns {
+            assert_eq!(cb.ultimate.shares_nodes_with(&cb.minimal), cb.ultimate == cb.minimal);
+        }
     }
 
     #[test]

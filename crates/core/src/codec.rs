@@ -248,30 +248,64 @@ fn crc32_lookup(table: &[u32; 256], byte: u8) -> u32 {
 /// CRC-32 (IEEE 802.3 polynomial, reflected) of `data`. Used by the durable
 /// release store to checksum every log and snapshot record, so recovery
 /// reads every stored byte through it.
+pub fn crc32(data: &[u8]) -> u32 {
+    Crc32::new().update(data).finish()
+}
+
+/// A streaming CRC-32: `Crc32::new().update(a).update(b).finish()` equals
+/// [`crc32`] of `a ++ b`, without concatenating the parts. The store
+/// checksums a WAL frame as its log generation followed by its payload.
 ///
 /// Slice-by-8: each 8-byte block takes eight table lookups instead of 64
 /// shift steps; the tail of fewer than eight bytes goes byte by byte.
-pub fn crc32(data: &[u8]) -> u32 {
-    let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC32_TABLES;
-    let mut crc = 0xFFFF_FFFFu32;
-    let mut blocks = data.chunks_exact(8);
-    for block in &mut blocks {
-        let Ok([b0, b1, b2, b3, b4, b5, b6, b7]) = <[u8; 8]>::try_from(block) else { continue };
-        let [x0, x1, x2, x3] = (crc ^ u32::from_le_bytes([b0, b1, b2, b3])).to_le_bytes();
-        crc = crc32_lookup(t7, x0)
-            ^ crc32_lookup(t6, x1)
-            ^ crc32_lookup(t5, x2)
-            ^ crc32_lookup(t4, x3)
-            ^ crc32_lookup(t3, b4)
-            ^ crc32_lookup(t2, b5)
-            ^ crc32_lookup(t1, b6)
-            ^ crc32_lookup(t0, b7);
+#[derive(Debug, Clone, Copy)]
+pub struct Crc32 {
+    register: u32,
+}
+
+impl Default for Crc32 {
+    fn default() -> Crc32 {
+        Crc32::new()
     }
-    for &byte in blocks.remainder() {
-        let [low, ..] = (crc ^ u32::from(byte)).to_le_bytes();
-        crc = (crc >> 8) ^ crc32_lookup(t0, low);
+}
+
+impl Crc32 {
+    /// The checksum of no bytes so far.
+    pub fn new() -> Crc32 {
+        Crc32 { register: 0xFFFF_FFFF }
     }
-    !crc
+
+    /// Feed `data` after every byte fed so far.
+    pub fn update(mut self, data: &[u8]) -> Crc32 {
+        let [t0, t1, t2, t3, t4, t5, t6, t7] = &CRC32_TABLES;
+        let mut crc = self.register;
+        let mut blocks = data.chunks_exact(8);
+        for block in &mut blocks {
+            let Ok([b0, b1, b2, b3, b4, b5, b6, b7]) = <[u8; 8]>::try_from(block) else {
+                continue;
+            };
+            let [x0, x1, x2, x3] = (crc ^ u32::from_le_bytes([b0, b1, b2, b3])).to_le_bytes();
+            crc = crc32_lookup(t7, x0)
+                ^ crc32_lookup(t6, x1)
+                ^ crc32_lookup(t5, x2)
+                ^ crc32_lookup(t4, x3)
+                ^ crc32_lookup(t3, b4)
+                ^ crc32_lookup(t2, b5)
+                ^ crc32_lookup(t1, b6)
+                ^ crc32_lookup(t0, b7);
+        }
+        for &byte in blocks.remainder() {
+            let [low, ..] = (crc ^ u32::from(byte)).to_le_bytes();
+            crc = (crc >> 8) ^ crc32_lookup(t0, low);
+        }
+        self.register = crc;
+        self
+    }
+
+    /// The CRC-32 of every byte fed.
+    pub fn finish(self) -> u32 {
+        !self.register
+    }
 }
 
 /// Encode a [`Mark`] (bit count + packed bits).
@@ -311,18 +345,24 @@ fn write_generalization_set(w: &mut Writer, set: &GeneralizationSet) {
     }
 }
 
-fn read_generalization_set(r: &mut Reader<'_>) -> Result<GeneralizationSet, CodecError> {
+/// Decode a node list written by [`write_generalization_set`] into
+/// `scratch` (cleared first) and return it.
+fn read_node_list<'s>(
+    r: &mut Reader<'_>,
+    scratch: &'s mut Vec<NodeId>,
+) -> Result<&'s [NodeId], CodecError> {
     let count = usize::try_from(r.u32()?).map_err(|_| CodecError::Truncated)?;
-    // Cap the preallocation by what the buffer can actually hold (4 bytes
-    // per node) so a corrupt count cannot balloon memory.
+    // Cap the reservation by what the buffer can actually hold (4 bytes per
+    // node) so a corrupt count cannot balloon memory.
     if count.saturating_mul(4) > r.remaining() {
         return Err(CodecError::Truncated);
     }
-    let mut nodes = Vec::with_capacity(count);
+    scratch.clear();
+    scratch.reserve(count);
     for _ in 0..count {
-        nodes.push(NodeId(r.u32()?));
+        scratch.push(NodeId(r.u32()?));
     }
-    Ok(GeneralizationSet::from_validated_nodes(nodes))
+    Ok(scratch)
 }
 
 /// Encode a [`ColumnBinning`] (column name + maximal/minimal/ultimate node
@@ -336,19 +376,31 @@ pub fn write_column_binning(w: &mut Writer, column: &ColumnBinning) {
 
 /// Decode a [`ColumnBinning`] written by [`write_column_binning`].
 ///
+/// Node lists are decoded through `scratch`, which a caller decoding many
+/// records reuses, so each set costs one allocation: its shared node
+/// storage. An `ultimate` set equal to `minimal` (per-attribute binning
+/// stores it that way) shares `minimal`'s storage instead of taking its own.
+///
 /// Node sets come back through
 /// [`GeneralizationSet::from_validated_nodes`], which re-sorts and dedups
 /// but does **not** re-check tree validity — the bytes are trusted to have
 /// been produced by [`write_column_binning`] over a set that was validated
 /// when it was first built (checksums in the store's framing catch
 /// corruption before decoding starts).
-pub fn read_column_binning(r: &mut Reader<'_>) -> Result<ColumnBinning, CodecError> {
-    Ok(ColumnBinning {
-        column: r.str()?.to_string(),
-        maximal: read_generalization_set(r)?,
-        minimal: read_generalization_set(r)?,
-        ultimate: read_generalization_set(r)?,
-    })
+pub fn read_column_binning(
+    r: &mut Reader<'_>,
+    scratch: &mut Vec<NodeId>,
+) -> Result<ColumnBinning, CodecError> {
+    let column = r.str()?.to_string();
+    let maximal = GeneralizationSet::from_validated_nodes(read_node_list(r, scratch)?);
+    let minimal = GeneralizationSet::from_validated_nodes(read_node_list(r, scratch)?);
+    let ultimate = read_node_list(r, scratch)?;
+    let ultimate = if ultimate == minimal.nodes() {
+        minimal.clone()
+    } else {
+        GeneralizationSet::from_validated_nodes(ultimate)
+    };
+    Ok(ColumnBinning { column, maximal, minimal, ultimate })
 }
 
 #[cfg(test)]
@@ -448,6 +500,22 @@ mod tests {
                 prop_assert!(got == expected, "offset {offset}, {} bytes", data.len());
             }
         }
+
+        #[test]
+        fn streamed_crc32_equals_the_crc32_of_the_concatenation(
+            data in prop::collection::vec(any::<u8>(), 0..=600),
+            cuts in prop::collection::vec(0usize..=600, 0..4),
+        ) {
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
+            cuts.sort_unstable();
+            let mut crc = Crc32::new();
+            let mut from = 0;
+            for cut in cuts.into_iter().chain([data.len()]) {
+                crc = crc.update(&data[from..cut]);
+                from = cut;
+            }
+            prop_assert_eq!(crc.finish(), crc32_reference(&data));
+        }
     }
 
     #[test]
@@ -495,8 +563,35 @@ mod tests {
         write_column_binning(&mut w, &column);
         let bytes = w.into_bytes().unwrap();
         let mut r = Reader::new(&bytes);
-        let decoded = read_column_binning(&mut r).unwrap();
+        let decoded = read_column_binning(&mut r, &mut Vec::new()).unwrap();
         r.finish().unwrap();
         assert_eq!(decoded, column);
+    }
+
+    #[test]
+    fn an_ultimate_equal_to_minimal_decodes_into_shared_storage() {
+        use medshield_datagen::ontology;
+        let trees = ontology::all_trees();
+        let tree = trees.values().next().expect("ontology has trees");
+        let minimal = GeneralizationSet::all_leaves(tree);
+        let column = ColumnBinning {
+            column: "symptom".to_string(),
+            maximal: GeneralizationSet::root_only(tree),
+            minimal: minimal.clone(),
+            ultimate: minimal,
+        };
+        let mut w = Writer::new();
+        write_column_binning(&mut w, &column);
+        write_column_binning(&mut w, &column);
+        let bytes = w.into_bytes().unwrap();
+        let mut r = Reader::new(&bytes);
+        let mut scratch = Vec::new();
+        for _ in 0..2 {
+            let decoded = read_column_binning(&mut r, &mut scratch).unwrap();
+            assert_eq!(decoded, column);
+            assert!(decoded.ultimate.shares_nodes_with(&decoded.minimal));
+            assert!(!decoded.maximal.shares_nodes_with(&decoded.minimal));
+        }
+        r.finish().unwrap();
     }
 }

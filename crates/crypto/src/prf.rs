@@ -45,32 +45,30 @@ impl KeyedPrf {
     /// Map `data` to a `u64` by taking the first eight bytes of the keyed
     /// digest (big-endian). The digest is a 32-byte HMAC-SHA256 tag, so
     /// this never truncates below eight bytes.
-    pub fn value(&self, data: &[u8]) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn value(&self, data: &[u8]) -> u64 {
         (self.value_wide(data) >> 64) as u64
     }
 
     /// Map `data` to a `u128` from the first sixteen bytes of the keyed
-    /// digest (big-endian). This is the wide value backing the modular
-    /// reductions below.
-    pub fn value_wide(&self, data: &[u8]) -> u128 {
+    /// digest (big-endian): [`KeyedPrf::prefixed_value_wide`] with an empty
+    /// prefix.
+    #[cfg(test)]
+    pub(crate) fn value_wide(&self, data: &[u8]) -> u128 {
         self.hmac.wide(&[], data)
     }
 
-    /// `H(data, key) mod modulus`. Returns 0 when `modulus` is 0 (callers
-    /// treat a zero modulus as "select everything").
-    ///
-    /// The reduction is performed on 128 digest bits rather than 64, so for
-    /// any `u64` modulus `m` the residual bias is at most `m / 2^128` —
-    /// negligible even for moduli that are not powers of two or exceed
-    /// `u32::MAX` (a plain 64-bit truncate-then-mod would bias low residues
-    /// by up to `m / 2^64`).
-    pub fn value_mod(&self, data: &[u8], modulus: u64) -> u64 {
+    /// `H(data, key) mod modulus` ([`KeyedPrf::reduce_wide`] of
+    /// [`KeyedPrf::value_wide`]).
+    #[cfg(test)]
+    pub(crate) fn value_mod(&self, data: &[u8], modulus: u64) -> u64 {
         Self::reduce_wide(self.value_wide(data), modulus)
     }
 
     /// The tuple-selection predicate of Eq. 5: `H(data, key) mod eta == 0`.
     /// `eta == 0` or `eta == 1` selects every tuple.
-    pub fn selects(&self, data: &[u8], eta: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn selects(&self, data: &[u8], eta: u64) -> bool {
         if eta <= 1 {
             return true;
         }
@@ -115,12 +113,18 @@ impl KeyedPrf {
         self.hmac.wide4(messages)
     }
 
-    /// Reduce a wide value obtained from [`KeyedPrf::value_wide`] or
-    /// [`KeyedPrf::prefixed_value_wide`] modulo `modulus`, with the same
-    /// zero-modulus convention as [`KeyedPrf::value_mod`]. Splitting the
-    /// digest from the reduction lets batch kernels evaluate one HMAC per
-    /// (identity, column) and reuse the wide value across every per-level
-    /// modulus: `reduce_wide(value_wide(m), n) == value_mod(m, n)` exactly.
+    /// Reduce a wide value obtained from [`KeyedPrf::prefixed_value_wide`]
+    /// modulo `modulus`: `H(data, key) mod modulus`. Returns 0 when
+    /// `modulus` is 0 (callers treat a zero modulus as "select
+    /// everything"). Splitting the digest from the reduction lets batch
+    /// kernels evaluate one HMAC per (identity, column) and reuse the wide
+    /// value across every per-level modulus.
+    ///
+    /// The reduction is performed on 128 digest bits rather than 64, so for
+    /// any `u64` modulus `m` the residual bias is at most `m / 2^128` —
+    /// negligible even for moduli that are not powers of two or exceed
+    /// `u32::MAX` (a plain 64-bit truncate-then-mod would bias low residues
+    /// by up to `m / 2^64`).
     pub fn reduce_wide(wide: u128, modulus: u64) -> u64 {
         if modulus == 0 {
             return 0;
@@ -187,6 +191,12 @@ mod tests {
             prf.prefixed_value_wide(&KeyedPrf::label_prefix(label), data),
             modulus,
         )
+    }
+
+    /// `H(data, key) mod modulus` the way the kernels derive it: the wide
+    /// value of the unlabeled message, then [`KeyedPrf::reduce_wide`].
+    fn wide_value_mod(prf: &KeyedPrf, data: &[u8], modulus: u64) -> u64 {
+        KeyedPrf::reduce_wide(prf.prefixed_value_wide(&[], data), modulus)
     }
 
     #[test]
@@ -298,7 +308,7 @@ mod tests {
         let big = 1u64 << 33;
         let mut above_u32 = 0usize;
         for i in 0..256u32 {
-            let v = prf.value_mod(&i.to_be_bytes(), big);
+            let v = wide_value_mod(&prf, &i.to_be_bytes(), big);
             assert!(v < big);
             if v > u64::from(u32::MAX) {
                 above_u32 += 1;
@@ -318,7 +328,7 @@ mod tests {
         let prf = KeyedPrf::new(b"bucket-key");
         let mut counts = [0usize; 8];
         for i in 0..8000u32 {
-            counts[prf.value_mod(&i.to_le_bytes(), 8) as usize] += 1;
+            counts[wide_value_mod(&prf, &i.to_le_bytes(), 8) as usize] += 1;
         }
         for (b, &c) in counts.iter().enumerate() {
             assert!((700..1300).contains(&c), "bucket {b} has {c} items");

@@ -80,12 +80,13 @@ proptest! {
     /// The keyed PRF stays within the requested modulus and is deterministic.
     #[test]
     fn prf_is_bounded_and_deterministic(key in prop::collection::vec(any::<u8>(), 1..32),
+                                        prefix in prop::collection::vec(any::<u8>(), 0..16),
                                         data in prop::collection::vec(any::<u8>(), 0..64),
                                         modulus in 1u64..10_000) {
         let prf = KeyedPrf::new(&key);
-        let v = prf.value_mod(&data, modulus);
+        let v = KeyedPrf::reduce_wide(prf.prefixed_value_wide(&prefix, &data), modulus);
         prop_assert!(v < modulus);
-        prop_assert_eq!(v, prf.value_mod(&data, modulus));
+        prop_assert_eq!(v, KeyedPrf::reduce_wide(prf.prefixed_value_wide(&prefix, &data), modulus));
     }
 
     /// The cached HMAC key and the keyed PRF produce full SHA-256 digests.

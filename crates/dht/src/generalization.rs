@@ -15,11 +15,16 @@ use crate::error::DhtError;
 use crate::tree::{DomainHierarchyTree, NodeId};
 use medshield_relation::Value;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// A validated set of generalization nodes for one tree.
+///
+/// The node list is shared storage: a clone shares it instead of copying
+/// it, so a release that keeps the same set twice (per-attribute binning
+/// stores `ultimate` as a clone of `minimal`) keeps it once.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GeneralizationSet {
-    nodes: Vec<NodeId>,
+    nodes: Arc<[NodeId]>,
 }
 
 impl GeneralizationSet {
@@ -41,24 +46,35 @@ impl GeneralizationSet {
                 )));
             }
         }
-        Ok(GeneralizationSet { nodes })
+        Ok(GeneralizationSet { nodes: nodes.into() })
     }
 
     /// The coarsest generalization: just the root.
     pub fn root_only(tree: &DomainHierarchyTree) -> Self {
-        GeneralizationSet { nodes: vec![tree.root()] }
+        GeneralizationSet { nodes: Arc::new([tree.root()]) }
     }
 
     /// Rebuild a set from node ids that were **previously validated**
     /// against their tree — the deserialization surface of the durable
-    /// release store. The ids are re-sorted and deduplicated (the invariants
-    /// the accessors rely on) but tree validity is *not* re-checked: the
-    /// caller vouches that the ids came from [`GeneralizationSet::nodes`] of
-    /// a set built by [`GeneralizationSet::new`] or one of the constructors.
-    pub fn from_validated_nodes(mut nodes: Vec<NodeId>) -> Self {
+    /// release store. The ids are sorted and deduplicated when they are not
+    /// already (the invariants the accessors rely on) but tree validity is
+    /// *not* re-checked: the caller vouches that the ids came from
+    /// [`GeneralizationSet::nodes`] of a set built by
+    /// [`GeneralizationSet::new`] or one of the constructors.
+    pub fn from_validated_nodes(nodes: &[NodeId]) -> Self {
+        if nodes.is_sorted_by(|a, b| a < b) {
+            return GeneralizationSet { nodes: nodes.into() };
+        }
+        let mut nodes = nodes.to_vec();
         nodes.sort();
         nodes.dedup();
-        GeneralizationSet { nodes }
+        GeneralizationSet { nodes: nodes.into() }
+    }
+
+    /// True when `self` and `other` share one node storage (one is a clone
+    /// of the other), not merely equal node lists.
+    pub fn shares_nodes_with(&self, other: &GeneralizationSet) -> bool {
+        Arc::ptr_eq(&self.nodes, &other.nodes)
     }
 
     /// The finest generalization: every leaf is its own node (no information
@@ -66,7 +82,7 @@ impl GeneralizationSet {
     pub fn all_leaves(tree: &DomainHierarchyTree) -> Self {
         let mut nodes = tree.leaves();
         nodes.sort();
-        GeneralizationSet { nodes }
+        GeneralizationSet { nodes: nodes.into() }
     }
 
     /// The generalization whose nodes sit at `depth` (root = 0), with leaves
@@ -88,7 +104,7 @@ impl GeneralizationSet {
             }
         }
         nodes.sort();
-        GeneralizationSet { nodes }
+        GeneralizationSet { nodes: nodes.into() }
     }
 
     /// The generalization node ids, sorted.
@@ -170,7 +186,7 @@ impl GeneralizationSet {
         tree: &DomainHierarchyTree,
         upper: &GeneralizationSet,
     ) -> Result<bool, DhtError> {
-        for &n in &self.nodes {
+        for &n in self.nodes.iter() {
             let mut covered = false;
             for p in tree.path_to_root(n)? {
                 if upper.contains(p) {

@@ -52,7 +52,7 @@
 //!   the durable WAL + snapshot [`DurableStore`]: a `protect` reply is
 //!   released only after its release record is fsynced (one group-commit
 //!   sync per mutating queue drain), and on restart recovery replays the
-//!   log, truncates a torn tail and restores the next release id so ids
+//!   log, stops at a torn tail and restores the next release id so ids
 //!   handed to clients are never reused.
 //!
 //! Every worker computes with the same chunk-parallel engine the in-process

@@ -15,23 +15,38 @@
 //! wal.log  ──compaction──▶  snapshot.bin ──▶ map + next id
 //!   (length-prefixed,         (atomic tmp+rename,   ▲
 //!    CRC-32 framed            same framing)         │
-//!    records)                 torn WAL tail truncated┘
-//!                                 │ old generation kept as
-//!                                 ▼ snapshot.spare, rewritten in place
-//!                                   by the next compaction
+//!    records)                 torn WAL tail zeroed ─┘
+//!   │                             │ old generation kept as
+//!   │ header rewritten for the    ▼ snapshot.spare, rewritten in place
+//!   ▼ next generation               by the next compaction
+//! wal.log, recycled in place
 //! ```
 //!
 //! * **WAL records** are `[u32 len][u32 crc32][payload]` frames over the
 //!   compact binary codec of [`medshield_core::codec`]; a crash can only
 //!   tear the *tail*, which recovery detects (short frame, impossible
-//!   length, checksum mismatch) and truncates before serving resumes.
+//!   length, checksum mismatch) and stops at.
+//! * **WAL formats.** A log is created as v1: the magic `MSWAL\x01\r\n`,
+//!   then frames whose CRC covers the payload. Its first compaction turns
+//!   it into v2, the recyclable format: the magic `MSWAL\x02\r\n` and a
+//!   little-endian `u64` **generation**, then frames whose CRC covers the
+//!   eight generation bytes followed by the payload. A compaction retires
+//!   every frame at once by moving the log to the next generation, so the
+//!   file is overwritten from the front instead of shrunk: freeing a large
+//!   file's blocks is synchronous, and on a disk mounted with `discard` it
+//!   held the WAL lock for up to a second per compaction. Recovery reads
+//!   the whole file and stops at the first frame whose CRC fails under the
+//!   header's generation, so an older generation's stale frame reads
+//!   exactly like a torn tail. Opening zeroes whatever non-zero bytes
+//!   follow the recovered end (none on a clean v1 log, so opening one
+//!   writes nothing): a torn frame can hide complete, unacknowledged frames
+//!   of the same generation behind it, and an append that happened to end
+//!   where one begins would otherwise bring it back.
 //! * **Snapshots** are written to `snapshot.tmp`, fsynced, renamed over
-//!   `snapshot.bin` and only then is the WAL truncated. The previous
-//!   generation's file is kept as `snapshot.spare` (its contents are never
-//!   read) and recycled as the next `snapshot.tmp`: dropping the last link
-//!   of a large file frees its blocks synchronously, which on a disk
-//!   mounted with `discard` holds the WAL lock for up to a second. A
-//!   compaction runs, in order:
+//!   `snapshot.bin` and only then are the WAL's records retired. The
+//!   previous generation's file is kept as `snapshot.spare` (its contents
+//!   are never read) and recycled as the next `snapshot.tmp`, for the same
+//!   reason the WAL is recycled. A compaction runs, in order:
 //!   1. rename `snapshot.spare` to `snapshot.tmp` (create `snapshot.tmp`
 //!      when there is no spare);
 //!   2. overwrite it from offset 0, `set_len` it to the exact length and
@@ -41,17 +56,32 @@
 //!   4. rename `snapshot.tmp` over `snapshot.bin` (removing the fresh link
 //!      if the rename fails);
 //!   5. fsync the directory;
-//!   6. truncate and `fdatasync` the WAL.
+//!   6. under the WAL lock, before any frame of the new generation is
+//!      written, overwrite the WAL header at offset 0 with the v2 header of
+//!      the next generation, `fdatasync` it, and append from just past it.
 //!
 //!   Crash argument: until step 4 is durable, recovery reads the old
 //!   `snapshot.bin` plus the full WAL, and a leftover `snapshot.tmp` is
 //!   discarded at open. After step 4 it reads the new `snapshot.bin` plus
 //!   the full WAL, and replaying a record already folded into the snapshot
-//!   is idempotent. After step 6 it reads the new snapshot plus the empty
-//!   WAL. A crash between steps 3 and 4 leaves `snapshot.spare` as a second
-//!   link to the live `snapshot.bin`, so the store never writes into a
-//!   spare that is the same inode as `snapshot.bin`: such a spare is
-//!   discarded at open and before each reuse.
+//!   is idempotent. The 16-byte header lies in the file's first sector, so
+//!   step 6 lands whole or not at all; even a write torn between its two
+//!   halves is safe. With the old header, recovery replays the old
+//!   generation's frames, all of them folded into the new snapshot. With
+//!   the new one, no frame validates yet. Over a v1 log, the v2 magic
+//!   alone makes the first frame's header read as the generation, and the
+//!   generation alone reads as a v1 frame that fails its CRC; either way
+//!   no old frame replays, and the snapshot holds them all. The `fdatasync`
+//!   in step 6 completes before the first frame of the new generation is
+//!   written: were the header page lost after such a frame was
+//!   acknowledged, recovery would read that frame under the old generation
+//!   and miss it and every frame after it. So any error in step 6 fail-stops
+//!   the store like a failed fsync. A failure in steps 1–5 leaves the WAL
+//!   and its append cursor untouched. A crash between steps 3 and 4 leaves
+//!   `snapshot.spare` as a second link to the live `snapshot.bin`, so the
+//!   store never writes into a spare that is the same inode as
+//!   `snapshot.bin`: such a spare is discarded at open and before each
+//!   reuse.
 //! * **fsync batching (group commit):** [`ReleaseStore::append`] only
 //!   writes; [`ReleaseStore::sync`] makes everything appended so far
 //!   durable before a `protect` reply is released, and concurrent workers
@@ -70,11 +100,12 @@
 
 use medshield_binning::ColumnBinning;
 use medshield_core::codec::{self, CodecError, Reader, Writer};
+use medshield_dht::NodeId;
 use medshield_watermark::{Mark, OwnershipProof};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Seek, SeekFrom, Write as IoWrite};
-use std::os::unix::fs::MetadataExt;
+use std::os::unix::fs::{FileExt, MetadataExt};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -294,9 +325,17 @@ const SNAPSHOT_TMP: &str = "snapshot.tmp";
 const SNAPSHOT_SPARE: &str = "snapshot.spare";
 const LOCK_FILE: &str = "lock";
 
-/// Magic prefixes identifying (and versioning) the two file formats.
-const WAL_MAGIC: &[u8; 8] = b"MSWAL\x01\r\n";
+/// Magic prefixes identifying (and versioning) the file formats: a WAL is
+/// v1 until its first compaction and v2 (recyclable) after it.
+const WAL_MAGIC_V1: &[u8; 8] = b"MSWAL\x01\r\n";
+const WAL_MAGIC_V2: &[u8; 8] = b"MSWAL\x02\r\n";
 const SNAPSHOT_MAGIC: &[u8; 8] = b"MSSNP\x01\r\n";
+
+/// Length of a v2 WAL header: the magic and the `u64` generation.
+const WAL_HEADER_V2_LEN: u64 = 16;
+
+/// Largest block of zeros opening writes at once over a stale WAL tail.
+const ZERO_BLOCK: usize = 256 * 1024;
 
 /// Capacity of the buffered writer a compaction streams the snapshot
 /// through: the snapshot is written in blocks of this size, not one
@@ -329,6 +368,9 @@ const RECIPIENT_RECORD: u8 = 3;
 #[derive(Debug)]
 struct Wal {
     file: File,
+    /// The generation of a recycled (v2) log, whose frame CRCs cover it;
+    /// `None` while the log is v1.
+    generation: Option<u64>,
     /// Current length of the valid prefix (a failed append rolls back to
     /// it, keeping the file parseable).
     len: u64,
@@ -380,9 +422,9 @@ pub struct DurableStore {
 
 impl DurableStore {
     /// Open (or create) a durable store in `dir`, running crash recovery:
-    /// load the snapshot if one exists, replay the WAL on top, truncate a
-    /// torn tail record, and restore the next release id as one past the
-    /// highest durable id.
+    /// load the snapshot if one exists, replay the WAL on top up to a torn
+    /// tail record or a stale frame, zero what follows, and restore the next
+    /// release id as one past the highest durable id.
     pub fn open(dir: impl AsRef<Path>, snapshot_every: usize) -> Result<DurableStore, StoreError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
@@ -425,28 +467,36 @@ impl DurableStore {
             .open(&wal_path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        let valid_len = if bytes.is_empty() || WAL_MAGIC.starts_with(bytes.as_slice()) {
-            // New log — or one whose very first (magic) write was torn,
-            // which means it never held a record.
-            file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            file.write_all(WAL_MAGIC)?;
-            file.sync_data()?;
-            WAL_MAGIC.len() as u64
-        } else if bytes.starts_with(WAL_MAGIC) {
-            replay_wal(&bytes, &mut map, &mut next)
-        } else {
+        let (generation, valid_len) = match WalHeader::parse(&bytes) {
+            Some(WalHeader::Fresh) => {
+                // New log — or one whose very first header write was torn,
+                // which means it never held a record.
+                file.set_len(0)?;
+                file.write_all_at(WAL_MAGIC_V1, 0)?;
+                file.sync_data()?;
+                (None, WAL_MAGIC_V1.len() as u64)
+            }
+            Some(WalHeader::V1) => {
+                let valid_len = replay_wal(&bytes, WAL_MAGIC_V1.len(), None, &mut map, &mut next);
+                zero_tail(&file, &bytes, valid_len)?;
+                (None, valid_len)
+            }
+            Some(WalHeader::V2(generation)) => {
+                let start = WAL_HEADER_V2_LEN as usize;
+                let valid_len = replay_wal(&bytes, start, Some(generation), &mut map, &mut next);
+                zero_tail(&file, &bytes, valid_len)?;
+                (Some(generation), valid_len)
+            }
             // Anything else is a foreign file; refuse to overwrite it.
-            return Err(StoreError::Corrupt(format!(
-                "{} does not start with the WAL magic",
-                wal_path.display()
-            )));
+            None => {
+                return Err(StoreError::Corrupt(format!(
+                    "{} does not start with the WAL magic",
+                    wal_path.display()
+                )))
+            }
         };
-        // Truncate the torn tail (a no-op when the whole log replayed) and
-        // position the cursor for appending.
-        file.set_len(valid_len)?;
+        // Position the cursor for appending.
         file.seek(SeekFrom::Start(valid_len))?;
-        file.sync_data()?;
         // Make the log's *directory entry* durable too: fdatasync on the
         // file alone does not persist the creation of a fresh wal.log, and
         // losing that entry on power failure would resurrect an empty store
@@ -459,7 +509,7 @@ impl DurableStore {
         Ok(DurableStore {
             dir,
             map: Mutex::new(map),
-            wal: Mutex::new(Wal { file, len: valid_len, since_snapshot: 0 }),
+            wal: Mutex::new(Wal { file, generation, len: valid_len, since_snapshot: 0 }),
             sync_file,
             next: AtomicU64::new(next),
             written: AtomicU64::new(0),
@@ -476,17 +526,17 @@ impl DurableStore {
         self.recovered
     }
 
-    /// Fold the current map into a snapshot and truncate the WAL, without
-    /// waiting for the `snapshot_every` trigger. Tests and operators use
-    /// this; appends run it automatically.
+    /// Fold the current map into a snapshot and retire the WAL's records,
+    /// without waiting for the `snapshot_every` trigger. Tests and
+    /// operators use this; appends run it automatically.
     pub fn compact(&self) -> Result<(), StoreError> {
         let mut wal = lock_unpoisoned(&self.wal);
         self.snapshot_locked(&mut wal)
     }
 
     /// Compact under the WAL lock, so no append can land between the map
-    /// capture and the truncation. The six steps and their crash argument
-    /// are in the module docs.
+    /// capture and the header rewrite. The six steps and their crash
+    /// argument are in the module docs.
     fn snapshot_locked(&self, wal: &mut Wal) -> Result<(), StoreError> {
         wal.since_snapshot = 0;
         let mut entries: Vec<(u64, Arc<StoredRelease>)> = {
@@ -507,7 +557,7 @@ impl DurableStore {
             let mut w = Writer::reusing(payload);
             write_release_record(&mut w, *id, release);
             payload = w.into_bytes()?;
-            out.write_all(&frame_header(&payload))?;
+            out.write_all(&frame_header(None, &payload))?;
             out.write_all(&payload)?;
         }
         let mut tmp = out.into_inner().map_err(|e| StoreError::Io(e.into_error()))?;
@@ -528,16 +578,18 @@ impl DurableStore {
             return Err(e.into());
         }
         // The rename itself must be durable before the WAL loses the same
-        // records. If the directory cannot be fsynced, skip the truncation:
-        // the log keeps everything and compaction retries later.
+        // records. If the directory cannot be fsynced, keep the log as it
+        // is: it still holds everything and compaction retries later.
         if File::open(&self.dir).and_then(|d| d.sync_all()).is_err() {
             return Ok(());
         }
-        wal.file.set_len(WAL_MAGIC.len() as u64)?;
-        wal.file.seek(SeekFrom::Start(WAL_MAGIC.len() as u64))?;
-        wal.file.sync_data()?;
-        wal.len = WAL_MAGIC.len() as u64;
-        Ok(())
+        // Step 6. Whether a failed header write or fsync reached the disk
+        // is unknown, and frames appended under the wrong generation would
+        // be invisible to recovery: fail-stop, as for a failed fsync.
+        recycle_wal(wal).map_err(|e| {
+            lock_unpoisoned(&self.sync_state).failed = true;
+            StoreError::Io(e)
+        })
     }
 
     /// Open `snapshot.tmp` for overwriting: the previous generation's
@@ -550,6 +602,70 @@ impl DurableStore {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(File::create(tmp_path)?),
             Err(e) => Err(e.into()),
         }
+    }
+}
+
+/// Compaction step 6: retire every frame of `wal` by overwriting its header
+/// with the v2 header of the next generation, make that durable, and move
+/// the append cursor to just past it. The file keeps its length.
+fn recycle_wal(wal: &mut Wal) -> std::io::Result<()> {
+    let generation = wal.generation.map_or(1, |g| g.wrapping_add(1));
+    let mut header = [0u8; WAL_HEADER_V2_LEN as usize];
+    let (magic, tag) = header.split_at_mut(WAL_MAGIC_V2.len());
+    magic.copy_from_slice(WAL_MAGIC_V2);
+    tag.copy_from_slice(&generation.to_le_bytes());
+    wal.file.write_all_at(&header, 0)?;
+    wal.file.sync_data()?;
+    wal.file.seek(SeekFrom::Start(WAL_HEADER_V2_LEN))?;
+    wal.generation = Some(generation);
+    wal.len = WAL_HEADER_V2_LEN;
+    Ok(())
+}
+
+/// Zero the bytes of `bytes` (the log as opened) past `valid_len` up to the
+/// last non-zero one, then `fdatasync`: stale frames past a torn one must
+/// not be reachable by later appends (see the module docs). The file keeps
+/// its length.
+fn zero_tail(file: &File, bytes: &[u8], valid_len: u64) -> std::io::Result<()> {
+    let tail = usize::try_from(valid_len).ok().and_then(|at| bytes.get(at..)).unwrap_or_default();
+    let Some(last) = tail.iter().rposition(|&b| b != 0) else { return Ok(()) };
+    let dirty = tail.get(..=last).unwrap_or_default();
+    let zeros = vec![0u8; dirty.len().min(ZERO_BLOCK)];
+    let mut at = valid_len;
+    for block in dirty.chunks(ZERO_BLOCK) {
+        let zeros = zeros.get(..block.len()).unwrap_or_default();
+        file.write_all_at(zeros, at)?;
+        at += block.len() as u64;
+    }
+    file.sync_data()
+}
+
+/// How a WAL file begins.
+enum WalHeader {
+    /// Empty, or torn inside its first header write: it never held a
+    /// record.
+    Fresh,
+    /// A v1 log: frames follow the magic, their CRCs cover the payload.
+    V1,
+    /// A recycled (v2) log of this generation: frames follow the header,
+    /// their CRCs cover the generation and the payload.
+    V2(u64),
+}
+
+impl WalHeader {
+    /// The header of a log that starts with `bytes`; `None` for a foreign
+    /// file.
+    fn parse(bytes: &[u8]) -> Option<WalHeader> {
+        if bytes.starts_with(WAL_MAGIC_V1) {
+            return Some(WalHeader::V1);
+        }
+        if let Some(rest) = bytes.strip_prefix(WAL_MAGIC_V2.as_slice()) {
+            // A v2 header shorter than 16 bytes was torn while it was first
+            // written over a v1 log that held no record.
+            return Some(read_u64_at(rest, 0).map_or(WalHeader::Fresh, WalHeader::V2));
+        }
+        (WAL_MAGIC_V1.starts_with(bytes) || WAL_MAGIC_V2.starts_with(bytes))
+            .then_some(WalHeader::Fresh)
     }
 }
 
@@ -578,7 +694,7 @@ impl ReleaseStore for DurableStore {
         }
         let mut wal = lock_unpoisoned(&self.wal);
         let id = self.next.load(Ordering::Relaxed);
-        let frame = frame_record(&encode_release_record(id, &release)?);
+        let frame = frame_record(wal.generation, &encode_release_record(id, &release)?);
         if let Err(e) = wal.file.write_all(&frame) {
             // Roll back to the last record boundary so a partial write
             // cannot shadow later appends from recovery.
@@ -598,16 +714,10 @@ impl ReleaseStore for DurableStore {
             // not fail the append (the client would retry a release that is
             // stored, durable and serving). The trigger counter was reset,
             // so compaction simply retries after another `snapshot_every`
-            // appends.
-            if self.snapshot_locked(&mut wal).is_err() {
-                // Whatever step failed, re-anchor the append cursor to the
-                // file's real end so the next record can never land past a
-                // shrunken EOF (a hole would read as a torn tail and shadow
-                // every record after it).
-                if let Ok(end) = wal.file.seek(SeekFrom::End(0)) {
-                    wal.len = end;
-                }
-            }
+            // appends. A failure in steps 1–5 leaves the log and its append
+            // cursor as they were; one in step 6 fail-stops the store, so
+            // the next `sync` reports it.
+            let _ = self.snapshot_locked(&mut wal);
         }
         Ok(id)
     }
@@ -637,7 +747,7 @@ impl ReleaseStore for DurableStore {
                 Some(_) => {}
             }
         }
-        let frame = frame_record(&encode_recipient_record(id, &recipient)?);
+        let frame = frame_record(wal.generation, &encode_recipient_record(id, &recipient)?);
         if let Err(e) = wal.file.write_all(&frame) {
             let len = wal.len;
             let _ = wal.file.set_len(len);
@@ -655,11 +765,7 @@ impl ReleaseStore for DurableStore {
         if self.snapshot_every > 0 && wal.since_snapshot >= self.snapshot_every {
             // Same rationale as in `append`: compaction failure must never
             // fail a durably logged mutation.
-            if self.snapshot_locked(&mut wal).is_err() {
-                if let Ok(end) = wal.file.seek(SeekFrom::End(0)) {
-                    wal.len = end;
-                }
-            }
+            let _ = self.snapshot_locked(&mut wal);
         }
         Ok(updated)
     }
@@ -742,17 +848,29 @@ fn read_u64_at(bytes: &[u8], at: usize) -> Option<u64> {
     Some(u64::from_le_bytes(raw.try_into().ok()?))
 }
 
+/// The CRC of a frame: of the generation's little-endian bytes followed by
+/// the payload in a v2 WAL, of the payload alone in a v1 WAL and in
+/// snapshots (`generation` is `None`).
+fn frame_crc(generation: Option<u64>, payload: &[u8]) -> u32 {
+    let crc = codec::Crc32::new();
+    let crc = match generation {
+        Some(generation) => crc.update(&generation.to_le_bytes()),
+        None => crc,
+    };
+    crc.update(payload).finish()
+}
+
 /// The `[u32 len][u32 crc32]` header framing `payload`, little-endian.
-fn frame_header(payload: &[u8]) -> [u8; 8] {
+fn frame_header(generation: Option<u64>, payload: &[u8]) -> [u8; 8] {
     let [l0, l1, l2, l3] = (payload.len() as u32).to_le_bytes();
-    let [c0, c1, c2, c3] = codec::crc32(payload).to_le_bytes();
+    let [c0, c1, c2, c3] = frame_crc(generation, payload).to_le_bytes();
     [l0, l1, l2, l3, c0, c1, c2, c3]
 }
 
 /// Frame a record payload: `[u32 len][u32 crc32][payload]`, little-endian.
-fn frame_record(payload: &[u8]) -> Vec<u8> {
+fn frame_record(generation: Option<u64>, payload: &[u8]) -> Vec<u8> {
     let mut frame = Vec::with_capacity(payload.len() + 8);
-    frame.extend_from_slice(&frame_header(payload));
+    frame.extend_from_slice(&frame_header(generation, payload));
     frame.extend_from_slice(payload);
     frame
 }
@@ -811,11 +929,13 @@ enum StoreRecord {
     Recipient(u64, StoredRecipient),
 }
 
-/// Decode one record payload, dispatching on the leading version tag.
-fn decode_record(payload: &[u8]) -> Result<StoreRecord, CodecError> {
+/// Decode one record payload, dispatching on the leading version tag. Node
+/// lists are decoded through `scratch` (see
+/// [`codec::read_column_binning`]).
+fn decode_record(payload: &[u8], scratch: &mut Vec<NodeId>) -> Result<StoreRecord, CodecError> {
     match payload.first().copied() {
         Some(RELEASE_RECORD_V1) | Some(RELEASE_RECORD_V2) => {
-            let (id, release) = decode_release_record(payload)?;
+            let (id, release) = decode_release_record(payload, scratch)?;
             Ok(StoreRecord::Release(id, release))
         }
         Some(RECIPIENT_RECORD) => {
@@ -833,7 +953,10 @@ fn decode_record(payload: &[u8]) -> Result<StoreRecord, CodecError> {
 }
 
 /// Decode one release record payload (v1 or v2).
-fn decode_release_record(payload: &[u8]) -> Result<(u64, StoredRelease), CodecError> {
+fn decode_release_record(
+    payload: &[u8],
+    scratch: &mut Vec<NodeId>,
+) -> Result<(u64, StoredRelease), CodecError> {
     let mut r = Reader::new(payload);
     let version = r.u8()?;
     if version != RELEASE_RECORD_V1 && version != RELEASE_RECORD_V2 {
@@ -850,7 +973,7 @@ fn decode_release_record(payload: &[u8]) -> Result<(u64, StoredRelease), CodecEr
     }
     let mut columns = Vec::with_capacity(column_count);
     for _ in 0..column_count {
-        columns.push(codec::read_column_binning(&mut r)?);
+        columns.push(codec::read_column_binning(&mut r, scratch)?);
     }
     let mark = codec::read_mark(&mut r)?;
     let ownership = match r.u8()? {
@@ -895,21 +1018,30 @@ fn fold_recipient(map: &mut HashMap<u64, Arc<StoredRelease>>, id: u64, recipient
     map.insert(id, Arc::new(updated));
 }
 
-/// Replay WAL records into `map`, returning the byte length of the valid
-/// prefix. A short header, an impossible length, a checksum mismatch or an
-/// undecodable payload all end the replay there — under append-only
-/// semantics that point is the torn tail of the crashed writer.
-fn replay_wal(bytes: &[u8], map: &mut HashMap<u64, Arc<StoredRelease>>, next: &mut u64) -> u64 {
-    let mut at = WAL_MAGIC.len();
+/// Replay the WAL records of `generation` (`None` for a v1 log) that start
+/// at byte `start` into `map`, returning the byte length of the valid
+/// prefix. A short header, an impossible length, a checksum mismatch under
+/// `generation` or an undecodable payload all end the replay there — the
+/// torn tail of the crashed writer, or a stale frame of an older
+/// generation.
+fn replay_wal(
+    bytes: &[u8],
+    start: usize,
+    generation: Option<u64>,
+    map: &mut HashMap<u64, Arc<StoredRelease>>,
+    next: &mut u64,
+) -> u64 {
+    let mut at = start;
+    let mut scratch = Vec::new();
     while let Some((len, crc)) = record_header(bytes, at) {
         if len > MAX_RECORD_LEN {
             break;
         }
         let Some(payload) = bytes.get(at + 8..at + 8 + len) else { break };
-        if codec::crc32(payload) != crc {
+        if frame_crc(generation, payload) != crc {
             break;
         }
-        match decode_record(payload) {
+        match decode_record(payload, &mut scratch) {
             Ok(StoreRecord::Release(id, release)) => {
                 map.insert(id, Arc::new(release));
                 *next = (*next).max(id + 1);
@@ -941,6 +1073,7 @@ fn parse_snapshot(
     at += 8;
     let count = read_u64_at(bytes, at).ok_or_else(|| corrupt("missing magic or header"))?;
     at += 8;
+    let mut scratch = Vec::new();
     for i in 0..count {
         let (len, crc) =
             record_header(bytes, at).ok_or_else(|| corrupt(&format!("record {i} header cut")))?;
@@ -950,11 +1083,11 @@ fn parse_snapshot(
         let payload = bytes
             .get(at + 8..at + 8 + len)
             .ok_or_else(|| corrupt(&format!("record {i} payload cut")))?;
-        if codec::crc32(payload) != crc {
+        if frame_crc(None, payload) != crc {
             return Err(corrupt(&format!("record {i} checksum mismatch")));
         }
-        let (id, release) =
-            decode_release_record(payload).map_err(|e| corrupt(&format!("record {i}: {e}")))?;
+        let (id, release) = decode_release_record(payload, &mut scratch)
+            .map_err(|e| corrupt(&format!("record {i}: {e}")))?;
         map.insert(id, Arc::new(release));
         *next = (*next).max(id + 1);
         at += 8 + len;
@@ -1001,6 +1134,17 @@ mod tests {
 
     fn recipient(name: &str) -> StoredRecipient {
         StoredRecipient { name: name.into(), mark: Mark::from_bytes(name.as_bytes(), 20) }
+    }
+
+    /// Bytes of live frames in the WAL of `dir`: what recovery would replay.
+    fn live_wal_bytes(dir: &Path) -> u64 {
+        let bytes = std::fs::read(dir.join(WAL_FILE)).unwrap();
+        let (start, generation) = match WalHeader::parse(&bytes) {
+            Some(WalHeader::V1) => (WAL_MAGIC_V1.len(), None),
+            Some(WalHeader::V2(generation)) => (WAL_HEADER_V2_LEN as usize, Some(generation)),
+            _ => panic!("the WAL has no header"),
+        };
+        replay_wal(&bytes, start, generation, &mut HashMap::new(), &mut 1) - start as u64
     }
 
     #[test]
@@ -1079,21 +1223,21 @@ mod tests {
     #[test]
     fn replaying_a_recipient_already_folded_into_the_snapshot_is_idempotent() {
         let dir = test_dir("recipients-idem");
-        {
+        let wal_path = dir.join(WAL_FILE);
+        let before_compaction = {
             let store = DurableStore::open(&dir, 0).unwrap();
             let id = store.append(release(1)).unwrap();
             store.add_recipient(id, recipient("clinic-a")).unwrap().unwrap();
+            store.sync().unwrap();
+            let bytes = std::fs::read(&wal_path).unwrap();
             store.compact().unwrap();
             store.sync().unwrap();
-        }
+            bytes
+        };
         // Simulate the crash window where the snapshot was renamed but the
-        // WAL truncation never hit the disk: the WAL still carries the
+        // WAL header rewrite never hit the disk: the WAL still carries the
         // recipient record the snapshot already folded in.
-        let frame = frame_record(&encode_recipient_record(1, &recipient("clinic-a")).unwrap());
-        let wal_path = dir.join(WAL_FILE);
-        let mut bytes = std::fs::read(&wal_path).unwrap();
-        bytes.extend_from_slice(&frame);
-        std::fs::write(&wal_path, &bytes).unwrap();
+        std::fs::write(&wal_path, &before_compaction).unwrap();
         let store = DurableStore::open(&dir, 0).unwrap();
         assert_eq!(store.get(1).unwrap().recipients, vec![recipient("clinic-a")]);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1105,11 +1249,13 @@ mod tests {
         let store = DurableStore::open(&dir, 3).unwrap();
         let id = store.append(release(1)).unwrap();
         store.add_recipient(id, recipient("a")).unwrap().unwrap();
+        let before_trigger = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
         store.add_recipient(id, recipient("b")).unwrap().unwrap();
-        // Three mutations since the last snapshot: the trigger fired and the
-        // WAL is back to its bare magic.
+        // Three mutations since the last snapshot: the trigger fired, and
+        // the WAL holds no live frame but was not shrunk.
         let wal_len = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
-        assert_eq!(wal_len, WAL_MAGIC.len() as u64);
+        assert_eq!(live_wal_bytes(&dir), 0);
+        assert!(wal_len >= before_trigger, "{wal_len} < {before_trigger}");
         drop(store);
         let store = DurableStore::open(&dir, 3).unwrap();
         assert_eq!(store.get(1).unwrap().recipients.len(), 2);
@@ -1122,14 +1268,14 @@ mod tests {
         with.recipients = vec![recipient("clinic-a"), recipient("clinic-b")];
         let payload = encode_release_record(9, &with).unwrap();
         assert_eq!(payload[0], RELEASE_RECORD_V2);
-        let (id, decoded) = decode_release_record(&payload).unwrap();
+        let (id, decoded) = decode_release_record(&payload, &mut Vec::new()).unwrap();
         assert_eq!(id, 9);
         assert_eq!(decoded, with);
         // Recipient-less releases still encode in the v1 format.
         let without = release(3);
         let payload = encode_release_record(9, &without).unwrap();
         assert_eq!(payload[0], RELEASE_RECORD_V1);
-        assert_eq!(decode_release_record(&payload).unwrap().1, without);
+        assert_eq!(decode_release_record(&payload, &mut Vec::new()).unwrap().1, without);
     }
 
     #[test]
@@ -1185,10 +1331,15 @@ mod tests {
         for seed in 1..=7u8 {
             store.append(release(seed)).unwrap();
         }
-        // Two snapshots fired (at 3 and 6); the WAL holds only record 7.
+        // Two snapshots fired (at 3 and 6); the WAL holds only record 7 live,
+        // and it was not shrunk below its length before the second one.
+        let frame_len = |seed: u8| {
+            let payload = encode_release_record(u64::from(seed), &release(seed)).unwrap();
+            frame_record(None, &payload).len() as u64
+        };
+        assert_eq!(live_wal_bytes(&dir), frame_len(7));
         let wal_len = std::fs::metadata(dir.join(WAL_FILE)).unwrap().len();
-        let one_record = frame_record(&encode_release_record(7, &release(7)).unwrap()).len() as u64;
-        assert_eq!(wal_len, WAL_MAGIC.len() as u64 + one_record);
+        assert!(wal_len >= WAL_HEADER_V2_LEN + (4..=6).map(frame_len).sum::<u64>());
         drop(store);
         let store = DurableStore::open(&dir, 3).unwrap();
         assert_eq!(store.recovered_releases(), 7);
@@ -1213,8 +1364,8 @@ mod tests {
         let store = DurableStore::open(&dir, 0).unwrap();
         assert_eq!(store.recovered_releases(), 2, "the torn third record is dropped");
         assert_eq!(store.next_id(), 3);
-        // The file was truncated back to a record boundary, so new appends
-        // land cleanly after the survivors.
+        // Recovery stopped at a record boundary and zeroed the torn bytes,
+        // so new appends land cleanly after the survivors.
         assert_eq!(store.append(release(9)).unwrap(), 3);
         drop(store);
         let store = DurableStore::open(&dir, 0).unwrap();

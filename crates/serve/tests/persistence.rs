@@ -7,6 +7,7 @@
 //! already owns, and leaves the log in a state that accepts new appends.
 
 use medshield_binning::ColumnBinning;
+use medshield_core::codec::Crc32;
 use medshield_dht::GeneralizationSet;
 use medshield_serve::store::{DurableStore, ReleaseStore, StoredRecipient, StoredRelease};
 use medshield_watermark::{Mark, OwnershipProof};
@@ -75,14 +76,63 @@ fn v1_record(id: u64, release: &StoredRelease) -> Vec<u8> {
     w.into_bytes().expect("fixture record encodes")
 }
 
-/// Frame a record as the WAL/snapshot do: `[u32 len][u32 crc32][payload]`,
-/// little-endian.
-fn frame(payload: &[u8]) -> Vec<u8> {
+/// `[u32 len][u32 crc][payload]`, little-endian.
+fn frame_with_crc(crc: u32, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 8);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&medshield_core::codec::crc32(payload).to_le_bytes());
+    out.extend_from_slice(&crc.to_le_bytes());
     out.extend_from_slice(payload);
     out
+}
+
+/// Frame a record as a v1 WAL and the snapshot do: the CRC covers the
+/// payload.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    frame_with_crc(medshield_core::codec::crc32(payload), payload)
+}
+
+/// Frame a record as a recycled (v2) WAL of `generation` does: the CRC
+/// covers the generation's little-endian bytes, then the payload.
+fn frame_v2(generation: u64, payload: &[u8]) -> Vec<u8> {
+    frame_with_crc(Crc32::new().update(&generation.to_le_bytes()).update(payload).finish(), payload)
+}
+
+/// The header of a recycled (v2) WAL of `generation`.
+fn header_v2(generation: u64) -> Vec<u8> {
+    let mut out = b"MSWAL\x02\r\n".to_vec();
+    out.extend_from_slice(&generation.to_le_bytes());
+    out
+}
+
+/// A recipient-add record from the documented layout: tag `3`, release id,
+/// name, mark.
+fn recipient_record(id: u64, recipient: &StoredRecipient) -> Vec<u8> {
+    use medshield_core::codec::{self, Writer};
+    let mut w = Writer::new();
+    w.u8(3);
+    w.u64(id);
+    w.str(&recipient.name);
+    codec::write_mark(&mut w, &recipient.mark);
+    w.into_bytes().expect("fixture record encodes")
+}
+
+fn recipient(name: &str) -> StoredRecipient {
+    StoredRecipient { name: name.into(), mark: Mark::from_bytes(name.as_bytes(), 20) }
+}
+
+/// Bytes of one WAL frame holding release `id` (the same in both formats).
+fn frame_len(id: u64, seed: u64) -> usize {
+    v1_record(id, &release(seed)).len() + 8
+}
+
+/// A crash image of a WAL: the first `cut` bytes as written (`now`), then
+/// what lay on disk before those writes (`before`, the file as the last
+/// compaction left it): the unwritten part of the live prefix reads as the
+/// previous generation's bytes, and the stale tail stays in place.
+fn torn_image(now: &[u8], before: &[u8], cut: usize) -> Vec<u8> {
+    let mut image = now[..cut].to_vec();
+    image.extend_from_slice(before.get(cut..).unwrap_or_default());
+    image
 }
 
 #[test]
@@ -300,54 +350,216 @@ fn compaction_recycles_the_previous_snapshot_file() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn a_stale_release_record_after_a_live_recipient_record_is_not_replayed() {
+    let dir = fresh_dir("stale-boundary");
+    {
+        let store = append_all(&dir, [0]);
+        store.add_recipient(1, recipient("clinic-a")).unwrap().unwrap();
+        store.compact().unwrap();
+    }
+    // The snapshot holds release 1 with clinic-a. The live generation 7
+    // registers clinic-b; right on its boundary lies a stale generation-6
+    // copy of release 1's record, which carries no recipients: replaying it
+    // would drop both.
+    let live = frame_v2(7, &recipient_record(1, &recipient("clinic-b")));
+    let stale = v1_record(1, &release(0));
+    let wal = |stale_generation: u64| {
+        let mut bytes = header_v2(7);
+        bytes.extend_from_slice(&live);
+        bytes.extend_from_slice(&frame_v2(stale_generation, &stale));
+        bytes
+    };
+    std::fs::write(dir.join("wal.log"), wal(6)).unwrap();
+    let store = DurableStore::open(&dir, 0).unwrap();
+    assert_eq!(
+        store.get(1).unwrap().recipients,
+        vec![recipient("clinic-a"), recipient("clinic-b")]
+    );
+    drop(store);
+    // Control: the same record under the live generation would be replayed.
+    std::fs::write(dir.join("wal.log"), wal(7)).unwrap();
+    assert!(DurableStore::open(&dir, 0).unwrap().get(1).unwrap().recipients.is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The two ways the header rewrite of a compaction can tear: only the magic
+/// or only the generation reaches the disk.
+fn torn_headers(before: &[u8], after: &[u8]) -> [Vec<u8>; 2] {
+    let only_magic = [&after[..8], &before[8..]].concat();
+    let only_generation = [&before[..8], &after[8..16], &before[16..]].concat();
+    [only_magic, only_generation]
+}
+
+#[test]
+fn a_torn_header_rewrite_recovers_the_snapshot_without_loss() {
+    // The first compaction turns a v1 log into v2; later ones move a v2 log
+    // to its next generation. Tear the last header rewrite of each kind.
+    for (compactions, tag) in [(1usize, "torn-v1"), (2, "torn-v2")] {
+        let dir = fresh_dir(tag);
+        let wal_path = dir.join("wal.log");
+        let (before, after) = {
+            let store = DurableStore::open(&dir, 0).unwrap();
+            for round in 0..compactions as u64 {
+                if round > 0 {
+                    store.compact().unwrap();
+                }
+                for seed in 3 * round..3 * round + 3 {
+                    store.append(release(seed)).unwrap();
+                }
+            }
+            store.sync().unwrap();
+            let before = std::fs::read(&wal_path).unwrap();
+            store.compact().unwrap();
+            (before, std::fs::read(&wal_path).unwrap())
+        };
+        assert_eq!(after.len(), before.len(), "the compaction shrank the WAL");
+        let seeds: Vec<u64> = (0..3 * compactions as u64).collect();
+        for image in torn_headers(&before, &after) {
+            std::fs::write(&wal_path, &image).unwrap();
+            assert_recovers(&dir, &seeds);
+        }
+        // The store goes on from the last image.
+        {
+            let store = DurableStore::open(&dir, 0).unwrap();
+            store.append(release(50)).unwrap();
+            store.sync().unwrap();
+        }
+        let mut seeds = seeds;
+        seeds.push(50);
+        assert_recovers(&dir, &seeds);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn a_failed_compaction_on_a_recycled_wal_keeps_appending_at_the_live_end() {
+    let dir = fresh_dir("failed-recycled");
+    drop(append_all(&dir, 0..6));
+    // The second append after the restart compacts: the log of eight
+    // records is recycled, and its stale tail reaches far past the live end.
+    let store = DurableStore::open(&dir, 2).unwrap();
+    for seed in 6..9 {
+        store.append(release(seed)).unwrap();
+    }
+    let wal_len = std::fs::metadata(dir.join("wal.log")).unwrap().len() as usize;
+    assert!(16 + 3 * frame_len(9, 8) < wal_len, "no stale tail past the live end");
+    // A directory squatting on snapshot.tmp fails every later compaction in
+    // step 2; appends go on, and each must stay reachable by recovery.
+    std::fs::create_dir_all(dir.join("snapshot.tmp")).unwrap();
+    for seed in 9..13 {
+        store.append(release(seed)).unwrap();
+    }
+    store.sync().unwrap();
+    assert!(store.compact().is_err(), "compaction is genuinely blocked");
+    drop(store);
+    std::fs::remove_dir_all(dir.join("snapshot.tmp")).unwrap();
+    assert_recovers(&dir, &(0..13).collect::<Vec<u64>>());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_frame_past_a_torn_one_is_not_revived_by_a_later_append() {
+    let dir = fresh_dir("revive");
+    let wal_path = dir.join("wal.log");
+    {
+        let store = append_all(&dir, []);
+        store.compact().unwrap();
+        for seed in 0..3 {
+            store.append(release(seed)).unwrap();
+        }
+        store.sync().unwrap();
+    }
+    // The second frame's page never reached the disk, the third's did.
+    let mut bytes = std::fs::read(&wal_path).unwrap();
+    let second = 16 + frame_len(1, 0) + 8;
+    bytes[second] ^= 0xFF;
+    std::fs::write(&wal_path, &bytes).unwrap();
+    {
+        let store = DurableStore::open(&dir, 0).unwrap();
+        assert_eq!(store.recovered_releases(), 1);
+        // The same release again: a frame exactly as long as the lost one,
+        // so the cursor ends where the third frame begins.
+        assert_eq!(store.append(release(1)).unwrap(), 2);
+        store.sync().unwrap();
+    }
+    assert_recovers(&dir, &[0, 1]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     #[test]
     fn any_wal_prefix_truncation_recovers_cleanly(
         releases in 1usize..5,
+        recycled in 0usize..4,
         cut_per_mille in 0u32..1000,
     ) {
         let dir = fresh_dir("truncate");
-        {
+        let wal_path = dir.join("wal.log");
+        // `recycled` rounds of three releases, each folded into a snapshot,
+        // leave a recycled log with a stale tail behind.
+        let folded = 3 * recycled;
+        let stale = {
             let store = DurableStore::open(&dir, 0).unwrap();
-            for seed in 0..releases as u64 {
+            for seed in 0..folded as u64 {
                 store.append(release(seed)).unwrap();
+                if seed % 3 == 2 {
+                    store.compact().unwrap();
+                }
+            }
+            let stale = if recycled == 0 { Vec::new() } else { std::fs::read(&wal_path).unwrap() };
+            for seed in 0..releases as u64 {
+                store.append(release(100 + seed)).unwrap();
             }
             store.sync().unwrap();
-        }
-        // Truncate the WAL at an arbitrary byte offset — every offset a
-        // crash could leave behind, including inside the magic, inside a
-        // frame header, and inside a payload.
-        let wal_path = dir.join("wal.log");
+            stale
+        };
+        // Cut the log at an arbitrary byte offset of its live prefix —
+        // every offset a crash could leave behind. A fresh log is cut
+        // anywhere: inside the magic, inside a frame header, inside a
+        // payload. A recycled one is cut past its header (written and
+        // synced by the compaction), and keeps its stale tail.
         let bytes = std::fs::read(&wal_path).unwrap();
-        let cut = (bytes.len() as u64 * u64::from(cut_per_mille) / 1000) as usize;
-        std::fs::write(&wal_path, &bytes[..cut]).unwrap();
+        let (header, live_end) = if recycled == 0 {
+            (0, bytes.len())
+        } else {
+            let ids = folded as u64 + 1..;
+            (16, 16 + ids.zip(100..100 + releases as u64).map(|(id, seed)| frame_len(id, seed)).sum::<usize>())
+        };
+        let cut = header + ((live_end - header) as u64 * u64::from(cut_per_mille) / 1000) as usize;
+        std::fs::write(&wal_path, torn_image(&bytes, &stale, cut)).unwrap();
 
-        // Recovery must succeed, restoring a prefix of the appends…
+        // Recovery must succeed, restoring the folded releases and a prefix
+        // of the live appends…
         let store = DurableStore::open(&dir, 0).unwrap();
-        let recovered = store.recovered_releases();
+        let recovered = store.recovered_releases() - folded;
         prop_assert!(recovered <= releases, "recovered {recovered} of {releases}");
         // …monotone in the surviving bytes: whatever came back is
-        // bit-perfect and owns ids 1..=recovered.
-        for seed in 0..recovered as u64 {
-            let got = store.get(seed + 1);
-            prop_assert!(got.is_some(), "release {} lost", seed + 1);
-            prop_assert_eq!(&*got.unwrap(), &release(seed));
+        // bit-perfect and owns ids 1..=folded + recovered.
+        for seed in 0..folded as u64 {
+            prop_assert_eq!(&*store.get(seed + 1).unwrap(), &release(seed));
         }
-        for seed in recovered as u64..releases as u64 {
-            prop_assert!(store.get(seed + 1).is_none());
+        for i in 0..recovered as u64 {
+            let got = store.get(folded as u64 + i + 1);
+            prop_assert!(got.is_some(), "release {} lost", folded as u64 + i + 1);
+            prop_assert_eq!(&*got.unwrap(), &release(100 + i));
+        }
+        for i in recovered as u64..releases as u64 {
+            prop_assert!(store.get(folded as u64 + i + 1).is_none());
         }
         // New ids start past every recovered id, and appends land cleanly
-        // on the truncated log.
-        prop_assert_eq!(store.next_id(), recovered as u64 + 1);
+        // on the cut log.
+        let next = (folded + recovered) as u64 + 1;
+        prop_assert_eq!(store.next_id(), next);
         let new_id = store.append(release(99)).unwrap();
-        prop_assert_eq!(new_id, recovered as u64 + 1);
+        prop_assert_eq!(new_id, next);
         store.sync().unwrap();
         drop(store);
-        // One more restart proves the post-truncation log is well-formed.
+        // One more restart proves the log is well-formed after the cut.
         let store = DurableStore::open(&dir, 0).unwrap();
-        prop_assert_eq!(store.recovered_releases(), recovered + 1);
+        prop_assert_eq!(store.recovered_releases(), folded + recovered + 1);
         prop_assert_eq!(&*store.get(new_id).unwrap(), &release(99));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -356,46 +568,66 @@ proptest! {
     fn snapshot_plus_truncated_wal_never_loses_snapshotted_releases(
         snapshotted in 1usize..4,
         tail in 1usize..4,
+        recycled in 0usize..4,
         cut_per_mille in 0u32..1000,
     ) {
         let dir = fresh_dir("snap");
-        {
+        let wal_path = dir.join("wal.log");
+        let stale = {
             let store = DurableStore::open(&dir, 0).unwrap();
+            // `recycled` earlier rounds of a compacted release each.
+            for seed in 0..recycled as u64 {
+                store.append(release(200 + seed)).unwrap();
+                store.compact().unwrap();
+            }
             for seed in 0..snapshotted as u64 {
                 store.append(release(seed)).unwrap();
             }
             store.compact().unwrap();
+            let stale = if recycled == 0 { Vec::new() } else { std::fs::read(&wal_path).unwrap() };
             for seed in 0..tail as u64 {
                 store.append(release(100 + seed)).unwrap();
             }
             store.sync().unwrap();
-        }
+            stale
+        };
         // Tear only the WAL: the snapshot is written atomically and a crash
-        // cannot damage it.
-        let wal_path = dir.join("wal.log");
+        // cannot damage it. Without earlier rounds the log is cut anywhere,
+        // header included; with them, inside its live prefix, keeping the
+        // stale tail.
         let bytes = std::fs::read(&wal_path).unwrap();
-        let cut = (bytes.len() as u64 * u64::from(cut_per_mille) / 1000) as usize;
-        std::fs::write(&wal_path, &bytes[..cut]).unwrap();
+        let folded = recycled + snapshotted;
+        let live_end = if recycled == 0 {
+            bytes.len()
+        } else {
+            let ids = folded as u64 + 1..;
+            16 + ids.zip(100..100 + tail as u64).map(|(id, seed)| frame_len(id, seed)).sum::<usize>()
+        };
+        let cut = (live_end as u64 * u64::from(cut_per_mille) / 1000) as usize;
+        std::fs::write(&wal_path, torn_image(&bytes, &stale, cut)).unwrap();
 
         let store = DurableStore::open(&dir, 0).unwrap();
-        // Everything the snapshot folded in must survive any WAL damage.
+        // Everything the snapshots folded in must survive any WAL damage.
+        for seed in 0..recycled as u64 {
+            prop_assert_eq!(&*store.get(seed + 1).unwrap(), &release(200 + seed));
+        }
         for seed in 0..snapshotted as u64 {
-            prop_assert_eq!(&*store.get(seed + 1).unwrap(), &release(seed));
+            prop_assert_eq!(&*store.get(recycled as u64 + seed + 1).unwrap(), &release(seed));
         }
         // The surviving WAL tail is a prefix of the post-snapshot appends.
-        let recovered_tail = store.recovered_releases() - snapshotted;
+        let recovered_tail = store.recovered_releases() - folded;
         prop_assert!(recovered_tail <= tail);
         for i in 0..recovered_tail as u64 {
             prop_assert_eq!(
-                &*store.get(snapshotted as u64 + i + 1).unwrap(),
+                &*store.get(folded as u64 + i + 1).unwrap(),
                 &release(100 + i)
             );
         }
         // Ids stay stable: even if the whole tail tore away, the snapshot's
         // next-id header prevents reuse of ids the dead process handed out
         // *before* the snapshot.
-        prop_assert!(store.next_id() > snapshotted as u64);
-        prop_assert_eq!(store.next_id(), snapshotted as u64 + recovered_tail as u64 + 1);
+        prop_assert!(store.next_id() > folded as u64);
+        prop_assert_eq!(store.next_id(), folded as u64 + recovered_tail as u64 + 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

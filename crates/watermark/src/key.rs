@@ -213,7 +213,7 @@ mod tests {
     #[test]
     fn prfs_are_keyed_separately() {
         let key = WatermarkKey::from_master(b"secret", 50);
-        assert_ne!(key.selection_prf().value(b"x"), key.permutation_prf().value(b"x"));
+        assert_ne!(key.selection_prf().digest(b"x"), key.permutation_prf().digest(b"x"));
     }
 
     #[test]

@@ -127,12 +127,12 @@ impl Selector {
     /// batched kernels ([`Selector::selects_wide`]) are tested against.
     #[cfg(test)]
     pub(crate) fn selects(&self, ident: &[u8]) -> bool {
-        self.selection.selects(ident, self.eta)
+        self.selects_wide(self.selection.prefixed_value_wide(&[], ident))
     }
 
-    /// Eq. (5) on the selection PRF's wide value of an identity:
-    /// `selects_wide(selection_prf().value_wide(ident)) == selects(ident)`.
-    /// Batch kernels compute the wide values four at a time.
+    /// Eq. (5) on the selection PRF's wide value of an identity, its
+    /// [`KeyedPrf::prefixed_value_wide`] with an empty prefix. Batch
+    /// kernels compute the wide values four at a time.
     pub(crate) fn selects_wide(&self, wide: u128) -> bool {
         // `Selector::new` rejects η = 0, and every wide value is 0 mod 1.
         KeyedPrf::reduce_wide(wide, self.eta) == 0

@@ -34,12 +34,12 @@ fn main() {
     let release =
         pipeline.protect(&dataset.table, &dataset.trees).expect("the synthetic data are binnable");
 
-    // 4. Privacy check: every quasi-identifier combination is shared by at
-    //    least k records.
+    // 4. Privacy check: every quasi-identifier combination of the released
+    //    (watermarked) table is shared by at least k records.
     let quasi = release.table.schema().quasi_names();
-    let k_ok = satisfies_k_anonymity(&release.binning.table, &quasi, 10).unwrap();
+    let k_ok = satisfies_k_anonymity(&release.table, &quasi, 10).unwrap();
     println!(
-        "k-anonymity (k=10) on the binned table: {}",
+        "k-anonymity (k=10) on the released table: {}",
         if k_ok { "satisfied" } else { "NOT satisfied" }
     );
 
