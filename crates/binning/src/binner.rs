@@ -530,11 +530,18 @@ mod tests {
         let maximal = maximal_at_depth(&ds.trees, 0);
         let per_attr = agent.bin_per_attribute(&ds.table, &ds.trees, &maximal).unwrap();
         for cb in &per_attr.columns {
-            assert!(cb.ultimate.shares_nodes_with(&cb.minimal), "column {}", cb.column);
+            assert!(
+                cb.ultimate.nodes().as_ptr() == cb.minimal.nodes().as_ptr(),
+                "column {}",
+                cb.column
+            );
         }
         let full = agent.bin(&ds.table, &ds.trees, &maximal).unwrap();
         for cb in &full.columns {
-            assert_eq!(cb.ultimate.shares_nodes_with(&cb.minimal), cb.ultimate == cb.minimal);
+            assert_eq!(
+                cb.ultimate.nodes().as_ptr() == cb.minimal.nodes().as_ptr(),
+                cb.ultimate == cb.minimal
+            );
         }
     }
 

@@ -589,8 +589,8 @@ mod tests {
         for _ in 0..2 {
             let decoded = read_column_binning(&mut r, &mut scratch).unwrap();
             assert_eq!(decoded, column);
-            assert!(decoded.ultimate.shares_nodes_with(&decoded.minimal));
-            assert!(!decoded.maximal.shares_nodes_with(&decoded.minimal));
+            assert!(decoded.ultimate.nodes().as_ptr() == decoded.minimal.nodes().as_ptr());
+            assert!(decoded.maximal.nodes().as_ptr() != decoded.minimal.nodes().as_ptr());
         }
         r.finish().unwrap();
     }

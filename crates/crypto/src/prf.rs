@@ -193,12 +193,6 @@ mod tests {
         )
     }
 
-    /// `H(data, key) mod modulus` the way the kernels derive it: the wide
-    /// value of the unlabeled message, then [`KeyedPrf::reduce_wide`].
-    fn wide_value_mod(prf: &KeyedPrf, data: &[u8], modulus: u64) -> u64 {
-        KeyedPrf::reduce_wide(prf.prefixed_value_wide(&[], data), modulus)
-    }
-
     #[test]
     fn labels_decorrelate() {
         let prf = KeyedPrf::new(b"k2");
@@ -308,7 +302,7 @@ mod tests {
         let big = 1u64 << 33;
         let mut above_u32 = 0usize;
         for i in 0..256u32 {
-            let v = wide_value_mod(&prf, &i.to_be_bytes(), big);
+            let v = prf.value_mod(&i.to_be_bytes(), big);
             assert!(v < big);
             if v > u64::from(u32::MAX) {
                 above_u32 += 1;
@@ -328,7 +322,7 @@ mod tests {
         let prf = KeyedPrf::new(b"bucket-key");
         let mut counts = [0usize; 8];
         for i in 0..8000u32 {
-            counts[wide_value_mod(&prf, &i.to_le_bytes(), 8) as usize] += 1;
+            counts[prf.value_mod(&i.to_le_bytes(), 8) as usize] += 1;
         }
         for (b, &c) in counts.iter().enumerate() {
             assert!((700..1300).contains(&c), "bucket {b} has {c} items");

@@ -71,12 +71,6 @@ impl GeneralizationSet {
         GeneralizationSet { nodes: nodes.into() }
     }
 
-    /// True when `self` and `other` share one node storage (one is a clone
-    /// of the other), not merely equal node lists.
-    pub fn shares_nodes_with(&self, other: &GeneralizationSet) -> bool {
-        Arc::ptr_eq(&self.nodes, &other.nodes)
-    }
-
     /// The finest generalization: every leaf is its own node (no information
     /// loss).
     pub fn all_leaves(tree: &DomainHierarchyTree) -> Self {

@@ -1227,6 +1227,9 @@ mod tests {
         let before_compaction = {
             let store = DurableStore::open(&dir, 0).unwrap();
             let id = store.append(release(1)).unwrap();
+            // Fold the release into a snapshot first, so the live generation
+            // holds only the recipient frame.
+            store.compact().unwrap();
             store.add_recipient(id, recipient("clinic-a")).unwrap().unwrap();
             store.sync().unwrap();
             let bytes = std::fs::read(&wal_path).unwrap();
@@ -1236,9 +1239,11 @@ mod tests {
         };
         // Simulate the crash window where the snapshot was renamed but the
         // WAL header rewrite never hit the disk: the WAL still carries the
-        // recipient record the snapshot already folded in.
+        // recipient record the snapshot already folded in, and replaying it
+        // lands on a release that already lists that recipient.
         std::fs::write(&wal_path, &before_compaction).unwrap();
         let store = DurableStore::open(&dir, 0).unwrap();
+        assert_eq!(store.recovered_releases(), 1);
         assert_eq!(store.get(1).unwrap().recipients, vec![recipient("clinic-a")]);
         let _ = std::fs::remove_dir_all(&dir);
     }
