@@ -5,12 +5,14 @@ use crate::args::Options;
 use medshield_attacks::{
     Attack, CollusionAttack, GeneralizationAttack, SubsetAddition, SubsetAlteration, SubsetDeletion,
 };
+use medshield_core::dht::DomainHierarchyTree;
 use medshield_core::metrics::mark_loss;
 use medshield_core::watermark::{score_recipients, FingerprintDeriver};
-use medshield_core::{ProtectionConfig, ProtectionEngine};
+use medshield_core::{ProtectedRelease, ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{ontology, DatasetConfig, MedicalDataset};
 use medshield_relation::{csv, Table};
 use medshield_serve::{CARRIES_MARK_THRESHOLD, MEDICAL_ROLES};
+use std::collections::BTreeMap;
 
 /// Usage text printed by `medshield help` and on argument errors.
 pub const USAGE: &str = "\
@@ -97,8 +99,21 @@ fn engine_from(options: &Options) -> Result<ProtectionEngine, String> {
         .map_err(|e| format!("invalid engine configuration: {e} (got --threads {threads})"))
 }
 
-fn per_attribute(options: &Options) -> Result<bool, String> {
-    options.parse_or("per-attribute", true)
+/// Protect `table` in the binning mode `--per-attribute` selects
+/// (per-attribute unless it is `false`); a failure reads `{failure}: {error}`.
+fn protect_table(
+    engine: &ProtectionEngine,
+    options: &Options,
+    table: &Table,
+    trees: &BTreeMap<String, DomainHierarchyTree>,
+    failure: &str,
+) -> Result<ProtectedRelease, String> {
+    let release = if options.parse_or("per-attribute", true)? {
+        engine.protect_per_attribute(table, trees)
+    } else {
+        engine.protect(table, trees)
+    };
+    release.map_err(|e| format!("{failure}: {e}"))
 }
 
 /// `medshield generate`: write a synthetic hospital table as CSV.
@@ -120,12 +135,7 @@ pub fn protect(options: &Options) -> Result<(), String> {
     let table = read_table(input)?;
     let trees = ontology::all_trees();
     let engine = engine_from(options)?;
-    let release = if per_attribute(options)? {
-        engine.protect_per_attribute(&table, &trees)
-    } else {
-        engine.protect(&table, &trees)
-    }
-    .map_err(|e| format!("protection failed: {e}"))?;
+    let release = protect_table(&engine, options, &table, &trees, "protection failed")?;
     write_table(out, &release.table)?;
     println!(
         "protected {} tuples (k={}, η={}, {} thread{}): {} tuples watermarked, {} cells changed",
@@ -159,12 +169,7 @@ pub fn protect_for(options: &Options) -> Result<(), String> {
     let table = read_table(input)?;
     let trees = ontology::all_trees();
     let engine = engine_from(options)?;
-    let release = if per_attribute(options)? {
-        engine.protect_per_attribute(&table, &trees)
-    } else {
-        engine.protect(&table, &trees)
-    }
-    .map_err(|e| format!("protection failed: {e}"))?;
+    let release = protect_table(&engine, options, &table, &trees, "protection failed")?;
     let fingerprint =
         FingerprintDeriver::new(&engine.config().watermark.key, engine.config().mark_len)
             .derive(recipient);
@@ -201,12 +206,8 @@ pub fn resolve_leaker(options: &Options) -> Result<(), String> {
     }
     let trees = ontology::all_trees();
     let engine = engine_from(options)?;
-    let release = if per_attribute(options)? {
-        engine.protect_per_attribute(&original, &trees)
-    } else {
-        engine.protect(&original, &trees)
-    }
-    .map_err(|e| format!("re-deriving the binning state failed: {e}"))?;
+    let release =
+        protect_table(&engine, options, &original, &trees, "re-deriving the binning state failed")?;
     let detection = engine
         .detect(&suspect, &release.binning.columns, &trees)
         .map_err(|e| format!("detection failed: {e}"))?;
@@ -243,12 +244,8 @@ pub fn detect(options: &Options) -> Result<(), String> {
     let suspect = read_table(options.required("suspect")?)?;
     let trees = ontology::all_trees();
     let engine = engine_from(options)?;
-    let release = if per_attribute(options)? {
-        engine.protect_per_attribute(&original, &trees)
-    } else {
-        engine.protect(&original, &trees)
-    }
-    .map_err(|e| format!("re-deriving the binning state failed: {e}"))?;
+    let release =
+        protect_table(&engine, options, &original, &trees, "re-deriving the binning state failed")?;
     let detection = engine
         .detect(&suspect, &release.binning.columns, &trees)
         .map_err(|e| format!("detection failed: {e}"))?;

@@ -11,10 +11,10 @@
 //!
 //! 1. the run-wide state (selector, resolved identity, extended mark, target
 //!    columns) is precomputed once as an
-//!    [`EmbedPlan`](medshield_watermark::EmbedPlan) /
-//!    [`DetectPlan`](medshield_watermark::DetectPlan), and the columnar
-//!    batch state (per-dictionary-code memos, identity codec, interned write
-//!    targets) once as an [`EmbedKernel`](medshield_watermark::EmbedKernel) /
+//!    [`EmbedPlan`](medshield_watermark::EmbedPlan) / [`DetectPlan`], and
+//!    the columnar batch state (per-dictionary-code memos, identity codec,
+//!    interned write targets) once as an
+//!    [`EmbedKernel`](medshield_watermark::EmbedKernel) /
 //!    [`DetectKernel`](medshield_watermark::DetectKernel);
 //! 2. the row index space is split into `threads` contiguous ranges, one
 //!    scoped worker per range (`std::thread::scope` — no extra dependencies,
@@ -40,9 +40,10 @@ use medshield_relation::Table;
 use medshield_watermark::hierarchical::{DetectionTally, EmbeddingReport};
 use medshield_watermark::ownership::{self, OwnershipProof, OwnershipVerdict};
 use medshield_watermark::{
-    DetectionReport, EmbedChunk, HierarchicalWatermarker, Mark, WatermarkError,
+    DetectPlan, DetectionReport, EmbedChunk, HierarchicalWatermarker, Mark, WatermarkError,
 };
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::thread;
 
 /// Errors from the end-to-end pipeline.
@@ -269,33 +270,14 @@ impl ProtectionEngine {
         let kernel =
             self.watermarker.prepare_embed(&plan, &mut table).map_err(PipelineError::Watermark)?;
         let rows = table.len();
-        // A 0-row table embeds nothing: return the empty report instead of
-        // letting the chunking arithmetic below see a zero length (a served
+        // A 0-row table embeds nothing: return the empty report (a served
         // endpoint must never panic on an empty submission).
         if rows == 0 {
             let report = EmbeddingReport::empty(plan.wmd_len());
             return Ok((table, report));
         }
-        let threads = self.threads.min(rows).max(1);
-        let chunks: Vec<EmbedChunk> = if threads == 1 {
-            vec![kernel.run_range(&plan, &table, 0..rows).map_err(PipelineError::Watermark)?]
-        } else {
-            let chunk_size = rows.div_ceil(threads);
-            let kernel_ref = &kernel;
-            let plan_ref = &plan;
-            let table_ref = &table;
-            let results: Vec<Result<EmbedChunk, WatermarkError>> = thread::scope(|scope| {
-                let workers: Vec<_> = (0..threads)
-                    .map(|i| {
-                        let start = (i * chunk_size).min(rows);
-                        let end = ((i + 1) * chunk_size).min(rows);
-                        scope.spawn(move || kernel_ref.run_range(plan_ref, table_ref, start..end))
-                    })
-                    .collect();
-                workers.into_iter().map(|w| w.join().expect("embedding worker panicked")).collect()
-            });
-            results.into_iter().collect::<Result<Vec<_>, _>>().map_err(PipelineError::Watermark)?
-        };
+        let chunks: Vec<EmbedChunk> =
+            self.shard(rows, |range| kernel.run_range(&plan, &table, range))?;
         let report = kernel.apply(&plan, &mut table, chunks).map_err(PipelineError::Watermark)?;
         Ok((table, report))
     }
@@ -310,42 +292,66 @@ impl ProtectionEngine {
         columns: &[ColumnBinning],
         trees: &BTreeMap<String, DomainHierarchyTree>,
     ) -> Result<DetectionReport, PipelineError> {
-        let mark_len = self.config.mark_len;
         let plan = self
             .watermarker
-            .plan_detect(table.schema(), columns, trees, mark_len)
+            .plan_detect(table.schema(), columns, trees, self.config.mark_len)
             .map_err(PipelineError::Watermark)?;
+        self.detect_with_plan(&plan, table)
+    }
+
+    /// Detect the mark in `table` against a plan built once by
+    /// [`HierarchicalWatermarker::plan_detect`] for `table`'s schema and this
+    /// engine's `mark_len`, so callers detecting many same-schema suspects
+    /// share one plan. Sharded like [`ProtectionEngine::detect`], with the
+    /// same report. A plan built for another schema is a caller bug: the
+    /// kernel may panic on it.
+    pub fn detect_with_plan(
+        &self,
+        plan: &DetectPlan<'_>,
+        table: &Table,
+    ) -> Result<DetectionReport, PipelineError> {
+        let mark_len = self.config.mark_len;
         let rows = table.len();
         // A 0-row table carries no votes: an empty report, never a panic.
         if rows == 0 {
             return Ok(DetectionTally::new(plan.wmd_len()).into_report(mark_len));
         }
         let kernel =
-            self.watermarker.prepare_detect(&plan, table).map_err(PipelineError::Watermark)?;
+            self.watermarker.prepare_detect(plan, table).map_err(PipelineError::Watermark)?;
+        let tallies = self.shard(rows, |range| kernel.run_range(plan, table, range))?;
+        let tally = tallies.into_iter().reduce(|mut tally, chunk_tally| {
+            tally.merge(&chunk_tally);
+            tally
+        });
+        Ok(tally.unwrap_or_else(|| DetectionTally::new(plan.wmd_len())).into_report(mark_len))
+    }
+
+    /// Run `work` over `0..rows` split into at most `threads` contiguous
+    /// ranges, one scoped worker per range, and return the per-range results
+    /// in range order (the first error in range order wins). One range runs
+    /// on the calling thread.
+    fn shard<T: Send>(
+        &self,
+        rows: usize,
+        work: impl Fn(Range<usize>) -> Result<T, WatermarkError> + Sync,
+    ) -> Result<Vec<T>, PipelineError> {
         let threads = self.threads.min(rows).max(1);
         if threads == 1 {
-            let tally =
-                kernel.run_range(&plan, table, 0..rows).map_err(PipelineError::Watermark)?;
-            return Ok(tally.into_report(mark_len));
+            return Ok(vec![work(0..rows).map_err(PipelineError::Watermark)?]);
         }
         let chunk_size = rows.div_ceil(threads);
-        let kernel_ref = &kernel;
-        let plan_ref = &plan;
-        let results: Vec<Result<DetectionTally, WatermarkError>> = thread::scope(|scope| {
+        let work = &work;
+        let results: Vec<Result<T, WatermarkError>> = thread::scope(|scope| {
             let workers: Vec<_> = (0..threads)
                 .map(|i| {
                     let start = (i * chunk_size).min(rows);
                     let end = ((i + 1) * chunk_size).min(rows);
-                    scope.spawn(move || kernel_ref.run_range(plan_ref, table, start..end))
+                    scope.spawn(move || work(start..end))
                 })
                 .collect();
-            workers.into_iter().map(|w| w.join().expect("detection worker panicked")).collect()
+            workers.into_iter().map(|w| w.join().expect("watermark worker panicked")).collect()
         });
-        let mut tally = DetectionTally::new(plan.wmd_len());
-        for chunk_tally in results {
-            tally.merge(&chunk_tally.map_err(PipelineError::Watermark)?);
-        }
-        Ok(tally.into_report(mark_len))
+        results.into_iter().collect::<Result<Vec<_>, _>>().map_err(PipelineError::Watermark)
     }
 
     /// Resolve an ownership dispute over `disputed` (§5.4): decrypt the

@@ -44,7 +44,11 @@
 //!   [`ServeConfig::batch_max`] consecutive small detects in one queue
 //!   wake-up and shares one detection plan per release across the batch —
 //!   with pipelined clients, many connections' small detects coalesce
-//!   into one plan.
+//!   into one plan. The engine runs every suspect
+//!   ([`ProtectionEngine::detect_with_plan`], sharded over
+//!   [`ServeConfig::engine_threads`] like any detect); a suspect whose
+//!   schema differs from the plan's gets its own through
+//!   [`ProtectionEngine::detect`]. A lone detect is a batch of one.
 //! * The **release store** ([`crate::store`]) retains what the data holder
 //!   keeps after `protect` (per-column binning state, the mark, the
 //!   ownership proof) so later `detect` / `resolve-ownership` calls need
@@ -68,13 +72,13 @@ use crate::store::{
     lock_unpoisoned, DurableStore, MemoryStore, ReleaseStore, StoreError, StoredRecipient,
     StoredRelease,
 };
-use medshield_core::{PipelineError, ProtectionConfig, ProtectionEngine};
+use medshield_core::{ProtectedRelease, ProtectionConfig, ProtectionEngine};
 use medshield_datagen::ontology;
 use medshield_dht::DomainHierarchyTree;
 use medshield_metrics::mark_loss;
 use medshield_relation::{csv, ColumnRole, Table};
 use medshield_watermark::{
-    derive_recipient_mark, score_recipients, DetectionReport, Mark, OwnershipProof,
+    derive_recipient_mark, score_recipients, DetectionReport, EmbeddingReport, Mark, OwnershipProof,
 };
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, Write as _};
@@ -1077,56 +1081,37 @@ fn detect_group_responses(
         Ok(stored) => stored,
         Err(response) => return group.iter().map(|_| response.clone()).collect(),
     };
-    let mark_len = engine.config().mark_len;
-    let mut plan_schema: Option<medshield_relation::Schema> = None;
-    let mut responses = Vec::with_capacity(group.len());
     // Parse all bodies first so the plan can be built from the first valid
-    // schema and shared across every suspect that matches it.
-    let tables: Vec<Result<Table, Response>> = group
-        .iter()
-        .map(|job| {
-            csv::from_csv(&job.request.body, &MEDICAL_ROLES).map_err(|e| {
-                error_response(ErrorCode::MalformedCsv, &format!("cannot parse the CSV body: {e}"))
-            })
-        })
-        .collect();
-    let first_valid = tables.iter().find_map(|t| t.as_ref().ok());
-    let plan = first_valid.and_then(|table| {
-        let plan = engine
-            .watermarker()
-            .plan_detect(table.schema(), &stored.columns, &shared.trees, mark_len)
-            .ok()?;
-        plan_schema = Some(table.schema().clone());
-        Some(plan)
+    // schema and shared across every suspect that matches it; any other
+    // suspect gets its own plan from `engine.detect`.
+    let tables: Vec<Result<Table, Response>> =
+        group.iter().map(|job| parse_body(&job.request)).collect();
+    let (watermarker, mark_len) = (engine.watermarker(), engine.config().mark_len);
+    let plan = tables.iter().find_map(|t| t.as_ref().ok()).and_then(|table| {
+        let schema = table.schema();
+        let plan =
+            watermarker.plan_detect(schema, &stored.columns, &shared.trees, mark_len).ok()?;
+        Some((plan, schema))
     });
-    for table in &tables {
-        let table = match table {
-            Ok(table) => table,
-            Err(response) => {
-                responses.push(response.clone());
-                continue;
+    tables
+        .iter()
+        .map(|table| {
+            let table = match table {
+                Ok(table) => table,
+                Err(response) => return response.clone(),
+            };
+            let report = match &plan {
+                Some((plan, schema)) if table.schema() == *schema => {
+                    engine.detect_with_plan(plan, table)
+                }
+                _ => engine.detect(table, &stored.columns, &shared.trees),
+            };
+            match report {
+                Ok(report) => detect_response(&stored, table.len(), &report),
+                Err(e) => error_response(ErrorCode::Engine, &e.to_string()),
             }
-        };
-        // The shared plan applies when the suspect's schema matches the one
-        // it was built from; otherwise fall back to the engine's own path.
-        // The per-suspect detect kernel memoizes each distinct cell value's
-        // tree walk, so every suspect still pays only one PRF per selected
-        // (tuple, column).
-        let report: Result<DetectionReport, PipelineError> = match (&plan, &plan_schema) {
-            (Some(plan), Some(schema)) if table.schema() == schema && !table.is_empty() => engine
-                .watermarker()
-                .prepare_detect(plan, table)
-                .and_then(|kernel| kernel.run_range(plan, table, 0..table.len()))
-                .map(|tally| tally.into_report(mark_len))
-                .map_err(PipelineError::Watermark),
-            _ => engine.detect(table, &stored.columns, &shared.trees),
-        };
-        responses.push(match report {
-            Ok(report) => detect_response(&stored, table.len(), &report),
-            Err(e) => error_response(ErrorCode::Engine, &e.to_string()),
-        });
-    }
-    responses
+        })
+        .collect()
 }
 
 fn detect_response(stored: &StoredRelease, rows: usize, report: &DetectionReport) -> Response {
@@ -1153,21 +1138,9 @@ fn handle_request(shared: &Arc<Shared>, engine: &ProtectionEngine, request: &Req
         Command::ListRecipients => handle_list_recipients(shared, request),
         Command::ResolveLeaker => handle_resolve_leaker(shared, engine, request),
         Command::Embed => handle_embed(shared, engine, request),
+        // `process_batch` sends every detect to `handle_detect_group`.
         Command::Detect => {
-            // A detect that arrives here was not batched; run it as its own
-            // group of one.
-            let stored = match release_param(shared, request) {
-                Ok(stored) => stored,
-                Err(response) => return response,
-            };
-            let table = match parse_body(request) {
-                Ok(table) => table,
-                Err(response) => return response,
-            };
-            match engine.detect(&table, &stored.columns, &shared.trees) {
-                Ok(report) => detect_response(&stored, table.len(), &report),
-                Err(e) => error_response(ErrorCode::Engine, &e.to_string()),
-            }
+            error_response(ErrorCode::Engine, "internal error: detect bypassed its group path")
         }
         Command::ResolveOwnership => handle_resolve(shared, engine, request),
         Command::Sleep if shared.config.debug_hooks => {
@@ -1197,54 +1170,66 @@ fn handle_request(shared: &Arc<Shared>, engine: &ProtectionEngine, request: &Req
 }
 
 fn handle_protect(shared: &Arc<Shared>, engine: &ProtectionEngine, request: &Request) -> Response {
-    let table = match parse_body(request) {
-        Ok(table) => table,
+    let release = match protect_body(shared, engine, request) {
+        Ok(release) => release,
         Err(response) => return response,
     };
-    let per_attribute = match param(request, "per-attribute", shared.config.per_attribute_default) {
-        Ok(v) => v,
+    let id = match store_release(shared, &release) {
+        Ok(id) => id,
         Err(response) => return response,
     };
+    let mut fields =
+        vec![("release", format!("r{id}").into()), ("rows", release.table.len().into())];
+    fields.extend(embedding_fields(&release.embedding));
+    fields.extend([
+        ("satisfied", release.binning.satisfied.into()),
+        ("mark", release.mark.to_string().into()),
+        ("has_ownership_proof", release.ownership.is_some().into()),
+        ("warnings", str_arr(&release.binning.warnings)),
+    ]);
+    ok_response(fields, Some(csv::to_csv(&release.table)))
+}
+
+/// Parse the CSV body and protect it in the binning mode the
+/// `per-attribute` parameter selects (the server default when absent).
+fn protect_body(
+    shared: &Arc<Shared>,
+    engine: &ProtectionEngine,
+    request: &Request,
+) -> Result<ProtectedRelease, Response> {
+    let table = parse_body(request)?;
+    let per_attribute = param(request, "per-attribute", shared.config.per_attribute_default)?;
     let result = if per_attribute {
         engine.protect_per_attribute(&table, &shared.trees)
     } else {
         engine.protect(&table, &shared.trees)
     };
-    let release = match result {
-        Ok(release) => release,
-        Err(e) => return error_response(ErrorCode::Engine, &e.to_string()),
-    };
-    let id = match shared.store.append(StoredRelease {
+    result.map_err(|e| error_response(ErrorCode::Engine, &e.to_string()))
+}
+
+/// Append the record of a freshly protected release (no recipients yet) to
+/// the store, returning its id.
+fn store_release(shared: &Arc<Shared>, release: &ProtectedRelease) -> Result<u64, Response> {
+    let stored = StoredRelease {
         columns: release.binning.columns.clone(),
         mark: release.mark.clone(),
         ownership: release.ownership.clone(),
         recipients: Vec::new(),
-    }) {
-        Ok(id) => id,
-        Err(e) => {
-            return error_response(
-                ErrorCode::Storage,
-                &format!("the release could not be stored: {e}"),
-            );
-        }
     };
-    let body = csv::to_csv(&release.table);
-    ok_response(
-        vec![
-            ("release", format!("r{id}").into()),
-            ("rows", release.table.len().into()),
-            ("selected_tuples", release.embedding.selected_tuples.into()),
-            ("embedded_cells", release.embedding.embedded_cells.into()),
-            ("changed_cells", release.embedding.changed_cells.into()),
-            ("skipped_cells", release.embedding.skipped_cells.into()),
-            ("wmd_len", release.embedding.wmd_len.into()),
-            ("satisfied", release.binning.satisfied.into()),
-            ("mark", release.mark.to_string().into()),
-            ("has_ownership_proof", release.ownership.is_some().into()),
-            ("warnings", str_arr(&release.binning.warnings)),
-        ],
-        Some(body),
-    )
+    shared.store.append(stored).map_err(|e| {
+        error_response(ErrorCode::Storage, &format!("the release could not be stored: {e}"))
+    })
+}
+
+/// The embedding-report fields of every reply that embeds a mark.
+fn embedding_fields(report: &EmbeddingReport) -> [(&'static str, Json); 5] {
+    [
+        ("selected_tuples", report.selected_tuples.into()),
+        ("embedded_cells", report.embedded_cells.into()),
+        ("changed_cells", report.changed_cells.into()),
+        ("skipped_cells", report.skipped_cells.into()),
+        ("wmd_len", report.wmd_len.into()),
+    ]
 }
 
 /// `protect-for`: produce a per-recipient fingerprinted copy of a release.
@@ -1273,8 +1258,10 @@ fn handle_protect_for(
         &recipient_name,
         engine.config().mark_len,
     );
-    if request.params.contains_key("release") {
-        // Fingerprint an additional recipient copy of an existing release.
+    // Either fingerprint another copy of a stored release, or protect the
+    // body like `protect` and fingerprint the fresh release (kept for the
+    // reply's binning fields).
+    let (id, copy, report, fresh) = if request.params.contains_key("release") {
         let stored = match release_param(shared, request) {
             Ok(stored) => stored,
             Err(response) => return response,
@@ -1287,47 +1274,14 @@ fn handle_protect_for(
             Ok(table) => table,
             Err(response) => return response,
         };
-        let (copy, report) =
-            match engine.embed(&table, &stored.columns, &shared.trees, &recipient_mark) {
-                Ok(v) => v,
-                Err(e) => return error_response(ErrorCode::Engine, &e.to_string()),
-            };
-        let recipients = match register_recipient(shared, id, &recipient_name, &recipient_mark) {
-            Ok(count) => count,
-            Err(response) => return response,
-        };
-        ok_response(
-            vec![
-                ("release", format!("r{id}").into()),
-                ("recipient", recipient_name.into()),
-                ("recipients", recipients.into()),
-                ("rows", copy.len().into()),
-                ("selected_tuples", report.selected_tuples.into()),
-                ("embedded_cells", report.embedded_cells.into()),
-                ("changed_cells", report.changed_cells.into()),
-                ("skipped_cells", report.skipped_cells.into()),
-                ("wmd_len", report.wmd_len.into()),
-            ],
-            Some(csv::to_csv(&copy)),
-        )
-    } else {
-        let table = match parse_body(request) {
-            Ok(table) => table,
-            Err(response) => return response,
-        };
-        let per_attribute =
-            match param(request, "per-attribute", shared.config.per_attribute_default) {
-                Ok(v) => v,
-                Err(response) => return response,
-            };
-        let result = if per_attribute {
-            engine.protect_per_attribute(&table, &shared.trees)
-        } else {
-            engine.protect(&table, &shared.trees)
-        };
-        let release = match result {
-            Ok(release) => release,
+        match engine.embed(&table, &stored.columns, &shared.trees, &recipient_mark) {
+            Ok((copy, report)) => (id, copy, report, None),
             Err(e) => return error_response(ErrorCode::Engine, &e.to_string()),
+        }
+    } else {
+        let release = match protect_body(shared, engine, request) {
+            Ok(release) => release,
+            Err(response) => return response,
         };
         let copied =
             engine.embed(&release.table, &release.binning.columns, &shared.trees, &recipient_mark);
@@ -1335,42 +1289,31 @@ fn handle_protect_for(
             Ok(v) => v,
             Err(e) => return error_response(ErrorCode::Engine, &e.to_string()),
         };
-        let id = match shared.store.append(StoredRelease {
-            columns: release.binning.columns.clone(),
-            mark: release.mark.clone(),
-            ownership: release.ownership.clone(),
-            recipients: Vec::new(),
-        }) {
+        let id = match store_release(shared, &release) {
             Ok(id) => id,
-            Err(e) => {
-                return error_response(
-                    ErrorCode::Storage,
-                    &format!("the release could not be stored: {e}"),
-                );
-            }
-        };
-        let recipients = match register_recipient(shared, id, &recipient_name, &recipient_mark) {
-            Ok(count) => count,
             Err(response) => return response,
         };
-        ok_response(
-            vec![
-                ("release", format!("r{id}").into()),
-                ("recipient", recipient_name.into()),
-                ("recipients", recipients.into()),
-                ("rows", copy.len().into()),
-                ("selected_tuples", report.selected_tuples.into()),
-                ("embedded_cells", report.embedded_cells.into()),
-                ("changed_cells", report.changed_cells.into()),
-                ("skipped_cells", report.skipped_cells.into()),
-                ("wmd_len", report.wmd_len.into()),
-                ("satisfied", release.binning.satisfied.into()),
-                ("has_ownership_proof", release.ownership.is_some().into()),
-                ("warnings", str_arr(&release.binning.warnings)),
-            ],
-            Some(csv::to_csv(&copy)),
-        )
+        (id, copy, report, Some(release))
+    };
+    let recipients = match register_recipient(shared, id, &recipient_name, &recipient_mark) {
+        Ok(count) => count,
+        Err(response) => return response,
+    };
+    let mut fields = vec![
+        ("release", format!("r{id}").into()),
+        ("recipient", recipient_name.into()),
+        ("recipients", recipients.into()),
+        ("rows", copy.len().into()),
+    ];
+    fields.extend(embedding_fields(&report));
+    if let Some(release) = fresh {
+        fields.extend([
+            ("satisfied", release.binning.satisfied.into()),
+            ("has_ownership_proof", release.ownership.is_some().into()),
+            ("warnings", str_arr(&release.binning.warnings)),
+        ]);
     }
+    ok_response(fields, Some(csv::to_csv(&copy)))
 }
 
 /// Register `name` as a recipient of release `id`, returning the recipient
@@ -1496,17 +1439,11 @@ fn handle_embed(shared: &Arc<Shared>, engine: &ProtectionEngine, request: &Reque
         Err(response) => return response,
     };
     match engine.embed(&table, &stored.columns, &shared.trees, &stored.mark) {
-        Ok((marked, report)) => ok_response(
-            vec![
-                ("rows", marked.len().into()),
-                ("selected_tuples", report.selected_tuples.into()),
-                ("embedded_cells", report.embedded_cells.into()),
-                ("changed_cells", report.changed_cells.into()),
-                ("skipped_cells", report.skipped_cells.into()),
-                ("wmd_len", report.wmd_len.into()),
-            ],
-            Some(csv::to_csv(&marked)),
-        ),
+        Ok((marked, report)) => {
+            let mut fields = vec![("rows", marked.len().into())];
+            fields.extend(embedding_fields(&report));
+            ok_response(fields, Some(csv::to_csv(&marked)))
+        }
         Err(e) => error_response(ErrorCode::Engine, &e.to_string()),
     }
 }

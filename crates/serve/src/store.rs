@@ -87,6 +87,12 @@
 //!   durable before a `protect` reply is released, and concurrent workers
 //!   waiting on the same sync share one `fdatasync` call instead of queuing
 //!   one each.
+//! * **Failed writes fail-stop.** A frame write that errors sets the same
+//!   sticky flag as a failed fsync: reads keep serving, and every later
+//!   append, recipient add and sync errors. The file is left as it is,
+//!   since cutting it back would free a recycled log's stale tail under the
+//!   WAL lock. Whether any of the frame reached the disk is unknown; a
+//!   restart recovers every complete frame and stops at a torn one.
 //! * **Recipient records:** `protect-for` appends a dedicated WAL record
 //!   per registered recipient (release id, name, fingerprint mark) instead
 //!   of rewriting the release; snapshots fold the recipients back into
@@ -280,15 +286,8 @@ impl ReleaseStore for MemoryStore {
         recipient: StoredRecipient,
     ) -> Result<Option<Arc<StoredRelease>>, StoreError> {
         let mut map = lock_unpoisoned(&self.map);
-        let Some(existing) = map.get(&id) else { return Ok(None) };
-        if existing.recipient(&recipient.name).is_some() {
-            return Ok(Some(Arc::clone(existing)));
-        }
-        let mut updated = (**existing).clone();
-        updated.recipients.push(recipient);
-        let updated = Arc::new(updated);
-        map.insert(id, Arc::clone(&updated));
-        Ok(Some(updated))
+        fold_recipient(&mut map, id, recipient);
+        Ok(map.get(&id).cloned())
     }
 
     fn sync(&self) -> Result<(), StoreError> {
@@ -371,9 +370,6 @@ struct Wal {
     /// The generation of a recycled (v2) log, whose frame CRCs cover it;
     /// `None` while the log is v1.
     generation: Option<u64>,
-    /// Current length of the valid prefix (a failed append rolls back to
-    /// it, keeping the file parseable).
-    len: u64,
     /// Appends since the last snapshot, for the compaction trigger.
     since_snapshot: usize,
 }
@@ -389,6 +385,7 @@ struct SyncState {
     /// not be credited as covering the earlier records — the store
     /// fail-stops: reads keep serving, every further append/sync errors,
     /// and a restart re-derives the truth from what actually reached disk.
+    /// A failed frame write or compaction step 6 sets it too.
     failed: bool,
 }
 
@@ -509,7 +506,7 @@ impl DurableStore {
         Ok(DurableStore {
             dir,
             map: Mutex::new(map),
-            wal: Mutex::new(Wal { file, generation, len: valid_len, since_snapshot: 0 }),
+            wal: Mutex::new(Wal { file, generation, since_snapshot: 0 }),
             sync_file,
             next: AtomicU64::new(next),
             written: AtomicU64::new(0),
@@ -532,6 +529,41 @@ impl DurableStore {
     pub fn compact(&self) -> Result<(), StoreError> {
         let mut wal = lock_unpoisoned(&self.wal);
         self.snapshot_locked(&mut wal)
+    }
+
+    /// Write `payload` as one frame of the WAL's generation, apply the
+    /// record to the map with `apply`, and compact once `snapshot_every`
+    /// records have been logged since the last snapshot.
+    ///
+    /// A failed write fail-stops the store and leaves the file as it is:
+    /// whether any of the frame reached the disk is unknown, and cutting the
+    /// file back would free a recycled log's stale tail under the WAL lock.
+    /// Recovery stops at the torn frame when the store is reopened.
+    fn log<T>(
+        &self,
+        wal: &mut Wal,
+        payload: &[u8],
+        apply: impl FnOnce(&mut HashMap<u64, Arc<StoredRelease>>) -> T,
+    ) -> Result<T, StoreError> {
+        if let Err(e) = wal.file.write_all(&frame_record(wal.generation, payload)) {
+            lock_unpoisoned(&self.sync_state).failed = true;
+            return Err(StoreError::Io(e));
+        }
+        self.written.fetch_add(1, Ordering::Release);
+        let applied = apply(&mut lock_unpoisoned(&self.map));
+        wal.since_snapshot += 1;
+        if self.snapshot_every > 0 && wal.since_snapshot >= self.snapshot_every {
+            // Compaction is an optimization, never a correctness need: the
+            // WAL already holds this record, so a snapshot failure must not
+            // fail the mutation (the client would retry a release that is
+            // stored, durable and serving). The trigger counter was reset,
+            // so compaction simply retries after another `snapshot_every`
+            // records. A failure in steps 1–5 leaves the log and its append
+            // cursor as they were; one in step 6 fail-stops the store, so
+            // the next `sync` reports it.
+            let _ = self.snapshot_locked(wal);
+        }
+        Ok(applied)
     }
 
     /// Compact under the WAL lock, so no append can land between the map
@@ -605,6 +637,13 @@ impl DurableStore {
     }
 }
 
+/// The error every mutation of a fail-stopped store returns.
+fn fail_stopped() -> StoreError {
+    StoreError::Io(std::io::Error::other(
+        "the store fail-stopped after a failed write or fsync; restart to recover",
+    ))
+}
+
 /// Compaction step 6: retire every frame of `wal` by overwriting its header
 /// with the v2 header of the next generation, make that durable, and move
 /// the append cursor to just past it. The file keeps its length.
@@ -618,7 +657,6 @@ fn recycle_wal(wal: &mut Wal) -> std::io::Result<()> {
     wal.file.sync_data()?;
     wal.file.seek(SeekFrom::Start(WAL_HEADER_V2_LEN))?;
     wal.generation = Some(generation);
-    wal.len = WAL_HEADER_V2_LEN;
     Ok(())
 }
 
@@ -688,38 +726,15 @@ fn discard_linked_spare(dir: &Path) -> Result<(), StoreError> {
 impl ReleaseStore for DurableStore {
     fn append(&self, release: StoredRelease) -> Result<u64, StoreError> {
         if lock_unpoisoned(&self.sync_state).failed {
-            return Err(StoreError::Io(std::io::Error::other(
-                "the store fail-stopped after an fsync failure; restart to recover",
-            )));
+            return Err(fail_stopped());
         }
         let mut wal = lock_unpoisoned(&self.wal);
         let id = self.next.load(Ordering::Relaxed);
-        let frame = frame_record(wal.generation, &encode_release_record(id, &release)?);
-        if let Err(e) = wal.file.write_all(&frame) {
-            // Roll back to the last record boundary so a partial write
-            // cannot shadow later appends from recovery.
-            let len = wal.len;
-            let _ = wal.file.set_len(len);
-            let _ = wal.file.seek(SeekFrom::Start(len));
-            return Err(StoreError::Io(e));
-        }
-        wal.len += frame.len() as u64;
-        self.next.store(id + 1, Ordering::Relaxed);
-        self.written.fetch_add(1, Ordering::Release);
-        lock_unpoisoned(&self.map).insert(id, Arc::new(release));
-        wal.since_snapshot += 1;
-        if self.snapshot_every > 0 && wal.since_snapshot >= self.snapshot_every {
-            // Compaction is an optimization, never a correctness need: the
-            // WAL already holds this release, so a snapshot failure must
-            // not fail the append (the client would retry a release that is
-            // stored, durable and serving). The trigger counter was reset,
-            // so compaction simply retries after another `snapshot_every`
-            // appends. A failure in steps 1–5 leaves the log and its append
-            // cursor as they were; one in step 6 fail-stops the store, so
-            // the next `sync` reports it.
-            let _ = self.snapshot_locked(&mut wal);
-        }
-        Ok(id)
+        self.log(&mut wal, &encode_release_record(id, &release)?, |map| {
+            self.next.store(id + 1, Ordering::Relaxed);
+            map.insert(id, Arc::new(release));
+            id
+        })
     }
 
     fn add_recipient(
@@ -728,9 +743,7 @@ impl ReleaseStore for DurableStore {
         recipient: StoredRecipient,
     ) -> Result<Option<Arc<StoredRelease>>, StoreError> {
         if lock_unpoisoned(&self.sync_state).failed {
-            return Err(StoreError::Io(std::io::Error::other(
-                "the store fail-stopped after an fsync failure; restart to recover",
-            )));
+            return Err(fail_stopped());
         }
         // The WAL lock orders the existence check, the record bytes and the
         // map update against concurrent appends, exactly like `append`.
@@ -747,27 +760,10 @@ impl ReleaseStore for DurableStore {
                 Some(_) => {}
             }
         }
-        let frame = frame_record(wal.generation, &encode_recipient_record(id, &recipient)?);
-        if let Err(e) = wal.file.write_all(&frame) {
-            let len = wal.len;
-            let _ = wal.file.set_len(len);
-            let _ = wal.file.seek(SeekFrom::Start(len));
-            return Err(StoreError::Io(e));
-        }
-        wal.len += frame.len() as u64;
-        self.written.fetch_add(1, Ordering::Release);
-        let updated = {
-            let mut map = lock_unpoisoned(&self.map);
-            fold_recipient(&mut map, id, recipient);
+        self.log(&mut wal, &encode_recipient_record(id, &recipient)?, |map| {
+            fold_recipient(map, id, recipient);
             map.get(&id).cloned()
-        };
-        wal.since_snapshot += 1;
-        if self.snapshot_every > 0 && wal.since_snapshot >= self.snapshot_every {
-            // Same rationale as in `append`: compaction failure must never
-            // fail a durably logged mutation.
-            let _ = self.snapshot_locked(&mut wal);
-        }
-        Ok(updated)
+        })
     }
 
     fn sync(&self) -> Result<(), StoreError> {
@@ -778,9 +774,7 @@ impl ReleaseStore for DurableStore {
                 // Sticky: a failed fdatasync may have dropped the dirty
                 // pages it could not write, so no later fsync can vouch for
                 // records written before the failure. See `SyncState`.
-                return Err(StoreError::Io(std::io::Error::other(
-                    "the store fail-stopped after an fsync failure; restart to recover",
-                )));
+                return Err(fail_stopped());
             }
             if state.synced >= target {
                 return Ok(());
@@ -1402,6 +1396,35 @@ mod tests {
         for seed in 1..=6u8 {
             assert_eq!(*store.get(u64::from(seed)).unwrap(), release(seed));
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failed_frame_write_fail_stops_the_store() {
+        let dir = test_dir("write-fail");
+        let store = DurableStore::open(&dir, 0).unwrap();
+        store.append(release(1)).unwrap();
+        store.compact().unwrap();
+        let id = store.append(release(2)).unwrap();
+        store.sync().unwrap();
+        // A read-only handle on the same file: every frame write fails.
+        lock_unpoisoned(&store.wal).file = File::open(dir.join(WAL_FILE)).unwrap();
+        assert!(store.append(release(3)).is_err());
+        let fail_stopped = |e: StoreError| e.to_string().contains("fail-stopped");
+        assert!(fail_stopped(store.append(release(4)).unwrap_err()));
+        assert!(fail_stopped(store.add_recipient(id, recipient("clinic-a")).unwrap_err()));
+        assert!(fail_stopped(store.sync().unwrap_err()));
+        // Reads keep serving what was acknowledged, and nothing else.
+        assert_eq!(*store.get(id).unwrap(), release(2));
+        assert!(store.get(3).is_none());
+        assert_eq!(store.next_id(), 3);
+        drop(store);
+        let store = DurableStore::open(&dir, 0).unwrap();
+        assert_eq!(store.recovered_releases(), 2);
+        for seed in 1..=2u8 {
+            assert_eq!(*store.get(u64::from(seed)).unwrap(), release(seed));
+        }
+        assert_eq!(store.next_id(), 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

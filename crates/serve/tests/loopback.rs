@@ -8,8 +8,10 @@
 
 use medshield_core::{ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{ontology, DatasetConfig, MedicalDataset};
-use medshield_relation::csv;
-use medshield_serve::{serve, Client, Command, Request, ServeConfig};
+use medshield_relation::{csv, Schema, Table};
+use medshield_serve::{
+    serve, Client, Command, PipelinedClient, Request, Response, ServeConfig, MEDICAL_ROLES,
+};
 use std::time::Duration;
 
 fn engine_config() -> ProtectionConfig {
@@ -32,6 +34,20 @@ fn drop_tail_rows(table_csv: &str, n: usize) -> String {
     let mut out = lines.join("\n");
     out.push('\n');
     out
+}
+
+/// Drop the column `name` from a CSV table.
+fn drop_column(table_csv: &str, name: &str) -> String {
+    let table = csv::from_csv(table_csv, &MEDICAL_ROLES).unwrap();
+    let schema = table.schema();
+    let keep: Vec<usize> =
+        (0..schema.arity()).filter(|&i| schema.column(i).unwrap().name != name).collect();
+    let defs = keep.iter().map(|&i| schema.column(i).unwrap().clone()).collect();
+    let mut out = Table::new(Schema::new(defs).unwrap());
+    for row in 0..table.len() {
+        out.insert(keep.iter().map(|&i| table.value_at(row, i).unwrap()).collect()).unwrap();
+    }
+    csv::to_csv(&out)
 }
 
 #[test]
@@ -325,6 +341,66 @@ fn small_detects_are_micro_batched_with_identical_results() {
         pong.json
     );
     handle.shutdown();
+}
+
+/// One micro-batch that mixes a valid suspect, a suspect missing a quasi
+/// column, a malformed body and a header-only body answers every detect
+/// exactly as the same detect sent alone: whichever suspect the shared plan
+/// is built from, with the engine sharded or not.
+#[test]
+fn a_mixed_micro_batch_answers_each_detect_as_if_sent_alone() {
+    for engine_threads in [1, 2] {
+        let config =
+            ServeConfig { workers: 1, engine_threads, debug_hooks: true, ..serve_config() };
+        let handle = serve(config, "127.0.0.1:0").unwrap();
+        let addr = handle.addr();
+        let mut client = Client::connect(addr).unwrap();
+        let reply = client.protect(&csv::to_csv(&dataset(240).table)).unwrap();
+        let release_id = reply.release_id().unwrap();
+        let valid = reply.body.unwrap();
+        let suspects = [
+            "ssn,age\n\"oops,1\n".to_string(),
+            valid.clone(),
+            drop_column(&valid, "symptom"),
+            format!("{}\n", valid.lines().next().unwrap()),
+        ];
+        let alone: Vec<Response> =
+            suspects.iter().map(|s| client.detect(&release_id, s).unwrap()).collect();
+        assert_eq!(alone[0].code().as_deref(), Some("malformed-csv"), "{}", alone[0].json);
+        assert_eq!(alone[1].f64_field("mark_loss"), Some(0.0), "{}", alone[1].json);
+        assert!(alone[2].is_ok(), "{}", alone[2].json);
+        assert_eq!(alone[3].u64_field("rows"), Some(0), "{}", alone[3].json);
+
+        // The shared plan comes from the full schema, then from the reduced
+        // one; the other schema takes the engine's own plan.
+        for order in [[0, 1, 2, 3], [0, 2, 3, 1]] {
+            let before = client.ping().unwrap().u64_field("batched_detects").unwrap();
+            // Hold the single worker so the detects queue up behind the
+            // sleep on the same connection and are drained as one batch.
+            let mut pipelined = PipelinedClient::connect(addr).unwrap();
+            let sleep = pipelined.submit(&Request::new(Command::Sleep).param("ms", "400")).unwrap();
+            let ids: Vec<u64> = order
+                .iter()
+                .map(|&i| {
+                    let request = Request::new(Command::Detect)
+                        .param("release", release_id.as_str())
+                        .body(suspects[i].as_str());
+                    pipelined.submit(&request).unwrap()
+                })
+                .collect();
+            for (&i, id) in order.iter().zip(ids) {
+                assert_eq!(
+                    pipelined.wait(id).unwrap(),
+                    alone[i],
+                    "suspect {i} in batch {order:?} ({engine_threads} engine threads)"
+                );
+            }
+            assert!(pipelined.wait(sleep).unwrap().is_ok());
+            let after = client.ping().unwrap().u64_field("batched_detects").unwrap();
+            assert_eq!(after - before, 4, "the four detects form one micro-batch");
+        }
+        handle.shutdown();
+    }
 }
 
 #[test]
