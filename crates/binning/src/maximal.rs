@@ -66,9 +66,10 @@ fn subtree_loss_within_bound(
     bound: f64,
 ) -> Result<bool, BinningError> {
     // Build the probe generalization: `node` plus every leaf outside it.
-    let inside: std::collections::HashSet<NodeId> = tree.leaves_under(node)?.into_iter().collect();
+    let inside: std::collections::HashSet<NodeId> =
+        tree.leaves_under(node)?.iter().copied().collect();
     let mut nodes: Vec<NodeId> =
-        tree.leaves().into_iter().filter(|l| !inside.contains(l)).collect();
+        tree.leaves().iter().copied().filter(|l| !inside.contains(l)).collect();
     nodes.push(node);
     let probe = GeneralizationSet::new(tree, nodes).map_err(BinningError::Dht)?;
     let loss =

@@ -123,7 +123,7 @@ fn count_under(
 ) -> Result<usize, BinningError> {
     let mut total = 0usize;
     for leaf in tree.leaves_under(node).map_err(BinningError::Dht)? {
-        total += leaf_counts.get(&leaf).copied().unwrap_or(0);
+        total += leaf_counts.get(leaf).copied().unwrap_or(0);
     }
     Ok(total)
 }

@@ -303,21 +303,21 @@ impl ProtectionEngine {
     /// [`HierarchicalWatermarker::plan_detect`] for `table`'s schema and this
     /// engine's `mark_len`, so callers detecting many same-schema suspects
     /// share one plan. Sharded like [`ProtectionEngine::detect`], with the
-    /// same report. A plan built for another schema is a caller bug: the
-    /// kernel may panic on it.
+    /// same report. A table of another schema than the plan's fails with
+    /// [`WatermarkError::PlanSchemaMismatch`].
     pub fn detect_with_plan(
         &self,
         plan: &DetectPlan<'_>,
         table: &Table,
     ) -> Result<DetectionReport, PipelineError> {
         let mark_len = self.config.mark_len;
+        let kernel =
+            self.watermarker.prepare_detect(plan, table).map_err(PipelineError::Watermark)?;
         let rows = table.len();
         // A 0-row table carries no votes: an empty report, never a panic.
         if rows == 0 {
             return Ok(DetectionTally::new(plan.wmd_len()).into_report(mark_len));
         }
-        let kernel =
-            self.watermarker.prepare_detect(plan, table).map_err(PipelineError::Watermark)?;
         let tallies = self.shard(rows, |range| kernel.run_range(plan, table, range))?;
         let tally = tallies.into_iter().reduce(|mut tally, chunk_tally| {
             tally.merge(&chunk_tally);
@@ -495,6 +495,47 @@ mod tests {
             let report = engine.detect(&empty, &real.binning.columns, &ds.trees).unwrap();
             assert_eq!(report.selected_tuples, 0);
         }
+    }
+
+    /// `table` without the column `name`.
+    fn without_column(table: &Table, name: &str) -> Table {
+        let schema = table.schema();
+        let keep: Vec<usize> =
+            (0..schema.arity()).filter(|&i| schema.columns()[i].name != name).collect();
+        let defs = keep.iter().map(|&i| schema.columns()[i].clone()).collect();
+        let mut out = Table::new(medshield_relation::Schema::new(defs).unwrap());
+        for row in 0..table.len() {
+            out.insert(keep.iter().map(|&i| table.value_at(row, i).unwrap()).collect()).unwrap();
+        }
+        out
+    }
+
+    #[test]
+    fn plans_refuse_a_table_of_another_schema() {
+        let ds = dataset(300);
+        let engine = ProtectionEngine::new(config(4, 5), 2).unwrap();
+        let release = engine.protect(&ds.table, &ds.trees).unwrap();
+        let (columns, wm) = (&release.binning.columns, engine.watermarker());
+        let schema = release.table.schema();
+        let detect_plan =
+            wm.plan_detect(schema, columns, &ds.trees, engine.config().mark_len).unwrap();
+        let embed_plan = wm.plan_embed(schema, columns, &ds.trees, &release.mark).unwrap();
+        let mut suspect = without_column(&release.table, "symptom");
+        assert_eq!(detect_plan.schema(), schema);
+        assert_ne!(detect_plan.schema(), suspect.schema());
+        let mismatch = PipelineError::Watermark(WatermarkError::PlanSchemaMismatch);
+        assert_eq!(engine.detect_with_plan(&detect_plan, &suspect).unwrap_err(), mismatch);
+        let empty = Table::new(suspect.schema().clone());
+        assert_eq!(engine.detect_with_plan(&detect_plan, &empty).unwrap_err(), mismatch);
+        assert_eq!(
+            wm.prepare_embed(&embed_plan, &mut suspect).unwrap_err(),
+            WatermarkError::PlanSchemaMismatch
+        );
+        // The plans still serve tables of their own schema.
+        assert_eq!(
+            engine.detect_with_plan(&detect_plan, &release.table).unwrap(),
+            engine.detect(&release.table, columns, &ds.trees).unwrap()
+        );
     }
 
     /// The sequential engine the end-to-end tests drive. Small data sets

@@ -8,6 +8,24 @@
 //! that use case [`Aes128::encrypt_value`] applies ECB over a length-prefixed,
 //! zero-padded encoding — deterministic and invertible. For bulk encryption
 //! where determinism is not wanted, [`Aes128::ctr_crypt`] provides CTR mode.
+//!
+//! Binning encrypts one value per distinct identifier on every protect, so
+//! [`Aes128::encrypt_block`] is word-oriented: the state is four big-endian
+//! column words, and each of the nine full rounds is sixteen lookups in one
+//! 1 KiB table that fuses SubBytes with MixColumns (`TE`, built by a
+//! `const fn`), three rotates per column for ShiftRows, and the round key
+//! pre-expanded as words. The last round, which has no MixColumns, uses the
+//! S-box. [`Aes128::encrypt_value`] pads block by block on the stack and
+//! hex-encodes into its one output `String`. The byte-at-a-time cipher of
+//! FIPS 197 §5.1 stays in the tests as the reference the table version must
+//! equal. Decryption, which only ownership disputes use, is still byte-wise.
+//!
+//! Side channels: neither version is constant-time. The byte-wise cipher
+//! indexes the 256 B S-box by secret state, and its `gmul` branches on
+//! state bits. The table version is branch-free but still uses
+//! secret-indexed lookups, now over 1.25 KiB (the 1 KiB round table plus the
+//! S-box), so its timing can depend on the key and the data through the
+//! cache.
 
 use crate::error::CryptoError;
 
@@ -64,6 +82,52 @@ const INV_SBOX: [u8; 256] = [
 /// Round constants for key expansion.
 const RCON: [u8; 11] = [0x00, 0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0x1b, 0x36];
 
+/// Multiply by `x` in GF(2^8) modulo the AES polynomial, without a branch.
+const fn xtime(b: u8) -> u8 {
+    (b << 1) ^ (0x1b & (b >> 7).wrapping_neg())
+}
+
+/// The fused SubBytes+MixColumns table: entry `x` is the column that a row-0
+/// input byte `x` contributes, `(2·S[x], S[x], S[x], 3·S[x])` as a
+/// big-endian word. Rows 1–3 contribute the same word rotated right by 8,
+/// 16 and 24 bits.
+const fn round_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut x = 0;
+    while x < 256 {
+        let s = SBOX[x];
+        let s2 = xtime(s);
+        table[x] = u32::from_be_bytes([s2, s, s, s2 ^ s]);
+        x += 1;
+    }
+    table
+}
+
+/// See [`round_table`].
+const TE: [u32; 256] = round_table();
+
+/// Byte `n` (0 = most significant) of `w`, as a table index.
+fn byte(w: u32, n: usize) -> usize {
+    usize::from(w.to_be_bytes()[n])
+}
+
+/// One output column of a full round: the `TE` lookups of the four bytes
+/// ShiftRows brings into it, xored with the round-key word.
+fn round_column(a: u32, b: u32, c: u32, d: u32, key: u32) -> u32 {
+    TE[byte(a, 0)]
+        ^ TE[byte(b, 1)].rotate_right(8)
+        ^ TE[byte(c, 2)].rotate_right(16)
+        ^ TE[byte(d, 3)].rotate_right(24)
+        ^ key
+}
+
+/// One output column of the last round: SubBytes and ShiftRows through the
+/// S-box, xored with the round-key word.
+fn final_column(a: u32, b: u32, c: u32, d: u32, key: u32) -> u32 {
+    u32::from_be_bytes([SBOX[byte(a, 0)], SBOX[byte(b, 1)], SBOX[byte(c, 2)], SBOX[byte(d, 3)]])
+        ^ key
+}
+
 /// Multiply in GF(2^8) modulo the AES polynomial x^8 + x^4 + x^3 + x + 1.
 fn gmul(mut a: u8, mut b: u8) -> u8 {
     let mut p = 0u8;
@@ -84,7 +148,9 @@ fn gmul(mut a: u8, mut b: u8) -> u8 {
 /// An expanded AES-128 key schedule.
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; BLOCK_LEN]; ROUNDS + 1],
+    /// The expanded key as big-endian words; round `r` uses words
+    /// `4r..4r + 4`.
+    round_keys: [u32; 4 * (ROUNDS + 1)],
 }
 
 impl std::fmt::Debug for Aes128 {
@@ -117,13 +183,7 @@ impl Aes128 {
                 w[i][j] = w[i - 4][j] ^ temp[j];
             }
         }
-        let mut round_keys = [[0u8; BLOCK_LEN]; ROUNDS + 1];
-        for (r, rk) in round_keys.iter_mut().enumerate() {
-            for c in 0..4 {
-                rk[c * 4..(c + 1) * 4].copy_from_slice(&w[r * 4 + c]);
-            }
-        }
-        Ok(Aes128 { round_keys })
+        Ok(Aes128 { round_keys: w.map(u32::from_be_bytes) })
     }
 
     /// Construct from an arbitrary-length secret by deriving the 16-byte key
@@ -137,32 +197,56 @@ impl Aes128 {
         Aes128::new(&key).expect("derived key has the correct length")
     }
 
-    /// Encrypt a single block in place.
-    pub fn encrypt_block(&self, block: &mut AesBlock) {
-        add_round_key(block, &self.round_keys[0]);
-        for round in 1..ROUNDS {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[round]);
+    /// Round `round`'s key as the 16 bytes the byte-wise state takes.
+    fn round_key_bytes(&self, round: usize) -> [u8; BLOCK_LEN] {
+        let mut bytes = [0u8; BLOCK_LEN];
+        for (column, word) in bytes.chunks_exact_mut(4).zip(&self.round_keys[4 * round..]) {
+            column.copy_from_slice(&word.to_be_bytes());
         }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[ROUNDS]);
+        bytes
+    }
+
+    /// Encrypt a single block in place (table-driven; see the module
+    /// documentation).
+    pub fn encrypt_block(&self, block: &mut AesBlock) {
+        let rk = &self.round_keys;
+        let column = |c: usize| {
+            u32::from_be_bytes([block[4 * c], block[4 * c + 1], block[4 * c + 2], block[4 * c + 3]])
+        };
+        let (mut s0, mut s1, mut s2, mut s3) =
+            (column(0) ^ rk[0], column(1) ^ rk[1], column(2) ^ rk[2], column(3) ^ rk[3]);
+        for k in rk[4..4 * ROUNDS].chunks_exact(4) {
+            (s0, s1, s2, s3) = (
+                round_column(s0, s1, s2, s3, k[0]),
+                round_column(s1, s2, s3, s0, k[1]),
+                round_column(s2, s3, s0, s1, k[2]),
+                round_column(s3, s0, s1, s2, k[3]),
+            );
+        }
+        let k = &rk[4 * ROUNDS..];
+        let out = [
+            final_column(s0, s1, s2, s3, k[0]),
+            final_column(s1, s2, s3, s0, k[1]),
+            final_column(s2, s3, s0, s1, k[2]),
+            final_column(s3, s0, s1, s2, k[3]),
+        ];
+        for (bytes, word) in block.chunks_exact_mut(4).zip(out) {
+            bytes.copy_from_slice(&word.to_be_bytes());
+        }
     }
 
     /// Decrypt a single block in place.
     pub fn decrypt_block(&self, block: &mut AesBlock) {
-        add_round_key(block, &self.round_keys[ROUNDS]);
+        add_round_key(block, &self.round_key_bytes(ROUNDS));
         inv_shift_rows(block);
         inv_sub_bytes(block);
         for round in (1..ROUNDS).rev() {
-            add_round_key(block, &self.round_keys[round]);
+            add_round_key(block, &self.round_key_bytes(round));
             inv_mix_columns(block);
             inv_shift_rows(block);
             inv_sub_bytes(block);
         }
-        add_round_key(block, &self.round_keys[0]);
+        add_round_key(block, &self.round_key_bytes(0));
     }
 
     /// ECB-encrypt `data`, which must be a multiple of 16 bytes.
@@ -221,14 +305,22 @@ impl Aes128 {
     /// Encoding: an 8-byte big-endian length prefix followed by the value,
     /// zero-padded to a multiple of 16 bytes, ECB-encrypted, hex-encoded.
     pub fn encrypt_value(&self, value: &[u8]) -> String {
-        let mut plain = Vec::with_capacity(8 + value.len() + BLOCK_LEN);
-        plain.extend_from_slice(&(value.len() as u64).to_be_bytes());
-        plain.extend_from_slice(value);
-        while plain.len() % BLOCK_LEN != 0 {
-            plain.push(0);
+        const PREFIX: usize = 8;
+        let blocks = (PREFIX + value.len()).div_ceil(BLOCK_LEN);
+        let mut out = String::with_capacity(2 * BLOCK_LEN * blocks);
+        let (head, tail) = value.split_at(value.len().min(BLOCK_LEN - PREFIX));
+        let mut block = [0u8; BLOCK_LEN];
+        block[..PREFIX].copy_from_slice(&(value.len() as u64).to_be_bytes());
+        block[PREFIX..PREFIX + head.len()].copy_from_slice(head);
+        self.encrypt_block(&mut block);
+        crate::hex::encode_into(&block, &mut out);
+        for chunk in tail.chunks(BLOCK_LEN) {
+            let mut block = [0u8; BLOCK_LEN];
+            block[..chunk.len()].copy_from_slice(chunk);
+            self.encrypt_block(&mut block);
+            crate::hex::encode_into(&block, &mut out);
         }
-        let cipher = self.ecb_encrypt(&plain).expect("padded plaintext is block aligned");
-        crate::hex::encode(&cipher)
+        out
     }
 
     /// Invert [`Aes128::encrypt_value`], recovering the original byte string.
@@ -254,6 +346,7 @@ fn add_round_key(block: &mut AesBlock, rk: &[u8; BLOCK_LEN]) {
     }
 }
 
+#[cfg(test)]
 fn sub_bytes(block: &mut AesBlock) {
     for b in block.iter_mut() {
         *b = SBOX[*b as usize];
@@ -267,6 +360,7 @@ fn inv_sub_bytes(block: &mut AesBlock) {
 }
 
 /// State is column-major: byte `i` sits at row `i % 4`, column `i / 4`.
+#[cfg(test)]
 fn shift_rows(block: &mut AesBlock) {
     let orig = *block;
     for row in 1..4 {
@@ -285,6 +379,7 @@ fn inv_shift_rows(block: &mut AesBlock) {
     }
 }
 
+#[cfg(test)]
 fn mix_columns(block: &mut AesBlock) {
     for col in 0..4 {
         let c = &mut block[col * 4..(col + 1) * 4];
@@ -307,10 +402,27 @@ fn inv_mix_columns(block: &mut AesBlock) {
     }
 }
 
+/// The byte-at-a-time cipher of FIPS 197 §5.1 that the table-driven
+/// [`Aes128::encrypt_block`] replaced, kept as the reference it must equal.
+#[cfg(test)]
+fn encrypt_block_bytewise(cipher: &Aes128, block: &mut AesBlock) {
+    add_round_key(block, &cipher.round_key_bytes(0));
+    for round in 1..ROUNDS {
+        sub_bytes(block);
+        shift_rows(block);
+        mix_columns(block);
+        add_round_key(block, &cipher.round_key_bytes(round));
+    }
+    sub_bytes(block);
+    shift_rows(block);
+    add_round_key(block, &cipher.round_key_bytes(ROUNDS));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::hex;
+    use proptest::prelude::*;
 
     /// FIPS 197 Appendix B example vector.
     #[test]
@@ -419,5 +531,50 @@ mod tests {
         let v: Vec<u8> = (0..200).map(|i| (i * 3) as u8).collect();
         let ct = cipher.encrypt_value(&v);
         assert_eq!(cipher.decrypt_value(&ct).unwrap(), v);
+    }
+
+    #[test]
+    fn round_table_fuses_sbox_and_mix_columns() {
+        for x in 0..=255u8 {
+            let s = SBOX[usize::from(x)];
+            assert_eq!(TE[usize::from(x)].to_be_bytes(), [gmul(s, 2), s, s, gmul(s, 3)]);
+            assert_eq!(xtime(x), gmul(x, 2));
+        }
+    }
+
+    #[test]
+    fn fips197_vectors_match_the_bytewise_reference() {
+        for (key, plain) in [
+            ("2b7e151628aed2a6abf7158809cf4f3c", "3243f6a8885a308d313198a2e0370734"),
+            ("000102030405060708090a0b0c0d0e0f", "00112233445566778899aabbccddeeff"),
+        ] {
+            let cipher = Aes128::new(&hex::decode(key).unwrap()).unwrap();
+            let mut fast: AesBlock = [0u8; 16];
+            fast.copy_from_slice(&hex::decode(plain).unwrap());
+            let mut slow = fast;
+            cipher.encrypt_block(&mut fast);
+            encrypt_block_bytewise(&cipher, &mut slow);
+            assert_eq!(fast, slow);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2_000))]
+
+        /// The table-driven cipher equals the byte-wise reference on random
+        /// keys and blocks.
+        #[test]
+        fn table_cipher_matches_the_bytewise_reference(
+            key in prop::collection::vec(any::<u8>(), 16..=16),
+            plain in prop::collection::vec(any::<u8>(), 16..=16),
+        ) {
+            let cipher = Aes128::new(&key).unwrap();
+            let mut fast: AesBlock = [0u8; 16];
+            fast.copy_from_slice(&plain);
+            let mut slow = fast;
+            cipher.encrypt_block(&mut fast);
+            encrypt_block_bytewise(&cipher, &mut slow);
+            prop_assert_eq!(fast, slow);
+        }
     }
 }

@@ -11,11 +11,15 @@ const HEX_CHARS: &[u8; 16] = b"0123456789abcdef";
 /// Encode `data` as a lowercase hexadecimal string.
 pub fn encode(data: &[u8]) -> String {
     let mut out = String::with_capacity(data.len() * 2);
-    for &b in data {
-        out.push(HEX_CHARS[(b >> 4) as usize] as char);
-        out.push(HEX_CHARS[(b & 0x0f) as usize] as char);
-    }
+    encode_into(data, &mut out);
     out
+}
+
+/// Append the lowercase hexadecimal encoding of `data` to `out`.
+pub(crate) fn encode_into(data: &[u8], out: &mut String) {
+    out.extend(data.iter().flat_map(|&b| {
+        [HEX_CHARS[usize::from(b >> 4)], HEX_CHARS[usize::from(b & 0x0f)]].map(char::from)
+    }));
 }
 
 /// Decode a hexadecimal string (upper- or lowercase) into bytes.

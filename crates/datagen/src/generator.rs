@@ -109,7 +109,7 @@ impl MedicalDataset {
 
 /// Labels of the leaves of a categorical tree, in left-to-right order.
 fn leaf_labels(tree: &DomainHierarchyTree) -> Vec<String> {
-    tree.leaves().into_iter().map(|l| tree.node(l).expect("leaf exists").label.clone()).collect()
+    tree.leaves().iter().map(|&l| tree.node(l).expect("leaf exists").label.clone()).collect()
 }
 
 /// Cumulative distribution of a Zipf(s) law over `n` ranks.

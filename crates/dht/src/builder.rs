@@ -274,7 +274,7 @@ mod tests {
         assert_eq!(tree.leaf_count(), 3);
         assert_eq!(tree.node_value(tree.root()).unwrap(), Value::interval(0, 30));
         // Every leaf reaches the root.
-        for leaf in tree.leaves() {
+        for &leaf in tree.leaves() {
             assert!(tree.is_ancestor_or_self(tree.root(), leaf).unwrap());
         }
     }

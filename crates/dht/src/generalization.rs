@@ -36,7 +36,7 @@ impl GeneralizationSet {
         for &n in &nodes {
             tree.node(n)?;
         }
-        for leaf in tree.leaves() {
+        for &leaf in tree.leaves() {
             let path = tree.path_to_root(leaf)?;
             let hits = path.iter().filter(|n| nodes.binary_search(n).is_ok()).count();
             if hits != 1 {
@@ -74,7 +74,7 @@ impl GeneralizationSet {
     /// The finest generalization: every leaf is its own node (no information
     /// loss).
     pub fn all_leaves(tree: &DomainHierarchyTree) -> Self {
-        let mut nodes = tree.leaves();
+        let mut nodes = tree.leaves().to_vec();
         nodes.sort();
         GeneralizationSet { nodes: nodes.into() }
     }
@@ -128,10 +128,12 @@ impl GeneralizationSet {
         tree: &DomainHierarchyTree,
         node: NodeId,
     ) -> Result<NodeId, DhtError> {
-        for n in tree.path_to_root(node)? {
+        let mut current = Some(node);
+        while let Some(n) = current {
             if self.contains(n) {
                 return Ok(n);
             }
+            current = tree.parent(n)?;
         }
         Err(DhtError::InvalidGeneralization(format!(
             "node {} is not covered by the generalization",

@@ -1,9 +1,29 @@
 //! The domain hierarchy tree data structure and the node operations of
 //! Table 1 in the paper.
+//!
+//! A tree is immutable once built, so `DomainHierarchyTree::from_parts`
+//! indexes it once and every lookup the binning and watermarking hot paths
+//! make answers from that index instead of walking the arena:
+//!
+//! * `Leaves` / `SubTree` leaves: one left-to-right leaf list, plus each
+//!   node's range in it (a subtree's leaves are contiguous in preorder), so
+//!   [`DomainHierarchyTree::leaves_under`] returns a slice and
+//!   [`DomainHierarchyTree::leaf_count_under`] is a subtraction;
+//! * `Val2Nd`: hash maps from label, from interval and from integer label
+//!   (a categorical label such as ICD-9 `008` that parses as the integer a
+//!   CSV round trip turned it into), each keeping the node the former
+//!   linear scan found first; a numeric value takes a binary search over
+//!   the leaf list, whose intervals increase left to right.
+//!
+//! The lookups are defined as those scans: the differential property tests
+//! in `tests/index_reference.rs` check every lookup against a scan over the
+//! public arena, errors included.
 
 use crate::error::DhtError;
 use medshield_relation::Value;
 use serde::{Deserialize, Serialize};
+use std::collections::HashMap;
+use std::ops::Range;
 
 /// Index of a node within its tree's arena.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -68,19 +88,82 @@ pub struct DomainHierarchyTree {
     kind: DhtKind,
     nodes: Vec<Node>,
     root: NodeId,
+    index: TreeIndex,
+}
+
+/// The lookup tables of one tree, built once by
+/// [`DomainHierarchyTree::from_parts`] (see the module documentation).
+#[derive(Debug, Clone, Default)]
+struct TreeIndex {
+    /// The leaves reachable from the root, left to right.
+    leaves: Vec<NodeId>,
+    /// Per node, in arena order: the range of `leaves` under it.
+    leaf_ranges: Vec<Range<usize>>,
+    /// Label → the first node in arena order carrying it.
+    by_label: HashMap<String, NodeId>,
+    /// Interval → the first node in arena order representing it.
+    by_interval: HashMap<(i64, i64), NodeId>,
+    /// Integer label → the first node in arena order whose label parses as
+    /// that integer (categorical trees only).
+    node_by_int: HashMap<i64, NodeId>,
+    /// Integer label → the first leaf, left to right, whose label parses as
+    /// that integer (categorical trees only).
+    leaf_by_int: HashMap<i64, NodeId>,
+}
+
+impl TreeIndex {
+    fn build(kind: DhtKind, nodes: &[Node], root: NodeId) -> Self {
+        let mut index = TreeIndex { leaf_ranges: vec![0..0; nodes.len()], ..TreeIndex::default() };
+        // Preorder walk: a node's leaves are the ones pushed between its
+        // entry and its exit, so each range is contiguous, and leaves arrive
+        // left to right.
+        let mut stack = vec![(root, false)];
+        while let Some((id, exiting)) = stack.pop() {
+            let Some(node) = nodes.get(id.0 as usize) else { continue };
+            if exiting {
+                index.leaf_ranges[id.0 as usize].end = index.leaves.len();
+                continue;
+            }
+            index.leaf_ranges[id.0 as usize] = index.leaves.len()..index.leaves.len();
+            if node.is_leaf() {
+                index.leaves.push(id);
+                if kind == DhtKind::Categorical {
+                    if let Ok(v) = node.label.parse::<i64>() {
+                        index.leaf_by_int.entry(v).or_insert(id);
+                    }
+                }
+            }
+            stack.push((id, true));
+            stack.extend(node.children.iter().rev().map(|&c| (c, false)));
+        }
+        for node in nodes {
+            index.by_label.entry(node.label.clone()).or_insert(node.id);
+            if let Some(interval) = node.interval {
+                index.by_interval.entry(interval).or_insert(node.id);
+            }
+            if kind == DhtKind::Categorical {
+                if let Ok(v) = node.label.parse::<i64>() {
+                    index.node_by_int.entry(v).or_insert(node.id);
+                }
+            }
+        }
+        index
+    }
 }
 
 impl DomainHierarchyTree {
-    /// Construct directly from parts. Intended for the builders in
-    /// [`crate::builder`]; invariants (parent/child consistency, sorted
-    /// children, correct depths) are the builders' responsibility.
+    /// Construct directly from parts and index the tree. Intended for the
+    /// builders in [`crate::builder`]; invariants (parent/child consistency,
+    /// sorted children, correct depths, unique labels, disjoint leaf
+    /// intervals) are the builders' responsibility.
     pub(crate) fn from_parts(
         attribute: String,
         kind: DhtKind,
         nodes: Vec<Node>,
         root: NodeId,
     ) -> Self {
-        DomainHierarchyTree { attribute, kind, nodes, root }
+        let index = TreeIndex::build(kind, &nodes, root);
+        DomainHierarchyTree { attribute, kind, nodes, root, index }
     }
 
     /// Name of the attribute this tree generalizes.
@@ -133,26 +216,14 @@ impl DomainHierarchyTree {
     }
 
     /// `Leaves(tr)` — all leaf node ids, in left-to-right order.
-    pub fn leaves(&self) -> Vec<NodeId> {
-        self.leaves_under(self.root).expect("root exists")
+    pub fn leaves(&self) -> &[NodeId] {
+        &self.index.leaves
     }
 
     /// The leaf nodes of `SubTree(nd, tr)`, in left-to-right order.
-    pub fn leaves_under(&self, id: NodeId) -> Result<Vec<NodeId>, DhtError> {
-        let mut out = Vec::new();
-        let mut stack = vec![id];
-        // Depth-first, pushing children in reverse keeps left-to-right order.
-        while let Some(n) = stack.pop() {
-            let node = self.node(n)?;
-            if node.is_leaf() {
-                out.push(n);
-            } else {
-                for &c in node.children.iter().rev() {
-                    stack.push(c);
-                }
-            }
-        }
-        Ok(out)
+    pub fn leaves_under(&self, id: NodeId) -> Result<&[NodeId], DhtError> {
+        let range = self.index.leaf_ranges.get(id.0 as usize).ok_or(DhtError::UnknownNode(id))?;
+        Ok(&self.index.leaves[range.clone()])
     }
 
     /// All node ids of the subtree rooted at `id` (preorder).
@@ -209,7 +280,7 @@ impl DomainHierarchyTree {
 
     /// Number of leaves in the whole tree.
     pub fn leaf_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_leaf()).count()
+        self.index.leaves.len()
     }
 
     /// Number of leaves under `id`.
@@ -219,10 +290,10 @@ impl DomainHierarchyTree {
 
     /// Find a node by its label.
     pub fn node_by_label(&self, label: &str) -> Result<NodeId, DhtError> {
-        self.nodes
-            .iter()
-            .find(|n| n.label == label)
-            .map(|n| n.id)
+        self.index
+            .by_label
+            .get(label)
+            .copied()
             .ok_or_else(|| DhtError::UnknownLabel(label.to_string()))
     }
 
@@ -233,17 +304,20 @@ impl DomainHierarchyTree {
         match self.kind {
             DhtKind::Categorical => match value {
                 Value::Text(label) => self
-                    .leaves()
-                    .into_iter()
-                    .find(|&l| self.nodes[l.0 as usize].label == *label)
+                    .index
+                    .by_label
+                    .get(label.as_str())
+                    .copied()
+                    .filter(|&id| self.nodes[id.0 as usize].is_leaf())
                     .ok_or_else(|| DhtError::ValueOutOfDomain(label.to_string())),
                 // Numeric-looking categorical labels (e.g. ICD-9 code "008")
                 // may round-trip through text formats as integers; match them
                 // by numeric value so `Int(8)` still finds the "008" leaf.
                 Value::Int(v) => self
-                    .leaves()
-                    .into_iter()
-                    .find(|&l| label_matches_int(&self.nodes[l.0 as usize].label, *v))
+                    .index
+                    .leaf_by_int
+                    .get(v)
+                    .copied()
                     .ok_or_else(|| DhtError::ValueOutOfDomain(v.to_string())),
                 other => Err(DhtError::ValueOutOfDomain(other.to_string())),
             },
@@ -253,12 +327,18 @@ impl DomainHierarchyTree {
                     Value::Interval { lo, .. } => *lo,
                     other => return Err(DhtError::ValueOutOfDomain(other.to_string())),
                 };
-                self.leaves()
-                    .into_iter()
-                    .find(|&l| {
-                        let (lo, hi) = self.nodes[l.0 as usize].interval.expect("numeric leaf");
-                        point >= lo && point < hi
-                    })
+                // Numeric leaves hold disjoint intervals in increasing order
+                // left to right (the builder checks that they tile the
+                // domain), so only the last leaf starting at or before
+                // `point` can contain it.
+                let interval = |leaf: NodeId| self.nodes[leaf.0 as usize].interval;
+                let leaves = &self.index.leaves;
+                let starts =
+                    leaves.partition_point(|&l| interval(l).is_some_and(|(lo, _)| lo <= point));
+                starts
+                    .checked_sub(1)
+                    .map(|i| leaves[i])
+                    .filter(|&l| interval(l).is_some_and(|(_, hi)| point < hi))
                     .ok_or_else(|| DhtError::ValueOutOfDomain(point.to_string()))
             }
         }
@@ -270,30 +350,19 @@ impl DomainHierarchyTree {
     /// mapped back onto the tree during watermark embedding and detection.
     pub fn node_for_value(&self, value: &Value) -> Result<NodeId, DhtError> {
         // Exact match against any node first (generalized values).
-        match value {
-            Value::Text(s) => {
-                if let Ok(id) = self.node_by_label(s) {
-                    return Ok(id);
-                }
-            }
-            Value::Interval { lo, hi } => {
-                if let Some(n) = self.nodes.iter().find(|n| n.interval == Some((*lo, *hi))) {
-                    return Ok(n.id);
-                }
-            }
-            Value::Int(v) => {
-                if let Some(n) = self.nodes.iter().find(|n| n.interval == Some((*v, *v + 1))) {
-                    return Ok(n.id);
-                }
-                if self.kind == DhtKind::Categorical {
-                    if let Some(n) = self.nodes.iter().find(|n| label_matches_int(&n.label, *v)) {
-                        return Ok(n.id);
-                    }
-                }
-            }
-            Value::Null => {}
+        let exact = match value {
+            Value::Text(s) => self.index.by_label.get(s.as_str()),
+            Value::Interval { lo, hi } => self.index.by_interval.get(&(*lo, *hi)),
+            Value::Int(v) => v
+                .checked_add(1)
+                .and_then(|hi| self.index.by_interval.get(&(*v, hi)))
+                .or_else(|| self.index.node_by_int.get(v)),
+            Value::Null => None,
+        };
+        match exact {
+            Some(&id) => Ok(id),
+            None => self.leaf_for_value(value),
         }
-        self.leaf_for_value(value)
     }
 
     /// `Nd2Val(nd)` — the value represented by a node.
@@ -306,12 +375,6 @@ impl DomainHierarchyTree {
     pub fn index_in(id: NodeId, set: &[NodeId]) -> Option<usize> {
         set.iter().position(|&n| n == id)
     }
-}
-
-/// True if a categorical label denotes the integer `v` (exact text match or
-/// numeric equality for labels like `008`).
-fn label_matches_int(label: &str, v: i64) -> bool {
-    label == v.to_string() || label.parse::<i64>() == Ok(v)
 }
 
 #[cfg(test)]

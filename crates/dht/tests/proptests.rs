@@ -82,10 +82,11 @@ proptest! {
     fn subtree_probe_generalizations_are_valid(tree in arb_categorical()) {
         for node in tree.nodes() {
             let inside: std::collections::HashSet<_> =
-                tree.leaves_under(node.id).unwrap().into_iter().collect();
+                tree.leaves_under(node.id).unwrap().iter().copied().collect();
             let mut nodes: Vec<_> = tree
                 .leaves()
-                .into_iter()
+                .iter()
+                .copied()
                 .filter(|l| !inside.contains(l))
                 .collect();
             nodes.push(node.id);
@@ -99,7 +100,7 @@ proptest! {
     #[test]
     fn covering_is_ancestor_and_idempotent(tree in arb_categorical(), depth in 0usize..4) {
         let g = GeneralizationSet::at_depth(&tree, depth);
-        for leaf in tree.leaves() {
+        for &leaf in tree.leaves() {
             let cover = g.covering_node(&tree, leaf).unwrap();
             prop_assert!(tree.is_ancestor_or_self(cover, leaf).unwrap());
             let value = tree.node_value(leaf).unwrap();

@@ -76,6 +76,21 @@ impl DictColumn {
         code
     }
 
+    /// Intern an owned `value` with one hash probe, into a column whose
+    /// index already covers its whole dictionary (one that only this method
+    /// has filled).
+    fn intern_owned(&mut self, value: Value) -> u32 {
+        debug_assert_eq!(self.index.len(), self.dict.len(), "the index covers the dictionary");
+        let code = code_of(self.dict.len());
+        match self.index.entry(value) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                self.dict.push(e.key().clone());
+                *e.insert(code)
+            }
+        }
+    }
+
     /// Append a row holding `value`.
     pub fn push(&mut self, value: &Value) {
         let code = self.intern(value);
@@ -286,8 +301,7 @@ impl Column {
         &self,
         mut f: impl FnMut(&Value) -> Result<Value, E>,
     ) -> Result<Column, (usize, E)> {
-        let mut out = DictColumn::default();
-        out.codes.reserve(self.len());
+        let mut out = DictColumn { codes: Vec::with_capacity(self.len()), ..DictColumn::default() };
         match self {
             Column::Int(v) => {
                 let mut memo: HashMap<i64, u32> = HashMap::new();
@@ -296,20 +310,22 @@ impl Column {
                         Entry::Occupied(e) => *e.get(),
                         Entry::Vacant(e) => {
                             let mapped = f(&Value::Int(i)).map_err(|err| (row, err))?;
-                            *e.insert(out.intern(&mapped))
+                            *e.insert(out.intern_owned(mapped))
                         }
                     };
                     out.codes.push(code);
                 }
             }
             Column::Dict(d) => {
+                out.dict.reserve(d.dict.len());
+                out.index.reserve(d.dict.len());
                 let mut memo: Vec<Option<u32>> = vec![None; d.dict.len()];
                 for (row, &c) in d.codes.iter().enumerate() {
                     let code = match memo[slot(c)] {
                         Some(code) => code,
                         None => {
                             let mapped = f(&d.dict[slot(c)]).map_err(|err| (row, err))?;
-                            let code = out.intern(&mapped);
+                            let code = out.intern_owned(mapped);
                             memo[slot(c)] = Some(code);
                             code
                         }

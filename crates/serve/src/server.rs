@@ -1088,10 +1088,7 @@ fn detect_group_responses(
         group.iter().map(|job| parse_body(&job.request)).collect();
     let (watermarker, mark_len) = (engine.watermarker(), engine.config().mark_len);
     let plan = tables.iter().find_map(|t| t.as_ref().ok()).and_then(|table| {
-        let schema = table.schema();
-        let plan =
-            watermarker.plan_detect(schema, &stored.columns, &shared.trees, mark_len).ok()?;
-        Some((plan, schema))
+        watermarker.plan_detect(table.schema(), &stored.columns, &shared.trees, mark_len).ok()
     });
     tables
         .iter()
@@ -1101,7 +1098,7 @@ fn detect_group_responses(
                 Err(response) => return response.clone(),
             };
             let report = match &plan {
-                Some((plan, schema)) if table.schema() == *schema => {
+                Some(plan) if plan.schema() == table.schema() => {
                     engine.detect_with_plan(plan, table)
                 }
                 _ => engine.detect(table, &stored.columns, &shared.trees),

@@ -29,6 +29,9 @@ pub enum WatermarkError {
     /// A detection vote violated the voting contract (length mismatch,
     /// out-of-range position, unusable weight).
     Voting(VotingError),
+    /// An embedding or detection plan was prepared against a table whose
+    /// schema is not the one the plan was built for.
+    PlanSchemaMismatch,
 }
 
 impl std::fmt::Display for WatermarkError {
@@ -47,6 +50,9 @@ impl std::fmt::Display for WatermarkError {
                 write!(f, "virtual key names column {c} more than once")
             }
             WatermarkError::Voting(e) => write!(f, "voting contract violated: {e}"),
+            WatermarkError::PlanSchemaMismatch => {
+                write!(f, "the plan was built for a table of another schema")
+            }
         }
     }
 }
@@ -83,5 +89,6 @@ mod tests {
         assert!(WatermarkError::NoIdentity.to_string().contains("identifying"));
         let e = WatermarkError::Voting(VotingError::IndexOutOfRange { index: 9, len: 3 });
         assert!(e.to_string().contains("voting contract"));
+        assert!(WatermarkError::PlanSchemaMismatch.to_string().contains("schema"));
     }
 }

@@ -182,7 +182,8 @@ impl HierarchicalWatermarker {
     /// resolution. The kernel is immutable; workers call
     /// [`EmbedKernel::run_range`] over disjoint row ranges of the shared
     /// table and the caller writes the resulting edit lists back with
-    /// [`EmbedKernel::apply`].
+    /// [`EmbedKernel::apply`]. A table of another schema than the plan's
+    /// fails with [`WatermarkError::PlanSchemaMismatch`].
     pub fn prepare_embed(
         &self,
         plan: &EmbedPlan<'_>,
@@ -242,7 +243,8 @@ impl HierarchicalWatermarker {
     /// memoize each distinct cell value's climb-and-vote once, so the row
     /// loop is a code lookup plus one PRF per (selected tuple, column).
     /// Workers call [`DetectKernel::run_range`] over disjoint row ranges and
-    /// merge the tallies.
+    /// merge the tallies. A table of another schema than the plan's fails
+    /// with [`WatermarkError::PlanSchemaMismatch`].
     pub fn prepare_detect(
         &self,
         plan: &DetectPlan<'_>,

@@ -312,6 +312,7 @@ impl EmbedKernel {
         table: &mut Table,
         style: EmbedStyle,
     ) -> Result<Self, WatermarkError> {
+        plan.core.check_schema(table.schema())?;
         let mut columns = Vec::with_capacity(plan.core.columns.len());
         for pc in &plan.core.columns {
             columns.push(EmbedColumn::prepare(pc, table, style)?);
@@ -667,6 +668,7 @@ impl DetectKernel {
         table: &Table,
         cell_vote: impl Fn(&PlanColumn<'_>, &Value) -> Result<Option<bool>, WatermarkError>,
     ) -> Result<Self, WatermarkError> {
+        plan.core.check_schema(table.schema())?;
         let mut columns = Vec::with_capacity(plan.core.columns.len());
         for pc in &plan.core.columns {
             let bit_prefix = KeyedPrf::label_prefix(&format!("bit:{}", pc.binning.column));

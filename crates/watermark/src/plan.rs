@@ -42,6 +42,9 @@ pub(crate) enum MissingColumns {
 /// State shared by every chunk of one embedding or detection run.
 #[derive(Debug, Clone)]
 pub(crate) struct PlanCore<'a> {
+    /// The schema the plan was resolved against; its column indices hold
+    /// for tables of this schema only.
+    pub schema: Schema,
     /// The keyed selector (Eq. 5 + permutation / bit indices).
     pub selector: Selector,
     /// The schema-resolved tuple identity source. `None` only in detection
@@ -91,7 +94,17 @@ impl<'a> PlanCore<'a> {
                 },
             }
         }
-        Ok(PlanCore { selector, identity, columns })
+        Ok(PlanCore { schema: schema.clone(), selector, identity, columns })
+    }
+
+    /// Fail unless `schema` is the one the plan was built for: the plan's
+    /// column indices address that schema only.
+    pub fn check_schema(&self, schema: &Schema) -> Result<(), WatermarkError> {
+        if *schema == self.schema {
+            Ok(())
+        } else {
+            Err(WatermarkError::PlanSchemaMismatch)
+        }
     }
 }
 
@@ -124,6 +137,13 @@ impl<'a> EmbedPlan<'a> {
     pub fn wmd_len(&self) -> usize {
         self.wmd.len()
     }
+
+    /// The table schema the plan was built for; preparing it against a
+    /// table of any other schema fails with
+    /// [`WatermarkError::PlanSchemaMismatch`].
+    pub fn schema(&self) -> &Schema {
+        &self.core.schema
+    }
 }
 
 /// Everything a worker needs to collect detection votes from a row chunk.
@@ -154,5 +174,12 @@ impl<'a> DetectPlan<'a> {
     /// Length of the extended mark `wmd`.
     pub fn wmd_len(&self) -> usize {
         self.wmd_len
+    }
+
+    /// The table schema the plan was built for; preparing it against a
+    /// table of any other schema fails with
+    /// [`WatermarkError::PlanSchemaMismatch`].
+    pub fn schema(&self) -> &Schema {
+        &self.core.schema
     }
 }
