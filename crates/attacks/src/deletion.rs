@@ -184,7 +184,9 @@ mod tests {
     /// Every row of `t`, one value per column.
     fn rows(t: &Table) -> Vec<Vec<Value>> {
         (0..t.len())
-            .map(|row| (0..t.schema().arity()).map(|c| t.value_at(row, c).unwrap()).collect())
+            .map(|row| {
+                (0..t.schema().arity()).map(|c| t.value_at(row, c).unwrap().clone()).collect()
+            })
             .collect()
     }
 

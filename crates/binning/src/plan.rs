@@ -23,7 +23,7 @@ use crate::config::SelectionStrategy;
 use crate::error::BinningError;
 use crate::multi::ColumnContext;
 use medshield_dht::{DhtKind, DomainHierarchyTree, GeneralizationSet, NodeId};
-use medshield_relation::{ColumnData, Table, Value};
+use medshield_relation::Table;
 use std::collections::HashMap;
 
 /// Per-column leaf structure of the table: each row's leaf as a dense index
@@ -69,61 +69,36 @@ fn dense_leaf_ix(
     })
 }
 
-/// Resolve every row of `column` to its leaf node, reading the typed column
-/// storage directly: dictionary columns resolve each *code* once (the
-/// per-row work is a vector lookup), integer columns memoize per distinct
-/// `i64`. The dense index space is allocated in first-seen row order, so the
-/// result is identical to a row-by-row resolution.
+/// Resolve every row of `column` to its leaf node, one dictionary *code* at
+/// a time: each code is resolved once, as rows first reference it (the
+/// per-row work is a vector lookup). Stale dictionary entries never hit
+/// `leaf_for_value`, and the dense index space is allocated in first-seen
+/// row order, so the result is identical to a row-by-row resolution.
 pub(crate) fn resolve_column_leaves(
     table: &Table,
     column: &str,
     tree: &DomainHierarchyTree,
 ) -> Result<ColumnLeaves, BinningError> {
-    let col = table.schema().index_of(column)?;
+    let column = &table.columns()[table.schema().index_of(column)?];
     let mut leaf_memo: HashMap<NodeId, u32> = HashMap::new();
     let mut leaves: Vec<NodeId> = Vec::new();
     let mut entry_counts: Vec<usize> = Vec::new();
     let mut row_leaf_ix: Vec<u32> = Vec::with_capacity(table.len());
-    match table.columns()[col].data() {
-        ColumnData::Int(values) => {
-            let mut value_memo: HashMap<i64, u32> = HashMap::new();
-            for &v in values {
-                let ix = match value_memo.get(&v) {
-                    Some(&ix) => ix,
-                    None => {
-                        let leaf =
-                            tree.leaf_for_value(&Value::Int(v)).map_err(BinningError::Dht)?;
-                        let ix =
-                            dense_leaf_ix(leaf, &mut leaf_memo, &mut leaves, &mut entry_counts);
-                        value_memo.insert(v, ix);
-                        ix
-                    }
-                };
-                entry_counts[ix as usize] += 1;
-                row_leaf_ix.push(ix);
+    let mut per_code: Vec<Option<u32>> = vec![None; column.dict().len()];
+    for &code in column.codes() {
+        let ix = match per_code[code as usize] {
+            Some(ix) => ix,
+            None => {
+                let leaf = tree
+                    .leaf_for_value(&column.dict()[code as usize])
+                    .map_err(BinningError::Dht)?;
+                let ix = dense_leaf_ix(leaf, &mut leaf_memo, &mut leaves, &mut entry_counts);
+                per_code[code as usize] = Some(ix);
+                ix
             }
-        }
-        ColumnData::Dict { dict, codes } => {
-            // Lazily resolve codes as rows reference them: stale dictionary
-            // entries (never referenced) must not hit `leaf_for_value`, and
-            // lazy resolution preserves the first-seen dense ordering.
-            let mut per_code: Vec<Option<u32>> = vec![None; dict.len()];
-            for &code in codes {
-                let ix = match per_code[code as usize] {
-                    Some(ix) => ix,
-                    None => {
-                        let leaf =
-                            tree.leaf_for_value(&dict[code as usize]).map_err(BinningError::Dht)?;
-                        let ix =
-                            dense_leaf_ix(leaf, &mut leaf_memo, &mut leaves, &mut entry_counts);
-                        per_code[code as usize] = Some(ix);
-                        ix
-                    }
-                };
-                entry_counts[ix as usize] += 1;
-                row_leaf_ix.push(ix);
-            }
-        }
+        };
+        entry_counts[ix as usize] += 1;
+        row_leaf_ix.push(ix);
     }
     Ok(ColumnLeaves { leaves, row_leaf_ix, entry_counts })
 }

@@ -152,18 +152,6 @@ impl ProtectionEngine {
         self.threads
     }
 
-    /// Change the worker-thread count for both the binning search and the
-    /// watermark stages. Like [`ProtectionEngine::new`], zero is rejected.
-    pub fn set_threads(&mut self, threads: usize) -> Result<(), PipelineError> {
-        if threads == 0 {
-            return Err(PipelineError::InvalidThreads);
-        }
-        self.threads = threads;
-        self.config.binning.threads = threads;
-        self.binning_agent = BinningAgent::new(self.config.binning.clone());
-        Ok(())
-    }
-
     /// The engine's configuration.
     pub fn config(&self) -> &ProtectionConfig {
         &self.config
@@ -453,12 +441,9 @@ mod tests {
             ProtectionEngine::new(config(2, 2), 0).unwrap_err(),
             PipelineError::InvalidThreads
         );
-        let mut engine = ProtectionEngine::new(config(2, 2), 2).unwrap();
-        assert_eq!(engine.set_threads(0), Err(PipelineError::InvalidThreads));
-        // A failed set_threads must leave the engine untouched and usable.
-        assert_eq!(engine.threads(), 2);
-        engine.set_threads(4).unwrap();
+        let engine = ProtectionEngine::new(config(2, 2), 4).unwrap();
         assert_eq!(engine.threads(), 4);
+        assert_eq!(engine.config().binning.threads, 4);
         // The binning agent's own entry point keeps rejecting zero too.
         let agent = BinningAgent::new(medshield_binning::BinningConfig {
             threads: 0,
@@ -505,7 +490,8 @@ mod tests {
         let defs = keep.iter().map(|&i| schema.columns()[i].clone()).collect();
         let mut out = Table::new(medshield_relation::Schema::new(defs).unwrap());
         for row in 0..table.len() {
-            out.insert(keep.iter().map(|&i| table.value_at(row, i).unwrap()).collect()).unwrap();
+            out.insert(keep.iter().map(|&i| table.value_at(row, i).unwrap().clone()).collect())
+                .unwrap();
         }
         out
     }

@@ -1,4 +1,4 @@
-//! AES-128 block cipher (FIPS 197) with ECB and CTR modes.
+//! AES-128 block cipher (FIPS 197) with ECB mode.
 //!
 //! The binning algorithm (Fig. 8 in the paper) replaces every value of the
 //! identifying columns with `E(value)` where `E()` is "an encryption function,
@@ -6,8 +6,7 @@
 //! that the encrypted identifier can still act as a (pseudonymous) key for
 //! watermark tuple selection and for the rightful-ownership statistic. For
 //! that use case [`Aes128::encrypt_value`] applies ECB over a length-prefixed,
-//! zero-padded encoding — deterministic and invertible. For bulk encryption
-//! where determinism is not wanted, [`Aes128::ctr_crypt`] provides CTR mode.
+//! zero-padded encoding — deterministic and invertible.
 //!
 //! Binning encrypts one value per distinct identifier on every protect, so
 //! [`Aes128::encrypt_block`] is word-oriented: the state is four big-endian
@@ -282,22 +281,6 @@ impl Aes128 {
         Ok(out)
     }
 
-    /// Encrypt or decrypt `data` in CTR mode with the given 16-byte nonce/IV.
-    /// CTR is an involution, so the same call decrypts.
-    pub fn ctr_crypt(&self, nonce: &AesBlock, data: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(data.len());
-        let mut counter = u128::from_be_bytes(*nonce);
-        for chunk in data.chunks(BLOCK_LEN) {
-            let mut keystream = counter.to_be_bytes();
-            self.encrypt_block(&mut keystream);
-            for (i, &b) in chunk.iter().enumerate() {
-                out.push(b ^ keystream[i]);
-            }
-            counter = counter.wrapping_add(1);
-        }
-        out
-    }
-
     /// Deterministically encrypt an arbitrary byte string into a hex-encoded
     /// ciphertext. Used as the `E()` of the binning algorithm (Fig. 8): a
     /// one-to-one replacement for identifying-column values.
@@ -471,17 +454,6 @@ mod tests {
         let ct = cipher.ecb_encrypt(&plain).unwrap();
         assert_ne!(ct, plain);
         assert_eq!(cipher.ecb_decrypt(&ct).unwrap(), plain);
-    }
-
-    #[test]
-    fn ctr_roundtrip_arbitrary_length() {
-        let cipher = Aes128::from_secret(b"owner-key");
-        let nonce = [9u8; 16];
-        for len in [0usize, 1, 15, 16, 17, 100] {
-            let plain: Vec<u8> = (0..len).map(|i| i as u8).collect();
-            let ct = cipher.ctr_crypt(&nonce, &plain);
-            assert_eq!(cipher.ctr_crypt(&nonce, &ct), plain, "len {len}");
-        }
     }
 
     #[test]

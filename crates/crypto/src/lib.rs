@@ -24,9 +24,8 @@
 //!   vectors. It is the one hash function the framework uses for `H()`.
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104), validated against the RFC 4231
 //!   vectors and used as the keyed hash `H(·, k)` of the paper.
-//! * [`aes`] — AES-128 with ECB (for deterministic one-to-one identifier
-//!   replacement) and CTR (for general encryption) modes, validated against
-//!   the FIPS 197 test vectors.
+//! * [`aes`] — AES-128 with ECB mode (for deterministic one-to-one
+//!   identifier replacement), validated against the FIPS 197 test vectors.
 //! * [`prf`] — a convenience keyed pseudo-random function built on HMAC-SHA-256
 //!   that yields `u64` values, the form in which the rest of the framework
 //!   consumes `H(ti.ident, k) mod η`.

@@ -43,18 +43,6 @@ proptest! {
         }
     }
 
-    /// CTR mode is an involution for arbitrary lengths.
-    #[test]
-    fn aes_ctr_involution(secret in prop::collection::vec(any::<u8>(), 1..32),
-                          nonce in prop::collection::vec(any::<u8>(), 16..=16),
-                          data in prop::collection::vec(any::<u8>(), 0..200)) {
-        let cipher = Aes128::from_secret(&secret);
-        let mut n = [0u8; 16];
-        n.copy_from_slice(&nonce);
-        let ct = cipher.ctr_crypt(&n, &data);
-        prop_assert_eq!(cipher.ctr_crypt(&n, &ct), data);
-    }
-
     /// Streaming hashing equals one-shot hashing regardless of chunking.
     #[test]
     fn streaming_equals_one_shot(data in prop::collection::vec(any::<u8>(), 0..500),

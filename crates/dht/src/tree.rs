@@ -208,10 +208,10 @@ impl DomainHierarchyTree {
 
     /// `Siblings(nd, tr)` — `id` together with its siblings, i.e. the sorted
     /// child list of its parent. For the root this is just `[root]`.
-    pub fn siblings(&self, id: NodeId) -> Result<Vec<NodeId>, DhtError> {
+    pub fn siblings(&self, id: NodeId) -> Result<&[NodeId], DhtError> {
         match self.node(id)?.parent {
-            Some(p) => Ok(self.node(p)?.children.clone()),
-            None => Ok(vec![self.root]),
+            Some(p) => Ok(&self.node(p)?.children),
+            None => Ok(std::slice::from_ref(&self.root)),
         }
     }
 
@@ -441,7 +441,7 @@ mod tests {
         assert_eq!(sibs.len(), 3);
         assert!(sibs.contains(&t.node_by_label("Nurse").unwrap()));
         // Root's sibling set is itself.
-        assert_eq!(t.siblings(t.root()).unwrap(), vec![t.root()]);
+        assert_eq!(t.siblings(t.root()).unwrap(), &[t.root()]);
         // Children are sorted by label.
         let labels: Vec<&str> = t
             .children(paramedic)

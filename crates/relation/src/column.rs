@@ -1,13 +1,13 @@
-//! Typed column storage for the columnar [`Table`](crate::table::Table) core.
+//! Dictionary-encoded column storage for the columnar
+//! [`Table`](crate::table::Table) core.
 //!
-//! A column starts life as a dense vector of native `i64`s and is promoted to
-//! a dictionary-encoded representation the first time a non-integer value is
-//! written into it (a `Null`, a text label, or a generalization interval —
-//! exactly what binning and watermarking produce). A dictionary column keeps
-//! every distinct [`Value`] once and a dense `u32` code per row, so the hot
+//! Every column keeps each distinct [`Value`] once, in order of first
+//! occurrence, and one dense `u32` code per row. Integers, text labels,
+//! generalization intervals and nulls are interned alike, so there is one
+//! way to address a cell: by its code into the column's dictionary. The hot
 //! loops (binning leaf resolution, watermark embed/detect kernels, column
-//! statistics) can do per-distinct-value work once and per-row work on plain
-//! integer vectors.
+//! statistics, CSV export) do per-distinct-value work once and per-row work
+//! on the plain code vector.
 //!
 //! In-place writes never shrink a dictionary: stale entries may linger after
 //! deletions or overwrites, so consumers that need the *live* distinct set
@@ -20,20 +20,25 @@ use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-/// A dictionary-encoded column: the distinct values interned once, plus one
-/// dense code per row.
+/// One table column: the distinct values interned once, plus one dense code
+/// per row.
 #[derive(Debug, Clone, Default)]
-pub struct DictColumn {
+pub struct Column {
     dict: Vec<Value>,
     codes: Vec<u32>,
     /// `Value → code` for a prefix of `dict` (entries are distinct, so its
     /// length is the prefix length). A column built by [`ColumnBuilder`]
-    /// starts unindexed; [`DictColumn::intern`] catches the index up first,
-    /// so a table that is only read never pays for it.
+    /// starts unindexed; [`Column::intern`] catches the index up first, so a
+    /// table that is only read never pays for it.
     index: HashMap<Value, u32>,
 }
 
-impl DictColumn {
+impl Column {
+    /// A new, empty column.
+    pub fn new() -> Self {
+        Column::default()
+    }
+
     /// The number of rows.
     pub fn len(&self) -> usize {
         self.codes.len()
@@ -44,8 +49,8 @@ impl DictColumn {
         self.codes.is_empty()
     }
 
-    /// The interned dictionary, indexed by code. May contain entries no row
-    /// currently references.
+    /// The interned dictionary, indexed by code, in order of first
+    /// occurrence. May contain entries no row currently references.
     pub fn dict(&self) -> &[Value] {
         &self.dict
     }
@@ -104,20 +109,53 @@ impl DictColumn {
     }
 
     /// Overwrite `row` with an already-interned `code`. The caller must have
-    /// obtained the code from [`DictColumn::intern`] on this column.
+    /// obtained the code from [`Column::intern`] on this column.
     pub fn set_code(&mut self, row: usize, code: u32) {
         self.codes[row] = code;
     }
 
-    /// The column holding exactly these rows: native integers when every
-    /// interned value is an integer, this dictionary column otherwise. This
-    /// is the representation [`Column::push`] reaches for the same values.
-    pub(crate) fn into_column(self) -> Column {
-        let ints: Option<Vec<i64>> = self.dict.iter().map(Value::as_int).collect();
-        match ints {
-            Some(ints) => Column::Int(self.codes.iter().map(|&c| ints[slot(c)]).collect()),
-            None => Column::Dict(self),
+    /// A new column holding `f(value)` for every row, with `f` called once
+    /// per dictionary code that some row references, in order of first
+    /// occurrence. Dictionary entries no row references are never visited.
+    ///
+    /// The result is the column [`Column::push`] would build from the mapped
+    /// values, fresh dictionary included, so it carries no stale entries.
+    /// On failure returns the first failing row and the error `f` gave for
+    /// its value.
+    pub fn map_distinct<E>(
+        &self,
+        mut f: impl FnMut(&Value) -> Result<Value, E>,
+    ) -> Result<Column, (usize, E)> {
+        let mut out = Column {
+            dict: Vec::with_capacity(self.dict.len()),
+            codes: Vec::with_capacity(self.len()),
+            index: HashMap::with_capacity(self.dict.len()),
+        };
+        let mut memo: Vec<Option<u32>> = vec![None; self.dict.len()];
+        for (row, &c) in self.codes.iter().enumerate() {
+            let code = match memo[slot(c)] {
+                Some(code) => code,
+                None => {
+                    let mapped = f(&self.dict[slot(c)]).map_err(|err| (row, err))?;
+                    let code = out.intern_owned(mapped);
+                    memo[slot(c)] = Some(code);
+                    code
+                }
+            };
+            out.codes.push(code);
         }
+        Ok(out)
+    }
+
+    /// Keep only the rows whose `keep` flag is true. `keep` must have one
+    /// entry per row. Dictionary entries are never garbage-collected.
+    pub fn retain_rows(&mut self, keep: &[bool]) {
+        let mut row = 0;
+        self.codes.retain(|_| {
+            let k = keep[row];
+            row += 1;
+            k
+        });
     }
 }
 
@@ -127,7 +165,7 @@ impl DictColumn {
 /// values, dictionary in first-occurrence order and codes included.
 #[derive(Debug, Default)]
 pub(crate) struct ColumnBuilder<'a> {
-    column: DictColumn,
+    column: Column,
     /// Trimmed field → code. Keys borrow from the input where they can.
     fields: HashMap<Cow<'a, str>, u32>,
     /// Non-text value → code. Text values are unique by their trimmed field,
@@ -168,14 +206,14 @@ impl<'a> ColumnBuilder<'a> {
         self.column.codes.push(code);
     }
 
-    /// The finished column (see [`DictColumn::into_column`]).
+    /// The finished column.
     pub(crate) fn finish(self) -> Column {
-        self.column.into_column()
+        self.column
     }
 }
 
 /// The code of dictionary index `slot`, saturating at `u32::MAX` (see
-/// [`DictColumn::intern`]).
+/// [`Column::intern`]).
 fn code_of(slot: usize) -> u32 {
     u32::try_from(slot).unwrap_or(u32::MAX)
 }
@@ -186,212 +224,18 @@ pub(crate) fn slot(code: u32) -> usize {
     code as usize
 }
 
-/// One table column: a typed vector of cell values.
-#[derive(Debug, Clone)]
-pub enum Column {
-    /// A column that has only ever held `Value::Int` cells: native `i64`s.
-    Int(Vec<i64>),
-    /// A dictionary-encoded column (categorical labels, intervals, nulls, or
-    /// a formerly-integer column that received a non-integer write).
-    Dict(DictColumn),
-}
-
-/// A borrowed, typed view of one column's storage, for batch kernels.
-#[derive(Debug, Clone, Copy)]
-pub enum ColumnData<'a> {
-    /// Native integers, one per row.
-    Int(&'a [i64]),
-    /// Dictionary entries plus dense per-row codes.
-    Dict {
-        /// The interned distinct values, indexed by code.
-        dict: &'a [Value],
-        /// One code per row, in row order.
-        codes: &'a [u32],
-    },
-}
-
-impl Column {
-    /// A new, empty column. Starts integer-typed and promotes itself on the
-    /// first non-integer write.
-    pub fn new() -> Self {
-        Column::Int(Vec::new())
-    }
-
-    /// The number of rows.
-    pub fn len(&self) -> usize {
-        match self {
-            Column::Int(v) => v.len(),
-            Column::Dict(d) => d.len(),
-        }
-    }
-
-    /// True when the column has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The typed storage view for batch kernels.
-    pub fn data(&self) -> ColumnData<'_> {
-        match self {
-            Column::Int(v) => ColumnData::Int(v),
-            Column::Dict(d) => ColumnData::Dict { dict: d.dict(), codes: d.codes() },
-        }
-    }
-
-    /// The value of `row`, materialized.
-    pub fn value(&self, row: usize) -> Value {
-        match self {
-            Column::Int(v) => Value::Int(v[row]),
-            Column::Dict(d) => d.value(row).clone(),
-        }
-    }
-
-    /// Append a row holding `value`, promoting to dictionary encoding when
-    /// the value is not an integer.
-    pub fn push(&mut self, value: &Value) {
-        match (&mut *self, value) {
-            (Column::Int(v), Value::Int(i)) => v.push(*i),
-            (Column::Int(_), _) => {
-                self.promote().push(value);
-            }
-            (Column::Dict(d), _) => d.push(value),
-        }
-    }
-
-    /// Overwrite `row` with `value`, promoting to dictionary encoding when
-    /// the value is not an integer.
-    pub fn set(&mut self, row: usize, value: &Value) {
-        match (&mut *self, value) {
-            (Column::Int(v), Value::Int(i)) => v[row] = *i,
-            (Column::Int(_), _) => {
-                self.promote().set(row, value);
-            }
-            (Column::Dict(d), _) => d.set(row, value),
-        }
-    }
-
-    /// Force dictionary encoding and return the dictionary column. Integer
-    /// columns are promoted by interning each distinct `i64` once; an
-    /// already-promoted column is returned as is.
-    pub fn promote(&mut self) -> &mut DictColumn {
-        if let Column::Int(v) = self {
-            let mut d = DictColumn::default();
-            for &i in v.iter() {
-                d.push(&Value::Int(i));
-            }
-            *self = Column::Dict(d);
-        }
-        match self {
-            Column::Dict(d) => d,
-            // The branch above replaced any Int variant.
-            Column::Int(_) => unreachable!("promote() always installs Column::Dict"),
-        }
-    }
-
-    /// A new column holding `f(value)` for every row, with `f` called once
-    /// per distinct value that some row references — once per dictionary
-    /// code in use, or once per distinct integer — in order of first
-    /// occurrence. Dictionary entries no row references are never visited.
-    ///
-    /// The result is the column [`Column::push`] would build from the mapped
-    /// values, fresh dictionary included, so it carries no stale entries.
-    /// On failure returns the first failing row and the error `f` gave for
-    /// its value.
-    pub fn map_distinct<E>(
-        &self,
-        mut f: impl FnMut(&Value) -> Result<Value, E>,
-    ) -> Result<Column, (usize, E)> {
-        let mut out = DictColumn { codes: Vec::with_capacity(self.len()), ..DictColumn::default() };
-        match self {
-            Column::Int(v) => {
-                let mut memo: HashMap<i64, u32> = HashMap::new();
-                for (row, &i) in v.iter().enumerate() {
-                    let code = match memo.entry(i) {
-                        Entry::Occupied(e) => *e.get(),
-                        Entry::Vacant(e) => {
-                            let mapped = f(&Value::Int(i)).map_err(|err| (row, err))?;
-                            *e.insert(out.intern_owned(mapped))
-                        }
-                    };
-                    out.codes.push(code);
-                }
-            }
-            Column::Dict(d) => {
-                out.dict.reserve(d.dict.len());
-                out.index.reserve(d.dict.len());
-                let mut memo: Vec<Option<u32>> = vec![None; d.dict.len()];
-                for (row, &c) in d.codes.iter().enumerate() {
-                    let code = match memo[slot(c)] {
-                        Some(code) => code,
-                        None => {
-                            let mapped = f(&d.dict[slot(c)]).map_err(|err| (row, err))?;
-                            let code = out.intern_owned(mapped);
-                            memo[slot(c)] = Some(code);
-                            code
-                        }
-                    };
-                    out.codes.push(code);
-                }
-            }
-        }
-        Ok(out.into_column())
-    }
-
-    /// The dictionary column, if this column is dictionary-encoded.
-    pub fn as_dict(&self) -> Option<&DictColumn> {
-        match self {
-            Column::Dict(d) => Some(d),
-            Column::Int(_) => None,
-        }
-    }
-
-    /// Keep only the rows whose `keep` flag is true. `keep` must have one
-    /// entry per row. Dictionary entries are never garbage-collected.
-    pub fn retain_rows(&mut self, keep: &[bool]) {
-        match self {
-            Column::Int(v) => {
-                let mut row = 0;
-                v.retain(|_| {
-                    let k = keep[row];
-                    row += 1;
-                    k
-                });
-            }
-            Column::Dict(d) => {
-                let mut row = 0;
-                d.codes.retain(|_| {
-                    let k = keep[row];
-                    row += 1;
-                    k
-                });
-            }
-        }
-    }
-}
-
-impl Default for Column {
-    fn default() -> Self {
-        Column::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn int_column_stays_native_until_non_int_write() {
+    fn integers_and_intervals_share_one_dictionary() {
         let mut c = Column::new();
-        c.push(&Value::int(3));
-        c.push(&Value::int(7));
-        assert!(matches!(c.data(), ColumnData::Int([3, 7])));
-        c.push(&Value::interval(0, 10));
-        let ColumnData::Dict { dict, codes } = c.data() else {
-            panic!("expected promotion to dictionary encoding");
-        };
-        assert_eq!(codes.len(), 3);
-        assert_eq!(dict[codes[0] as usize], Value::int(3));
-        assert_eq!(dict[codes[2] as usize], Value::interval(0, 10));
+        for v in [Value::int(3), Value::int(7), Value::interval(0, 10), Value::int(3)] {
+            c.push(&v);
+        }
+        assert_eq!(c.dict(), &[Value::int(3), Value::int(7), Value::interval(0, 10)]);
+        assert_eq!(c.codes(), &[0, 1, 2, 0]);
     }
 
     #[test]
@@ -400,19 +244,18 @@ mod tests {
         for v in ["a", "b", "a", "a", "b"] {
             c.push(&Value::text(v));
         }
-        let ColumnData::Dict { dict, codes } = c.data() else { panic!("dict expected") };
-        assert_eq!(dict.len(), 2);
-        assert_eq!(codes, &[0, 1, 0, 0, 1]);
+        assert_eq!(c.dict().len(), 2);
+        assert_eq!(c.codes(), &[0, 1, 0, 0, 1]);
     }
 
     #[test]
-    fn set_promotes_and_preserves_other_rows() {
+    fn set_preserves_other_rows() {
         let mut c = Column::new();
         c.push(&Value::int(34));
         c.push(&Value::int(61));
         c.set(1, &Value::interval(60, 70));
-        assert_eq!(c.value(0), Value::int(34));
-        assert_eq!(c.value(1), Value::interval(60, 70));
+        assert_eq!(c.value(0), &Value::int(34));
+        assert_eq!(c.value(1), &Value::interval(60, 70));
     }
 
     #[test]
@@ -423,44 +266,36 @@ mod tests {
         }
         c.retain_rows(&[true, false, true, false, true]);
         assert_eq!(c.len(), 3);
-        assert_eq!(c.value(1), Value::int(2));
+        assert_eq!(c.value(1), &Value::int(2));
         let mut d = Column::new();
         for v in ["x", "y", "z"] {
             d.push(&Value::text(v));
         }
         d.retain_rows(&[false, true, true]);
-        assert_eq!(d.value(0), Value::text("y"));
-        assert_eq!(d.value(1), Value::text("z"));
+        assert_eq!(d.value(0), &Value::text("y"));
+        assert_eq!(d.value(1), &Value::text("z"));
     }
 
     #[test]
     fn intern_does_not_append_rows() {
         let mut c = Column::new();
         c.push(&Value::text("a"));
-        let d = c.promote();
-        let code = d.intern(&Value::text("b"));
-        assert_eq!(d.len(), 1);
-        d.set_code(0, code);
-        assert_eq!(c.value(0), Value::text("b"));
+        let code = c.intern(&Value::text("b"));
+        assert_eq!(c.len(), 1);
+        c.set_code(0, code);
+        assert_eq!(c.value(0), &Value::text("b"));
     }
 
     fn naive_map(c: &Column, f: impl Fn(&Value) -> Value) -> Column {
         let mut out = Column::new();
         for row in 0..c.len() {
-            out.push(&f(&c.value(row)));
+            out.push(&f(c.value(row)));
         }
         out
     }
 
     fn same(a: &Column, b: &Column) -> bool {
-        match (a.data(), b.data()) {
-            (ColumnData::Int(x), ColumnData::Int(y)) => x == y,
-            (
-                ColumnData::Dict { dict: d1, codes: c1 },
-                ColumnData::Dict { dict: d2, codes: c2 },
-            ) => d1 == d2 && c1 == c2,
-            _ => false,
-        }
+        a.dict() == b.dict() && a.codes() == b.codes()
     }
 
     #[test]
@@ -477,7 +312,8 @@ mod tests {
             })
             .unwrap();
         assert_eq!(seen, vec![Value::int(5), Value::int(3), Value::int(9)]);
-        assert!(matches!(mapped.data(), ColumnData::Int([50, 30, 50, 50, 90, 30])));
+        assert_eq!(mapped.dict(), &[Value::int(50), Value::int(30), Value::int(90)]);
+        assert_eq!(mapped.codes(), &[0, 1, 0, 0, 2, 1]);
 
         let mut labels = Column::new();
         for v in ["a", "b", "a", "c", "b"] {
@@ -491,7 +327,7 @@ mod tests {
             })
             .unwrap();
         assert_eq!(calls, 3);
-        assert_eq!(mapped.value(3), Value::text("c!"));
+        assert_eq!(mapped.value(3), &Value::text("c!"));
     }
 
     #[test]
@@ -502,7 +338,7 @@ mod tests {
         }
         c.retain_rows(&[false, true, true, true]);
         c.set(1, &Value::text("new"));
-        assert_eq!(c.as_dict().unwrap().dict().len(), 4, "in-place writes leave stale entries");
+        assert_eq!(c.dict().len(), 4, "in-place writes leave stale entries");
         let mut seen = Vec::new();
         let mapped = c
             .map_distinct::<()>(|v| {
@@ -511,9 +347,8 @@ mod tests {
             })
             .unwrap();
         assert_eq!(seen, vec![Value::text("kept"), Value::text("new")]);
-        let ColumnData::Dict { dict, codes } = mapped.data() else { panic!("dict expected") };
-        assert_eq!(dict, &[Value::text("kept"), Value::text("new")]);
-        assert_eq!(codes, &[0, 1, 0]);
+        assert_eq!(mapped.dict(), &[Value::text("kept"), Value::text("new")]);
+        assert_eq!(mapped.codes(), &[0, 1, 0]);
     }
 
     #[test]
@@ -529,9 +364,10 @@ mod tests {
         };
         let mapped = c.map_distinct::<()>(|v| Ok(f(v))).unwrap();
         assert!(same(&mapped, &naive_map(&c, f)));
-        // Integer results from a dictionary column come back native.
+        // Distinct inputs mapped to one value share one code.
         let zeros = c.map_distinct::<()>(|_| Ok(Value::int(0))).unwrap();
-        assert!(matches!(zeros.data(), ColumnData::Int([0, 0, 0, 0, 0])));
+        assert_eq!(zeros.dict(), &[Value::int(0)]);
+        assert_eq!(zeros.codes(), &[0, 0, 0, 0, 0]);
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! columns directly: fields are borrowed slices unless they need unescaping,
 //! and each column parses each distinct field once.
 
-use crate::column::{slot, ColumnBuilder, ColumnData};
+use crate::column::{slot, ColumnBuilder};
 use crate::error::RelationError;
 use crate::schema::{ColumnDef, ColumnRole, Schema};
 use crate::table::Table;
@@ -34,28 +34,14 @@ pub fn to_csv(table: &Table) -> String {
     let rendered: Vec<Vec<String>> = table
         .columns()
         .iter()
-        .map(|column| match column.data() {
-            ColumnData::Int(_) => Vec::new(),
-            ColumnData::Dict { dict, .. } => {
-                dict.iter().map(|v| escape_field(&v.to_string())).collect()
-            }
-        })
+        .map(|column| column.dict().iter().map(|v| escape_field(&v.to_string())).collect())
         .collect();
-    let mut digits = [0u8; 20];
     // The header line, one separator or line break per cell, and the cells.
     let separators = table.len().saturating_mul(names.len());
     let size = table.columns().iter().zip(&rendered).fold(
         header.len().saturating_add(1).saturating_add(separators),
         |size, (column, fields)| {
-            let cells: usize = match column.data() {
-                ColumnData::Int(values) => {
-                    values.iter().map(|&v| render_int(v, &mut digits).len()).sum()
-                }
-                ColumnData::Dict { codes, .. } => {
-                    codes.iter().map(|&c| fields[slot(c)].len()).sum()
-                }
-            };
-            size.saturating_add(cells)
+            size.saturating_add(column.codes().iter().map(|&c| fields[slot(c)].len()).sum())
         },
     );
     let mut out = String::with_capacity(size);
@@ -66,36 +52,11 @@ pub fn to_csv(table: &Table) -> String {
             if i > 0 {
                 out.push(',');
             }
-            match column.data() {
-                // An integer renders without a comma, quote or line break.
-                ColumnData::Int(values) => out.push_str(render_int(values[row], &mut digits)),
-                ColumnData::Dict { codes, .. } => out.push_str(&fields[slot(codes[row])]),
-            }
+            out.push_str(&fields[slot(column.codes()[row])]);
         }
         out.push('\n');
     }
     out
-}
-
-/// The decimal form of `value` (what `Display` prints), rendered into
-/// `digits` without the formatting machinery.
-fn render_int(value: i64, digits: &mut [u8; 20]) -> &str {
-    let mut rest = value.unsigned_abs();
-    let mut first = digits.len();
-    loop {
-        first -= 1;
-        digits[first] = b'0' + u8::try_from(rest % 10).unwrap_or_default();
-        rest /= 10;
-        if rest == 0 {
-            break;
-        }
-    }
-    if value < 0 {
-        first -= 1;
-        digits[first] = b'-';
-    }
-    // Only ASCII digits and a sign were written.
-    std::str::from_utf8(&digits[first..]).unwrap_or_default()
 }
 
 /// Quote a field if it contains a comma, a double quote, or a line break
@@ -444,13 +405,12 @@ mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::Column;
     use crate::value::Value;
     use proptest::prelude::*;
 
     /// The value at `row` of the column named `column`.
     fn cell(t: &Table, row: usize, column: &str) -> Value {
-        t.value_at(row, t.schema().index_of(column).unwrap()).unwrap()
+        t.value_at(row, t.schema().index_of(column).unwrap()).unwrap().clone()
     }
 
     fn sample() -> Table {
@@ -624,7 +584,7 @@ mod tests {
         assert_eq!(once.lines().next().unwrap(), "id,\"say \"\"hi\"\", twice\",\"\"\"\"");
         let parsed = from_csv(&once, &[("id", ColumnRole::Identifying)]).unwrap();
         assert_eq!(parsed.schema(), &schema);
-        assert_eq!(parsed.value_at(0, 2), Some(Value::text("y,z")));
+        assert_eq!(parsed.value_at(0, 2), Some(&Value::text("y,z")));
         assert_eq!(to_csv(&parsed), once);
     }
 
@@ -654,10 +614,16 @@ mod tests {
 
     #[test]
     fn integers_render_like_display() {
-        let mut digits = [0u8; 20];
-        for v in [0, 7, -7, 9, 10, 99, 100, -100, 53_001, i64::MAX, i64::MIN, i64::MIN + 1] {
-            assert_eq!(render_int(v, &mut digits), v.to_string());
+        let mut t =
+            Table::new(Schema::new(vec![ColumnDef::new("n", ColumnRole::QuasiNumeric)]).unwrap());
+        let ints = [0, 7, -7, 9, 10, 99, 100, -100, 53_001, i64::MAX, i64::MIN, i64::MIN + 1];
+        for v in ints {
+            t.insert(vec![Value::int(v)]).unwrap();
         }
+        let text = to_csv(&t);
+        let lines: Vec<&str> = text.lines().skip(1).collect();
+        let expected: Vec<String> = ints.iter().map(ToString::to_string).collect();
+        assert_eq!(lines, expected);
     }
 
     #[test]
@@ -676,15 +642,15 @@ mod tests {
         assert_eq!(text.capacity(), text.len());
     }
 
-    /// Same schema, same row count, and the same storage per column: `Int`
-    /// or `Dict`, dictionary order and codes included.
+    /// Same schema, same row count, and the same storage per column:
+    /// dictionary order and codes included.
     fn same_layout(a: &Table, b: &Table) -> bool {
         a.schema() == b.schema()
             && a.len() == b.len()
             && a.columns()
                 .iter()
                 .zip(b.columns())
-                .all(|(x, y)| format!("{:?}", x.data()) == format!("{:?}", y.data()))
+                .all(|(x, y)| x.dict() == y.dict() && x.codes() == y.codes())
     }
 
     /// Both parsers on `text`: the same table, or the same error.
@@ -804,12 +770,12 @@ mod tests {
     #[test]
     fn spellings_of_one_value_share_a_code() {
         let t = from_csv("n,i\n5,∅\n+5,\n05,\"[1,2)\"\n 5 ,\"[ 1, 2)\"\n", &[]).unwrap();
-        assert!(matches!(t.column(0).unwrap().data(), ColumnData::Int([5, 5, 5, 5])));
-        let ColumnData::Dict { dict, codes } = t.column(1).unwrap().data() else {
-            panic!("nulls and intervals are dictionary-coded")
-        };
-        assert_eq!(dict, &[Value::Null, Value::interval(1, 2)]);
-        assert_eq!(codes, &[0, 0, 1, 1]);
+        let n = t.column(0).unwrap();
+        assert_eq!(n.dict(), &[Value::int(5)]);
+        assert_eq!(n.codes(), &[0, 0, 0, 0]);
+        let i = t.column(1).unwrap();
+        assert_eq!(i.dict(), &[Value::Null, Value::interval(1, 2)]);
+        assert_eq!(i.codes(), &[0, 0, 1, 1]);
     }
 
     #[test]
@@ -817,24 +783,23 @@ mod tests {
         let mut t = from_csv(&to_csv(&sample()), &[]).unwrap();
         for index in 0..t.schema().arity() {
             let column = t.column_mut(index).unwrap();
-            let Column::Dict(dict) = column else { continue };
-            let entries = dict.dict().to_vec();
+            let entries = column.dict().to_vec();
             for (code, value) in (0u32..).zip(&entries) {
-                assert_eq!(dict.intern(value), code, "{value:?}");
+                assert_eq!(column.intern(value), code, "{value:?}");
             }
-            assert_eq!(dict.dict(), entries.as_slice(), "interning grew the dictionary");
+            assert_eq!(column.dict(), entries.as_slice(), "interning grew the dictionary");
             // A new value gets the next code, and is found again.
             let fresh = Value::text("not in the table");
             let next = u32::try_from(entries.len()).unwrap();
-            assert_eq!(dict.intern(&fresh), next);
-            assert_eq!(dict.intern(&fresh), next);
+            assert_eq!(column.intern(&fresh), next);
+            assert_eq!(column.intern(&fresh), next);
         }
         // `set_at` with a value already present reuses its code.
         let doctor = t.schema().index_of("doctor").unwrap();
-        let before = t.column(doctor).unwrap().as_dict().unwrap().dict().len();
+        let before = t.column(doctor).unwrap().dict().len();
         t.set_at(0, doctor, &Value::text("Nurse")).unwrap();
-        let dict = t.column(doctor).unwrap().as_dict().unwrap();
-        assert_eq!(dict.dict().len(), before);
-        assert_eq!(dict.codes()[0], dict.codes()[1]);
+        let column = t.column(doctor).unwrap();
+        assert_eq!(column.dict().len(), before);
+        assert_eq!(column.codes()[0], column.codes()[1]);
     }
 }

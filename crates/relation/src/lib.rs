@@ -17,13 +17,11 @@
 //! * [`ColumnRole`] / [`ColumnDef`] / [`Schema`] — schema with privacy roles.
 //! * [`Table`] — a columnar store: append, per-cell access by row position
 //!   and schema index, per-column access, and mask-based row removal.
-//! * [`Column`] / [`ColumnData`] — the typed column vectors behind the table:
-//!   native `i64` vectors for integers, dictionary-encoded code vectors for
-//!   categorical/generalized data; the batch kernels of the binning and
-//!   watermarking crates read these directly.
-//! * [`stats`] — per-column statistics (value counts, one-pass min/max/
-//!   distinct, bin sizes, group-by over quasi-identifier combinations) used
-//!   by the metrics crate.
+//! * [`Column`] — the dictionary-encoded column behind the table: every
+//!   distinct value interned once plus one dense code per row; the batch
+//!   kernels of the binning and watermarking crates read these directly.
+//! * [`stats`] — per-column value counts and bin sizes over
+//!   quasi-identifier combinations, used by the metrics crate.
 //! * [`csv`] — plain-text import/export for inspection of generated data.
 //!
 //! ```
@@ -51,7 +49,7 @@ pub mod stats;
 pub mod table;
 pub mod value;
 
-pub use column::{Column, ColumnData, DictColumn};
+pub use column::Column;
 pub use error::RelationError;
 pub use schema::{ColumnDef, ColumnRole, Schema};
 pub use table::Table;

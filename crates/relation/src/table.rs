@@ -1,12 +1,12 @@
 //! The columnar table.
 //!
-//! A [`Table`] is an append-oriented, column-major store: one typed
-//! [`Column`] per schema column (native `i64` vectors for integer data,
-//! dictionary-encoded code vectors for everything else — see the
+//! A [`Table`] is an append-oriented, column-major store: one
+//! dictionary-encoded [`Column`] per schema column (see the
 //! [`column`](crate::column) module). There is one way to address a cell:
-//! by row position and schema index ([`Table::value_at`], [`Table::set_at`]),
-//! or in bulk through the typed column vectors ([`Table::columns`]) that the
-//! binning and watermarking kernels scan. Rows are removed in one pass with
+//! by its code into its column's dictionary, either by row position and
+//! schema index ([`Table::value_at`], [`Table::set_at`]) or in bulk through
+//! the code vectors ([`Table::columns`]) that the binning and watermarking
+//! kernels scan. Rows are removed in one pass with
 //! a keep mask ([`Table::retain_rows`]); the survivors keep their relative
 //! order, which is all the attack models and the interference analysis (§6)
 //! need — a tuple's identity is its content (the identifying columns, Eq. 5),
@@ -55,17 +55,17 @@ impl Table {
         self.len == 0
     }
 
-    /// The typed column vectors, in schema order.
+    /// The columns, in schema order.
     pub fn columns(&self) -> &[Column] {
         &self.columns
     }
 
-    /// One typed column by schema index.
+    /// One column by schema index.
     pub fn column(&self, index: usize) -> Option<&Column> {
         self.columns.get(index)
     }
 
-    /// Mutable access to one typed column by schema index, for batch kernels
+    /// Mutable access to one column by schema index, for batch kernels
     /// that intern dictionary values or apply code edits. Callers must not
     /// change the column's row count.
     pub fn column_mut(&mut self, index: usize) -> Option<&mut Column> {
@@ -90,8 +90,8 @@ impl Table {
         Ok(())
     }
 
-    /// The value at (`row` position, `column` index), materialized.
-    pub fn value_at(&self, row: usize, column: usize) -> Option<Value> {
+    /// The value at (`row` position, `column` index).
+    pub fn value_at(&self, row: usize, column: usize) -> Option<&Value> {
         let c = self.columns.get(column)?;
         if row < c.len() {
             Some(c.value(row))
@@ -158,7 +158,7 @@ impl Table {
     pub fn column_values(&self, column: &str) -> Result<Vec<Value>, RelationError> {
         let idx = self.schema.index_of(column)?;
         let c = &self.columns[idx];
-        Ok((0..c.len()).map(|row| c.value(row)).collect())
+        Ok((0..c.len()).map(|row| c.value(row).clone()).collect())
     }
 
     /// Keep exactly the rows whose `keep` flag is true, in order, and return
@@ -188,7 +188,6 @@ impl Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::column::ColumnData;
     use crate::schema::{ColumnDef, ColumnRole};
 
     fn small_table() -> Table {
@@ -215,9 +214,9 @@ mod tests {
     #[test]
     fn value_access_and_update() {
         let mut t = small_table();
-        assert_eq!(t.value_at(1, 1), Some(Value::int(61)));
+        assert_eq!(t.value_at(1, 1), Some(&Value::int(61)));
         t.set_at(1, 1, &Value::interval(60, 70)).unwrap();
-        assert_eq!(t.value_at(1, 1), Some(Value::interval(60, 70)));
+        assert_eq!(t.value_at(1, 1), Some(&Value::interval(60, 70)));
         assert!(t.value_at(1, 9).is_none());
         assert_eq!(t.set_at(1, 9, &Value::Null), Err(RelationError::UnknownColumnIndex(9)));
         assert!(t.value_at(99, 1).is_none());
@@ -235,20 +234,20 @@ mod tests {
     #[test]
     fn columnar_layout_is_typed() {
         let t = small_table();
-        // Integer data stays native; categorical data is dictionary-coded.
-        assert!(matches!(t.column(1).unwrap().data(), ColumnData::Int([34, 61, 29])));
-        let ColumnData::Dict { dict, codes } = t.column(2).unwrap().data() else {
-            panic!("categorical column should be dictionary-encoded");
-        };
-        assert_eq!(dict.len(), 2, "two distinct doctors interned once");
-        assert_eq!(codes, &[0, 1, 0]);
+        // Integers and labels alike: each typed value interned once, in
+        // order of first occurrence.
+        let ages = t.column(1).unwrap();
+        assert_eq!(ages.dict(), &[Value::int(34), Value::int(61), Value::int(29)]);
+        assert_eq!(ages.codes(), &[0, 1, 2]);
+        let doctors = t.column(2).unwrap();
+        assert_eq!(doctors.dict(), &[Value::text("Surgeon"), Value::text("Pharmacist")]);
+        assert_eq!(doctors.codes(), &[0, 1, 0]);
     }
 
     #[test]
     fn retain_rows_keeps_int_and_dict_columns_aligned() {
+        // Integer-valued and text-valued columns drop the same rows.
         let mut t = small_table();
-        assert!(matches!(t.column(1).unwrap().data(), ColumnData::Int(_)));
-        assert!(matches!(t.column(2).unwrap().data(), ColumnData::Dict { .. }));
         assert_eq!(t.retain_rows(&[true, false, true]), 1);
         assert_eq!(t.len(), 2);
         assert_eq!(t.column_values("ssn").unwrap(), vec![Value::text("s1"), Value::text("s3")]);
@@ -262,7 +261,7 @@ mod tests {
         assert_eq!(t.retain_rows(&[true, true]), 0);
         t.insert(vec![Value::text("s4"), Value::int(50), Value::text("Nurse")]).unwrap();
         assert_eq!(t.len(), 3);
-        assert_eq!(t.value_at(2, 2), Some(Value::text("Nurse")));
+        assert_eq!(t.value_at(2, 2), Some(&Value::text("Nurse")));
         assert_eq!(t.retain_rows(&[false, false, false]), 3);
         assert!(t.is_empty());
         assert!(t.columns().iter().all(Column::is_empty));
@@ -279,8 +278,8 @@ mod tests {
         let mut t = small_table();
         let snap = t.snapshot();
         t.set_at(0, 1, &Value::int(99)).unwrap();
-        assert_eq!(snap.value_at(0, 1), Some(Value::int(34)));
-        assert_eq!(t.value_at(0, 1), Some(Value::int(99)));
+        assert_eq!(snap.value_at(0, 1), Some(&Value::int(34)));
+        assert_eq!(t.value_at(0, 1), Some(&Value::int(99)));
     }
 
     #[test]
@@ -290,7 +289,7 @@ mod tests {
             let values = t.column_values(&def.name).unwrap();
             assert_eq!(values.len(), t.len());
             for (row, value) in values.iter().enumerate() {
-                assert_eq!(t.value_at(row, col).as_ref(), Some(value));
+                assert_eq!(t.value_at(row, col), Some(value));
             }
         }
         assert!(t.value_at(3, 0).is_none());
@@ -303,11 +302,11 @@ mod tests {
         // The embed kernel's write path: intern a replacement value, then
         // overwrite rows by dictionary code.
         let mut t = small_table();
-        let dict = t.column_mut(2).unwrap().promote();
-        let nurse = dict.intern(&Value::text("Nurse"));
-        dict.set_code(0, nurse);
-        assert_eq!(t.value_at(0, 2), Some(Value::text("Nurse")));
-        assert_eq!(t.value_at(1, 2), Some(Value::text("Pharmacist")));
+        let doctors = t.column_mut(2).unwrap();
+        let nurse = doctors.intern(&Value::text("Nurse"));
+        doctors.set_code(0, nurse);
+        assert_eq!(t.value_at(0, 2), Some(&Value::text("Nurse")));
+        assert_eq!(t.value_at(1, 2), Some(&Value::text("Pharmacist")));
     }
 
     #[test]
@@ -324,10 +323,10 @@ mod tests {
         assert_eq!(calls.len(), 5);
         assert_eq!(mapped.len(), t.len());
         assert_eq!(mapped.column_values("ssn").unwrap(), t.column_values("ssn").unwrap());
-        assert_eq!(mapped.value_at(1, 1), Some(Value::text("0:61")));
-        assert_eq!(mapped.value_at(2, 2), Some(Value::text("1:Surgeon")));
+        assert_eq!(mapped.value_at(1, 1), Some(&Value::text("0:61")));
+        assert_eq!(mapped.value_at(2, 2), Some(&Value::text("1:Surgeon")));
         // The source table is untouched.
-        assert_eq!(t.value_at(1, 1), Some(Value::int(61)));
+        assert_eq!(t.value_at(1, 1), Some(&Value::int(61)));
     }
 
     #[test]

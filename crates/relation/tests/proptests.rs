@@ -17,7 +17,9 @@ fn arb_value() -> impl Strategy<Value = Value> {
 /// Every row of `table`, read cell by cell through `value_at`.
 fn rows_of(table: &Table) -> Vec<Vec<Value>> {
     (0..table.len())
-        .map(|row| (0..table.schema().arity()).map(|c| table.value_at(row, c).unwrap()).collect())
+        .map(|row| {
+            (0..table.schema().arity()).map(|c| table.value_at(row, c).unwrap().clone()).collect()
+        })
         .collect()
 }
 
@@ -50,7 +52,9 @@ proptest! {
     }
 
     /// CSV export/import preserves the number of rows and re-parses every
-    /// cell to the same normalized value.
+    /// cell to the same normalized value, and every parsed column carries
+    /// the dictionary and codes that inserting the normalized rows one at a
+    /// time builds.
     #[test]
     fn csv_roundtrip(table in arb_table()) {
         let text = csv::to_csv(&table);
@@ -61,12 +65,17 @@ proptest! {
         ];
         let parsed = csv::from_csv(&text, &roles).unwrap();
         prop_assert_eq!(parsed.len(), table.len());
+        let mut inserted = Table::new(parsed.schema().clone());
         for (orig, new) in rows_of(&table).iter().zip(rows_of(&parsed).iter()) {
-            for (o, n) in orig.iter().zip(new.iter()) {
-                // Normalization: whitespace-only text collapses to Null and
-                // numeric-looking text becomes Int; both are idempotent.
-                prop_assert_eq!(n, &Value::parse(&o.to_string()));
-            }
+            // Normalization: whitespace-only text collapses to Null and
+            // numeric-looking text becomes Int; both are idempotent.
+            let normalized: Vec<Value> = orig.iter().map(|o| Value::parse(&o.to_string())).collect();
+            prop_assert_eq!(new, &normalized);
+            inserted.insert(normalized).unwrap();
+        }
+        for (p, i) in parsed.columns().iter().zip(inserted.columns()) {
+            prop_assert_eq!(p.dict(), i.dict());
+            prop_assert_eq!(p.codes(), i.codes());
         }
         prop_assert_eq!(parsed.schema().quasi_names(), table.schema().quasi_names());
     }
@@ -99,15 +108,17 @@ proptest! {
     /// Bin sizes over the quasi columns always sum to the table size.
     #[test]
     fn bin_sizes_partition_the_table(table in arb_table()) {
-        let bins = medshield_relation::stats::quasi_bin_sizes(&table).unwrap();
+        let quasi = table.schema().quasi_names();
+        let bins = medshield_relation::stats::bin_sizes(&table, &quasi).unwrap();
         let total: usize = bins.values().sum();
         prop_assert_eq!(total, table.len());
     }
 
     /// The columnar core is invisible at the API: after arbitrary edits
-    /// (including ones that force Int→Dict column promotion and grow the
-    /// dictionaries), the per-cell accessor, the per-column view, and a
-    /// row-by-row rebuild of the table all describe the same relation — and
+    /// (including ones that grow the dictionaries and leave stale entries),
+    /// the per-cell accessor, the per-column view, and a row-by-row rebuild
+    /// of the table all describe the same relation — the rebuild's
+    /// dictionaries hold the live values in order of first occurrence — and
     /// the CSV bytes of the columnar table and the row-wise rebuild are
     /// identical.
     #[test]
@@ -134,8 +145,22 @@ proptest! {
             let column = table.column_values(name).unwrap();
             prop_assert_eq!(&rebuilt.column_values(name).unwrap(), &column);
             for (row, v) in column.iter().enumerate() {
-                prop_assert_eq!(&table.value_at(row, c).unwrap(), v);
+                prop_assert_eq!(table.value_at(row, c).unwrap(), v);
             }
+            let mut first_seen: Vec<&Value> = Vec::new();
+            for v in &column {
+                if !first_seen.contains(&v) {
+                    first_seen.push(v);
+                }
+            }
+            let rebuilt_column = rebuilt.column(c).unwrap();
+            prop_assert_eq!(rebuilt_column.dict().iter().collect::<Vec<_>>(), first_seen);
+            let codes: Vec<u32> = rebuilt_column.codes().to_vec();
+            let expected: Vec<u32> = column
+                .iter()
+                .map(|v| rebuilt_column.dict().iter().position(|d| d == v).unwrap() as u32)
+                .collect();
+            prop_assert_eq!(codes, expected);
         }
         prop_assert_eq!(csv::to_csv(&rebuilt), csv::to_csv(&table));
     }
@@ -179,10 +204,8 @@ proptest! {
             prop_assert_eq!(calls[c].len(), live.len());
             prop_assert!(calls[c].values().all(|&n| n == 1));
             prop_assert!(calls[c].keys().all(|v| live.contains(v)));
-            if let Some(dict) = mapped.column(c).unwrap().as_dict() {
-                let distinct: HashSet<&Value> = after.iter().collect();
-                prop_assert_eq!(dict.dict().len(), distinct.len());
-            }
+            let distinct: HashSet<&Value> = after.iter().collect();
+            prop_assert_eq!(mapped.column(c).unwrap().dict().len(), distinct.len());
         }
     }
 

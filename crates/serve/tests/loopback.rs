@@ -45,7 +45,8 @@ fn drop_column(table_csv: &str, name: &str) -> String {
     let defs = keep.iter().map(|&i| schema.column(i).unwrap().clone()).collect();
     let mut out = Table::new(Schema::new(defs).unwrap());
     for row in 0..table.len() {
-        out.insert(keep.iter().map(|&i| table.value_at(row, i).unwrap()).collect()).unwrap();
+        out.insert(keep.iter().map(|&i| table.value_at(row, i).unwrap().clone()).collect())
+            .unwrap();
     }
     csv::to_csv(&out)
 }

@@ -177,12 +177,11 @@ impl HierarchicalWatermarker {
     }
 
     /// Prepare the columnar embedding kernel for `plan` against `table`:
-    /// promote the target columns to dictionary encoding, intern every
-    /// ultimate node's value, and memoize the per-distinct-value tree
-    /// resolution. The kernel is immutable; workers call
-    /// [`EmbedKernel::run_range`] over disjoint row ranges of the shared
-    /// table and the caller writes the resulting edit lists back with
-    /// [`EmbedKernel::apply`]. A table of another schema than the plan's
+    /// intern every ultimate node's value into the target columns, and
+    /// memoize the per-distinct-value tree resolution. The kernel is
+    /// immutable; workers call [`EmbedKernel::run_range`] over disjoint row
+    /// ranges of the shared table and the caller writes the resulting edit
+    /// lists back with [`EmbedKernel::apply`]. A table of another schema than the plan's
     /// fails with [`WatermarkError::PlanSchemaMismatch`].
     pub fn prepare_embed(
         &self,
@@ -291,7 +290,7 @@ pub(crate) fn climb_and_read(
         let siblings = tree.siblings(current).map_err(WatermarkError::Dht)?;
         // Singleton sibling sets carry no information, so they cast no vote.
         if siblings.len() > 1 {
-            let Some(idx) = DomainHierarchyTree::index_in(current, &siblings) else {
+            let Some(idx) = DomainHierarchyTree::index_in(current, siblings) else {
                 return Ok(Some(bits));
             };
             bits.push(idx % 2 == 1);
@@ -517,7 +516,7 @@ mod tests {
         let mut suspect = Table::new(schema);
         for row in 0..marked.len() {
             suspect
-                .insert(keep.iter().map(|&i| marked.value_at(row, i).unwrap()).collect())
+                .insert(keep.iter().map(|&i| marked.value_at(row, i).unwrap().clone()).collect())
                 .unwrap();
         }
 

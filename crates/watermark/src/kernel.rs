@@ -8,8 +8,7 @@
 //!
 //! * **Identity bytes** — every dictionary entry of an identity column is
 //!   framed once per run into one contiguous buffer (`IdentCodec`); the
-//!   per-row work is a code lookup plus a `memcpy`. Integer identity columns
-//!   are framed inline from the native `i64` vector.
+//!   per-row work is a code lookup plus a `memcpy`.
 //! * **PRF label schedules** — the per-column `bit:` / `perm:` label prefixes
 //!   are precomputed ([`KeyedPrf::label_prefix`]) and each per-cell PRF is
 //!   one midstate-cached HMAC over `prefix ‖ ident`. The 128-bit wide value
@@ -43,7 +42,7 @@ use crate::select::{set_parity, ResolvedIdentity, Selector};
 use crate::voting::{level_weights, majority, weighted_majority};
 use medshield_crypto::KeyedPrf;
 use medshield_dht::{DomainHierarchyTree, GeneralizationSet, NodeId};
-use medshield_relation::{Column, ColumnData, Table, Value};
+use medshield_relation::{Column, Table, Value};
 use std::collections::HashMap;
 use std::ops::Range;
 
@@ -56,23 +55,16 @@ fn frame_value_into(value: &Value, out: &mut Vec<u8>) {
     out[at..at + 8].copy_from_slice(&len.to_be_bytes());
 }
 
-/// One identity column, pre-encoded for per-row byte assembly.
+/// One identity column, pre-encoded for per-row byte assembly: every
+/// dictionary entry framed once, back to back.
 #[derive(Debug, Clone)]
-enum IdentField {
-    /// A native integer column: framed inline from the `i64` vector.
-    Int {
-        /// Schema index of the column.
-        col: usize,
-    },
-    /// A dictionary column: every entry framed once, back to back.
-    Dict {
-        /// Schema index of the column.
-        col: usize,
-        /// The framed identity bytes of every dictionary entry.
-        framed: Vec<u8>,
-        /// Entry `code` is `framed[offsets[code]..offsets[code + 1]]`.
-        offsets: Vec<usize>,
-    },
+struct IdentField {
+    /// Schema index of the column.
+    col: usize,
+    /// The framed identity bytes of every dictionary entry.
+    framed: Vec<u8>,
+    /// Entry `code` is `framed[offsets[code]..offsets[code + 1]]`.
+    offsets: Vec<usize>,
 }
 
 /// The per-run identity encoder: emits exactly the bytes of
@@ -90,18 +82,16 @@ impl IdentCodec {
         let fields = identity
             .indices()
             .iter()
-            .map(|&col| match table.columns()[col].data() {
-                ColumnData::Int(_) => IdentField::Int { col },
-                ColumnData::Dict { dict, .. } => {
-                    let mut framed = Vec::new();
-                    let mut offsets = Vec::with_capacity(dict.len() + 1);
-                    offsets.push(0);
-                    for v in dict {
-                        frame_value_into(v, &mut framed);
-                        offsets.push(framed.len());
-                    }
-                    IdentField::Dict { col, framed, offsets }
+            .map(|&col| {
+                let dict = table.columns()[col].dict();
+                let mut framed = Vec::new();
+                let mut offsets = Vec::with_capacity(dict.len() + 1);
+                offsets.push(0);
+                for v in dict {
+                    frame_value_into(v, &mut framed);
+                    offsets.push(framed.len());
                 }
+                IdentField { col, framed, offsets }
             })
             .collect();
         IdentCodec { fields }
@@ -109,35 +99,13 @@ impl IdentCodec {
 
     /// Append the identity bytes of `row` to `out`.
     fn write(&self, columns: &[Column], row: usize, out: &mut Vec<u8>) {
-        for field in &self.fields {
-            match field {
-                IdentField::Int { col } => {
-                    if let ColumnData::Int(values) = columns[*col].data() {
-                        // Value::Int canonical bytes: tag 0x01 + 8 BE bytes,
-                        // hence a fixed 9-byte length prefix.
-                        out.extend_from_slice(&9u64.to_be_bytes());
-                        out.push(0x01);
-                        out.extend_from_slice(&values[row].to_be_bytes());
-                    } else {
-                        // The column was promoted after this codec was built;
-                        // fall back to the materializing path.
-                        frame_value_into(&columns[*col].value(row), out);
-                    }
-                }
-                IdentField::Dict { col, framed, offsets } => {
-                    let entry = match columns[*col].data() {
-                        ColumnData::Dict { codes, .. } => {
-                            let code = codes[row] as usize;
-                            offsets.get(code).zip(offsets.get(code + 1))
-                        }
-                        ColumnData::Int(_) => None,
-                    };
-                    match entry {
-                        Some((&from, &to)) => out.extend_from_slice(&framed[from..to]),
-                        // An entry interned after the build: materialize it.
-                        None => frame_value_into(&columns[*col].value(row), out),
-                    }
-                }
+        for IdentField { col, framed, offsets } in &self.fields {
+            let column = &columns[*col];
+            let code = column.codes()[row] as usize;
+            match offsets.get(code).zip(offsets.get(code + 1)) {
+                Some((&from, &to)) => out.extend_from_slice(&framed[from..to]),
+                // An entry interned after the build: frame it here.
+                None => frame_value_into(column.value(row), out),
             }
         }
     }
@@ -302,10 +270,10 @@ pub struct EmbedKernel {
 }
 
 impl EmbedKernel {
-    /// Prepare `table` for an embedding run of `plan`: promote every target
-    /// column to dictionary encoding, intern the values the walks can write,
-    /// memoize the value-determined work per dictionary code, and freeze the
-    /// identity codec. The table must not be modified between this call and
+    /// Prepare `table` for an embedding run of `plan`: intern into every
+    /// target column the values the walks can write, memoize the
+    /// value-determined work per dictionary code, and freeze the identity
+    /// codec. The table must not be modified between this call and
     /// [`EmbedKernel::apply`], other than by `apply` itself.
     pub(crate) fn prepare(
         plan: &EmbedPlan<'_>,
@@ -362,13 +330,7 @@ impl EmbedKernel {
                 let row = block.start + slot;
                 report.selected_tuples += 1;
                 for (column, (st, pc)) in self.columns.iter().zip(&plan.core.columns).enumerate() {
-                    let code = match columns[pc.index].data() {
-                        ColumnData::Dict { codes, .. } => codes[row],
-                        // Prepared columns are always dictionary-encoded;
-                        // treat a mismatch as an unresolvable cell rather
-                        // than panicking.
-                        ColumnData::Int(_) => continue,
-                    };
+                    let code = columns[pc.index].codes()[row];
                     let node = match st.memo.get(code as usize).copied().unwrap_or(CellMemo::Ignore)
                     {
                         CellMemo::Ignore => continue,
@@ -439,7 +401,7 @@ impl EmbedKernel {
                         let new_value =
                             pc.tree.node_value(new_node).map_err(WatermarkError::Dht)?;
                         if self.style == EmbedStyle::Hierarchical
-                            && new_value != columns[pc.index].value(row)
+                            && &new_value != columns[pc.index].value(row)
                         {
                             report.changed_cells += 1;
                         }
@@ -473,11 +435,10 @@ impl EmbedKernel {
                 }
                 let index = plan.core.columns[ci].index;
                 let Some(column) = table.column_mut(index) else { continue };
-                let dict = column.promote();
                 for edit in edits {
                     match edit {
-                        Edit::Code(row, code) => dict.set_code(row, code),
-                        Edit::Value(row, value) => dict.set(row, &value),
+                        Edit::Code(row, code) => column.set_code(row, code),
+                        Edit::Value(row, value) => column.set(row, &value),
                     }
                 }
             }
@@ -487,7 +448,7 @@ impl EmbedKernel {
 }
 
 impl EmbedColumn {
-    /// Promote the column, intern every ultimate node's value, and memoize
+    /// Intern every ultimate node's value into the column, and memoize
     /// the value-determined embedding decision per present dictionary code.
     fn prepare(
         pc: &PlanColumn<'_>,
@@ -504,27 +465,21 @@ impl EmbedColumn {
                 medshield_relation::RelationError::UnknownColumn(column_name.clone()),
             ));
         };
-        let dict = column.promote();
         let mut node_code = HashMap::with_capacity(pc.binning.ultimate.len());
         for &node in pc.binning.ultimate.nodes() {
             let value = pc.tree.node_value(node).map_err(WatermarkError::Dht)?;
-            node_code.insert(node, dict.intern(&value));
+            node_code.insert(node, column.intern(&value));
         }
         // Memoize only codes some row actually references: stale dictionary
         // entries must not raise errors the row loop never would.
-        let mut present = vec![false; dict.dict().len()];
-        for &code in dict.codes() {
-            if let Some(slot) = present.get_mut(code as usize) {
-                *slot = true;
-            }
-        }
+        let present = referenced_codes(column);
         let mut memo = Vec::with_capacity(present.len());
         for (code, &p) in present.iter().enumerate() {
             if !p {
                 memo.push(CellMemo::Ignore);
                 continue;
             }
-            let value = &dict.dict()[code];
+            let value = &column.dict()[code];
             memo.push(match style {
                 EmbedStyle::Hierarchical => hierarchical_cell_memo(pc, value),
                 EmbedStyle::SingleLevel => single_level_cell_memo(pc, value),
@@ -532,6 +487,17 @@ impl EmbedColumn {
         }
         Ok(EmbedColumn { memo, node_code, bit_prefix, perm_prefix })
     }
+}
+
+/// Which dictionary codes of `column` some row references.
+fn referenced_codes(column: &Column) -> Vec<bool> {
+    let mut present = vec![false; column.dict().len()];
+    for &code in column.codes() {
+        if let Some(slot) = present.get_mut(code as usize) {
+            *slot = true;
+        }
+    }
+    present
 }
 
 /// The value-determined part of the hierarchical embedding decision.
@@ -632,20 +598,12 @@ fn permute_wide(
     }
 }
 
-/// Per-column vote memo: what each distinct cell value contributes to
-/// detection, resolved once per run.
-#[derive(Debug, Clone)]
-enum VoteMemo {
-    /// Dictionary column: vote per code (`None` = no vote).
-    Dict(Vec<Option<bool>>),
-    /// Native integer column: vote per distinct value present in the rows.
-    Int(HashMap<i64, Option<bool>>),
-}
-
 /// One planned column's precomputed detection state.
 #[derive(Debug, Clone)]
 struct DetectColumn {
-    votes: VoteMemo,
+    /// What each dictionary code contributes to detection, resolved once per
+    /// run (`None` = no vote).
+    votes: Vec<Option<bool>>,
     /// Precomputed `bit:<column>` label prefix.
     bit_prefix: Vec<u8>,
 }
@@ -672,32 +630,14 @@ impl DetectKernel {
         let mut columns = Vec::with_capacity(plan.core.columns.len());
         for pc in &plan.core.columns {
             let bit_prefix = KeyedPrf::label_prefix(&format!("bit:{}", pc.binning.column));
-            let votes = match table.columns()[pc.index].data() {
-                ColumnData::Int(values) => {
-                    let mut memo = HashMap::new();
-                    for &v in values {
-                        if let std::collections::hash_map::Entry::Vacant(e) = memo.entry(v) {
-                            e.insert(cell_vote(pc, &Value::Int(v))?);
-                        }
-                    }
-                    VoteMemo::Int(memo)
-                }
-                ColumnData::Dict { dict, codes } => {
-                    let mut present = vec![false; dict.len()];
-                    for &code in codes {
-                        if let Some(slot) = present.get_mut(code as usize) {
-                            *slot = true;
-                        }
-                    }
-                    let mut memo = Vec::with_capacity(dict.len());
-                    for (code, &p) in present.iter().enumerate() {
-                        // Stale entries no row references cast no vote and
-                        // must not raise errors.
-                        memo.push(if p { cell_vote(pc, &dict[code])? } else { None });
-                    }
-                    VoteMemo::Dict(memo)
-                }
-            };
+            let column = &table.columns()[pc.index];
+            let present = referenced_codes(column);
+            let mut votes = Vec::with_capacity(present.len());
+            for (value, &p) in column.dict().iter().zip(&present) {
+                // Stale entries no row references cast no vote and must not
+                // raise errors.
+                votes.push(if p { cell_vote(pc, value)? } else { None });
+            }
             columns.push(DetectColumn { votes, bit_prefix });
         }
         let ident = plan.core.identity.as_ref().map(|id| IdentCodec::build(id, table));
@@ -740,18 +680,8 @@ impl DetectKernel {
                 let row = block.start + slot;
                 tally.note_selected();
                 for (column, (dc, pc)) in self.columns.iter().zip(&plan.core.columns).enumerate() {
-                    let vote = match (&dc.votes, columns[pc.index].data()) {
-                        (VoteMemo::Dict(memo), ColumnData::Dict { codes, .. }) => {
-                            memo.get(codes[row] as usize).copied().flatten()
-                        }
-                        (VoteMemo::Int(memo), ColumnData::Int(values)) => {
-                            memo.get(&values[row]).copied().flatten()
-                        }
-                        // Layout changed between prepare and run (contract
-                        // violation): treat as attacker garbage, no vote.
-                        _ => None,
-                    };
-                    if let Some(bit) = vote {
+                    let code = columns[pc.index].codes()[row];
+                    if let Some(bit) = dc.votes.get(code as usize).copied().flatten() {
                         jobs.push((slot, column, bit));
                     }
                 }
@@ -818,7 +748,7 @@ pub(crate) fn single_level_cell_vote(
         // skipped it too).
         return Ok(None);
     }
-    let Some(idx) = DomainHierarchyTree::index_in(node, &siblings) else { return Ok(None) };
+    let Some(idx) = DomainHierarchyTree::index_in(node, siblings) else { return Ok(None) };
     Ok(Some(idx % 2 == 1))
 }
 
@@ -855,12 +785,7 @@ mod reference {
             }
             report.selected_tuples += 1;
             for (ci, (st, pc)) in kernel.columns.iter().zip(&plan.core.columns).enumerate() {
-                let code = match columns[pc.index].data() {
-                    ColumnData::Dict { codes, .. } => codes[row],
-                    // Prepared columns are always dictionary-encoded; treat a
-                    // mismatch as an unresolvable cell rather than panicking.
-                    ColumnData::Int(_) => continue,
-                };
+                let code = columns[pc.index].codes()[row];
                 let start = match st.memo.get(code as usize).copied().unwrap_or(CellMemo::Ignore) {
                     CellMemo::Ignore => continue,
                     CellMemo::Skip => {
@@ -913,7 +838,7 @@ mod reference {
                         let new_value =
                             pc.tree.node_value(new_node).map_err(WatermarkError::Dht)?;
                         if kernel.style == EmbedStyle::Hierarchical
-                            && new_value != columns[pc.index].value(row)
+                            && &new_value != columns[pc.index].value(row)
                         {
                             report.changed_cells += 1;
                         }
@@ -950,18 +875,8 @@ mod reference {
             }
             tally.note_selected();
             for (dc, pc) in kernel.columns.iter().zip(&plan.core.columns) {
-                let vote = match (&dc.votes, columns[pc.index].data()) {
-                    (VoteMemo::Dict(memo), ColumnData::Dict { codes, .. }) => {
-                        memo.get(codes[row] as usize).copied().flatten()
-                    }
-                    (VoteMemo::Int(memo), ColumnData::Int(values)) => {
-                        memo.get(&values[row]).copied().flatten()
-                    }
-                    // Layout changed between prepare and run (contract
-                    // violation): treat as attacker garbage, no vote.
-                    _ => None,
-                };
-                let Some(bit) = vote else { continue };
+                let code = columns[pc.index].codes()[row];
+                let Some(bit) = dc.votes.get(code as usize).copied().flatten() else { continue };
                 let pos =
                     KeyedPrf::reduce_wide(prf.prefixed_value_wide(&dc.bit_prefix, &buf), wmd_len);
                 tally.vote(pos as usize, bit, 1.0)?;
@@ -1015,18 +930,25 @@ mod tests {
             t.insert(vec![Value::int(i * 1_000 - 7), ssn, Value::int(20 + i % 50), doctor])
                 .unwrap();
         }
-        assert!(matches!(t.column(0).unwrap().data(), ColumnData::Int(_)));
-        assert!(matches!(t.column(1).unwrap().data(), ColumnData::Dict { .. }));
+        // Integer-valued `mrn` and text-valued `ssn` are both interned in
+        // order of first occurrence.
+        let mrn = t.column(0).unwrap();
+        assert_eq!(mrn.dict().len(), 60);
+        assert_eq!(mrn.dict()[1], Value::int(993));
+        assert_eq!(mrn.codes()[..3], [0, 1, 2]);
+        let ssn = t.column(1).unwrap();
+        assert_eq!(ssn.dict()[..2], [Value::Null, Value::text("ssn-1")]);
+        assert_eq!(ssn.codes()[6..9], [6, 0, 7]);
         assert_codec_matches_reference(&TupleIdentity::IdentifyingColumns, &t);
         // A virtual key over the quasi columns, in non-schema order.
         let virtual_key = TupleIdentity::VirtualKey(vec!["doctor".into(), "age".into()]);
         assert_codec_matches_reference(&virtual_key, &t);
 
-        // A column promoted after the codec was built falls back to the
-        // materializing path and still writes the reference bytes.
+        // Values interned after the codec was built are framed on the spot
+        // and still give the reference bytes.
         let resolved = TupleIdentity::IdentifyingColumns.resolve(t.schema()).unwrap();
         let codec = IdentCodec::build(&resolved, &t);
-        t.column_mut(0).unwrap().promote();
+        t.set_at(2, 0, &Value::int(-1)).unwrap();
         t.set_at(3, 1, &Value::text("interned after the build")).unwrap();
         let mut buf = Vec::new();
         for row in 0..t.len() {
@@ -1052,8 +974,8 @@ mod tests {
         )));
         let (marked, report) = wm.embed(&binned, &ds.trees, &Mark::from_bytes(b"m", 20)).unwrap();
         assert!(report.changed_cells > 0);
-        // The codec is built on the table as embedding left it: target
-        // columns promoted, every ultimate node's value interned, and the
+        // The codec is built on the table as embedding left it: every
+        // ultimate node's value interned into the target columns, and the
         // moved cells rewritten by code.
         assert_codec_matches_reference(&TupleIdentity::IdentifyingColumns, &marked);
         let quasi = marked.schema().quasi_names().into_iter().map(String::from).collect();
@@ -1067,8 +989,7 @@ mod tests {
     }
 
     /// The first `rows` rows of the hospital table behind two identity
-    /// columns: `mrn`, all integers (a native `Int` column), and `ssn`, text
-    /// with nulls and repeats (a `Dict` column).
+    /// columns: `mrn`, all integers, and `ssn`, text with nulls and repeats.
     fn with_identities(rows: usize, mrn: &[i64], ssn: &[u32]) -> Table {
         let base = &hospital().table;
         let mut defs = vec![ColumnDef::new("mrn", ColumnRole::Identifying)];
@@ -1084,7 +1005,7 @@ mod tests {
                         v => Value::text(format!("ssn-{v}")),
                     }
                 } else {
-                    base.value_at(row, col).unwrap()
+                    base.value_at(row, col).unwrap().clone()
                 });
             }
             table.insert(values).unwrap();

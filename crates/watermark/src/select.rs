@@ -285,8 +285,8 @@ mod tests {
         let resolved = id.resolve(t.schema()).unwrap();
         assert_eq!(resolved.indices(), &[2, 1]);
         for row in 0..t.len() {
-            let mut expected = framed(&t.value_at(row, 2).unwrap());
-            expected.extend_from_slice(&framed(&t.value_at(row, 1).unwrap()));
+            let mut expected = framed(t.value_at(row, 2).unwrap());
+            expected.extend_from_slice(&framed(t.value_at(row, 1).unwrap()));
             assert_eq!(resolved.bytes(&t, row), expected);
         }
     }

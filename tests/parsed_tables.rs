@@ -4,7 +4,7 @@
 //! protect, embed and detect paths are run on both and must give
 //! structurally equal tables and equal reports.
 
-use medshield_core::relation::{csv, ColumnRole, Schema, Table};
+use medshield_core::relation::{csv, ColumnRole, Schema, Table, Value};
 use medshield_core::{ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 
@@ -20,10 +20,12 @@ fn engine() -> ProtectionEngine {
     ProtectionEngine::new(config, 1).unwrap()
 }
 
-/// Schema, row count and per-column storage (`Int` or `Dict`, dictionary
-/// order and codes included).
-fn layout(t: &Table) -> (Schema, usize, Vec<String>) {
-    let columns = t.columns().iter().map(|c| format!("{:?}", c.data())).collect();
+/// Schema, row count and per-column storage (dictionary order and codes).
+type Layout = (Schema, usize, Vec<(Vec<Value>, Vec<u32>)>);
+
+/// The [`Layout`] of `t`.
+fn layout(t: &Table) -> Layout {
+    let columns = t.columns().iter().map(|c| (c.dict().to_vec(), c.codes().to_vec())).collect();
     (t.schema().clone(), t.len(), columns)
 }
 
@@ -38,7 +40,7 @@ fn parsed(t: &Table) -> Table {
 fn rebuilt(t: &Table) -> Table {
     let mut out = Table::new(t.schema().clone());
     for row in 0..t.len() {
-        let values = (0..t.schema().arity()).map(|c| t.value_at(row, c).unwrap()).collect();
+        let values = (0..t.schema().arity()).map(|c| t.value_at(row, c).unwrap().clone()).collect();
         out.insert(values).unwrap();
     }
     out
