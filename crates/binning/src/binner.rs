@@ -6,6 +6,7 @@ use crate::error::BinningError;
 use crate::maximal;
 use crate::mono;
 use crate::multi::{self, ColumnContext, SearchMode};
+use crate::plan::{resolve_column_leaves, ColumnLeaves};
 use medshield_crypto::Aes128;
 use medshield_dht::{DomainHierarchyTree, GeneralizationSet};
 use medshield_metrics::usage::UsageBounds;
@@ -89,78 +90,39 @@ impl BinningAgent {
         trees: &BTreeMap<String, DomainHierarchyTree>,
         maximal: &BTreeMap<String, GeneralizationSet>,
     ) -> Result<BinningOutcome, BinningError> {
-        if self.config.threads == 0 {
-            return Err(BinningError::InvalidThreads);
-        }
-        let quasi: Vec<String> = table
-            .schema()
-            .quasi_names()
-            .into_iter()
-            .map(std::string::ToString::to_string)
-            .collect();
         let mut warnings = Vec::new();
+        let (mut columns, leaves) = self.mono_stage(table, trees, maximal, &mut warnings)?;
         let effective_k = self.config.spec.effective_k();
 
-        // 1. Mono-attribute binning per column.
-        let mut per_column: Vec<(String, GeneralizationSet, GeneralizationSet)> = Vec::new();
-        for column in &quasi {
-            let tree =
-                trees.get(column).ok_or_else(|| BinningError::MissingTree(column.clone()))?;
-            let max_nodes =
-                maximal.get(column).cloned().unwrap_or_else(|| GeneralizationSet::root_only(tree));
-            let mono = mono::generate_minimal_nodes(
-                table,
-                column,
-                tree,
-                &max_nodes,
-                effective_k,
-                self.config.minimal_strategy,
-            )?;
-            warnings.extend(mono.warnings);
-            per_column.push((column.clone(), max_nodes, mono.minimal));
-        }
-
-        // 2. Multi-attribute binning across all columns.
-        let contexts: Vec<ColumnContext<'_>> = per_column
+        // Multi-attribute binning across all columns.
+        let contexts: Vec<ColumnContext<'_>> = columns
             .iter()
-            .map(|(column, max_nodes, min_nodes)| ColumnContext {
-                column,
-                tree: &trees[column],
-                minimal: min_nodes,
-                maximal: max_nodes,
+            .map(|cb| ColumnContext {
+                column: &cb.column,
+                tree: &trees[&cb.column],
+                minimal: &cb.minimal,
+                maximal: &cb.maximal,
             })
             .collect();
-        let multi = multi::generate_ultimate_nodes(
-            table,
+        let multi = multi::ultimate_nodes(
             &contexts,
+            &leaves,
             effective_k,
             self.config.selection_strategy,
             self.config.exhaustive_limit,
             self.config.threads,
         )?;
         warnings.extend(multi.warnings);
-
-        // 3. Binning(tbl, ultigen): encrypt identifiers, generalize quasi values.
-        let ultimate: Vec<(&str, &GeneralizationSet)> = per_column
-            .iter()
-            .zip(&multi.ultimate)
-            .map(|((column, _, _), set)| (column.as_str(), set))
-            .collect();
-        let binned = self.apply(table, trees, &ultimate)?;
-
-        let columns = per_column
-            .into_iter()
-            .zip(multi.ultimate)
-            .map(|((column, maximal, minimal), ultimate)| {
-                // A column the search left at its minimal nodes keeps one
-                // shared node list for both sets.
-                let ultimate = if ultimate == minimal { minimal.clone() } else { ultimate };
-                ColumnBinning { column, maximal, minimal, ultimate }
-            })
-            .collect();
+        for (cb, ultimate) in columns.iter_mut().zip(multi.ultimate) {
+            // A column the search left at its minimal nodes keeps one
+            // shared node list for both sets.
+            if ultimate != cb.minimal {
+                cb.ultimate = ultimate;
+            }
+        }
 
         Ok(BinningOutcome {
-            table: binned,
+            table: self.apply(table, trees, &columns)?,
             columns,
             effective_k,
             satisfied: multi.satisfied,
@@ -184,77 +146,84 @@ impl BinningAgent {
         trees: &BTreeMap<String, DomainHierarchyTree>,
         maximal: &BTreeMap<String, GeneralizationSet>,
     ) -> Result<BinningOutcome, BinningError> {
-        if self.config.threads == 0 {
-            return Err(BinningError::InvalidThreads);
-        }
-        let quasi: Vec<String> = table
-            .schema()
-            .quasi_names()
-            .into_iter()
-            .map(std::string::ToString::to_string)
-            .collect();
         let mut warnings = Vec::new();
-        let effective_k = self.config.spec.effective_k();
-
-        let mut columns: Vec<ColumnBinning> = Vec::new();
-        for column in &quasi {
-            let tree =
-                trees.get(column).ok_or_else(|| BinningError::MissingTree(column.clone()))?;
-            let max_nodes =
-                maximal.get(column).cloned().unwrap_or_else(|| GeneralizationSet::root_only(tree));
-            let mono = mono::generate_minimal_nodes(
-                table,
-                column,
-                tree,
-                &max_nodes,
-                effective_k,
-                self.config.minimal_strategy,
-            )?;
-            warnings.extend(mono.warnings);
-            columns.push(ColumnBinning {
-                column: column.clone(),
-                maximal: max_nodes,
-                minimal: mono.minimal.clone(),
-                ultimate: mono.minimal,
-            });
-        }
-
-        let ultimate: Vec<(&str, &GeneralizationSet)> =
-            columns.iter().map(|cb| (cb.column.as_str(), &cb.ultimate)).collect();
-        let binned = self.apply(table, trees, &ultimate)?;
-
-        let satisfied = warnings.is_empty();
+        let (columns, _) = self.mono_stage(table, trees, maximal, &mut warnings)?;
         Ok(BinningOutcome {
-            table: binned,
+            table: self.apply(table, trees, &columns)?,
             columns,
-            effective_k,
-            satisfied,
+            effective_k: self.config.spec.effective_k(),
+            satisfied: warnings.is_empty(),
             mode: SearchMode::PerAttribute,
             warnings,
         })
     }
 
+    /// The mono-attribute stage both `bin` and `bin_per_attribute` start
+    /// with: per quasi column in schema order, resolve its rows to leaves
+    /// once and compute its minimal nodes (`GenMinNd`, Fig. 5) below its
+    /// maximal nodes (root-only when `maximal` states none). Each column's
+    /// ultimate set starts out as its minimal set. Returns the columns and
+    /// their resolved leaves, which the multi-attribute search reuses.
+    fn mono_stage(
+        &self,
+        table: &Table,
+        trees: &BTreeMap<String, DomainHierarchyTree>,
+        maximal: &BTreeMap<String, GeneralizationSet>,
+        warnings: &mut Vec<String>,
+    ) -> Result<(Vec<ColumnBinning>, Vec<ColumnLeaves>), BinningError> {
+        if self.config.threads == 0 {
+            return Err(BinningError::InvalidThreads);
+        }
+        let k = self.config.spec.effective_k();
+        let mut columns = Vec::new();
+        let mut leaves = Vec::new();
+        for column in table.schema().quasi_names() {
+            let tree =
+                trees.get(column).ok_or_else(|| BinningError::MissingTree(column.to_string()))?;
+            if k == 0 {
+                return Err(BinningError::InvalidK);
+            }
+            let max_nodes =
+                maximal.get(column).cloned().unwrap_or_else(|| GeneralizationSet::root_only(tree));
+            let col = resolve_column_leaves(table, column, tree)?;
+            let mono = mono::minimal_nodes(
+                column,
+                tree,
+                &col,
+                &max_nodes,
+                k,
+                self.config.minimal_strategy,
+            )?;
+            warnings.extend(mono.warnings);
+            columns.push(ColumnBinning {
+                column: column.to_string(),
+                maximal: max_nodes,
+                minimal: mono.minimal.clone(),
+                ultimate: mono.minimal,
+            });
+            leaves.push(col);
+        }
+        Ok((columns, leaves))
+    }
+
     /// `Binning(tbl, ultigen)` of Fig. 8: a copy of `table` with every
-    /// identifying column encrypted and every column of `ultimate` replaced
-    /// by its ultimate generalization. Each column is rewritten once per
-    /// distinct value its rows reference. A cell that cannot be generalized
-    /// fails the whole step with the error of the first such cell in
-    /// row-major order.
+    /// identifying column encrypted and every binned column replaced by its
+    /// ultimate generalization. Each column is rewritten once per distinct
+    /// value its rows reference. A cell that cannot be generalized fails the
+    /// whole step with the error of the first such cell in row-major order.
     fn apply(
         &self,
         table: &Table,
         trees: &BTreeMap<String, DomainHierarchyTree>,
-        ultimate: &[(&str, &GeneralizationSet)],
+        binned: &[ColumnBinning],
     ) -> Result<Table, BinningError> {
         let schema = table.schema();
         let identifying = schema.identifying_indices();
         let mut columns = identifying.clone();
-        let mut generalizations = Vec::with_capacity(ultimate.len());
-        for &(column, set) in ultimate {
-            columns.push(schema.index_of(column)?);
-            let tree =
-                trees.get(column).ok_or_else(|| BinningError::MissingTree(column.to_string()))?;
-            generalizations.push((tree, set));
+        let mut generalizations = Vec::with_capacity(binned.len());
+        for cb in binned {
+            columns.push(schema.index_of(&cb.column)?);
+            generalizations.push((&trees[&cb.column], &cb.ultimate));
         }
         table.map_distinct(&columns, |position, value| {
             match position.checked_sub(identifying.len()) {

@@ -13,9 +13,9 @@
 
 use crate::config::MinimalNodeStrategy;
 use crate::error::BinningError;
+use crate::plan::{resolve_column_leaves, ColumnLeaves};
 use medshield_dht::{DomainHierarchyTree, GeneralizationSet, NodeId};
 use medshield_relation::Table;
-use std::collections::HashMap;
 
 /// The outcome of mono-attribute binning for one column.
 #[derive(Debug, Clone)]
@@ -42,12 +42,25 @@ pub fn generate_minimal_nodes(
     if k == 0 {
         return Err(BinningError::InvalidK);
     }
-    let leaf_counts = count_leaves(table, column, tree)?;
+    let leaves = resolve_column_leaves(table, column, tree)?;
+    minimal_nodes(column, tree, &leaves, maximal, k, strategy)
+}
+
+/// [`generate_minimal_nodes`] over a column already resolved to its leaves
+/// (`k` is at least 1).
+pub(crate) fn minimal_nodes(
+    column: &str,
+    tree: &DomainHierarchyTree,
+    leaves: &ColumnLeaves,
+    maximal: &GeneralizationSet,
+    k: usize,
+    strategy: MinimalNodeStrategy,
+) -> Result<MonoBinning, BinningError> {
     let mut minimal_nodes = Vec::new();
     let mut warnings = Vec::new();
 
     for &max_node in maximal.nodes() {
-        let count = count_under(tree, &leaf_counts, max_node)?;
+        let count = leaves.count_under(max_node)?;
         if count < k && count > 0 {
             // The paper's SubGMN returns NULL here (the data are not binnable
             // below this node); we keep the maximal node itself so the result
@@ -60,10 +73,10 @@ pub fn generate_minimal_nodes(
             minimal_nodes.push(max_node);
             continue;
         }
-        sub_gmn(tree, &leaf_counts, max_node, k, strategy, &mut minimal_nodes)?;
+        sub_gmn(tree, leaves, max_node, k, strategy, &mut minimal_nodes)?;
     }
 
-    let minimal = GeneralizationSet::new(tree, minimal_nodes).map_err(BinningError::Dht)?;
+    let minimal = GeneralizationSet::new(tree, minimal_nodes)?;
     Ok(MonoBinning { minimal, warnings })
 }
 
@@ -71,7 +84,7 @@ pub fn generate_minimal_nodes(
 /// k-anonymity; otherwise the current node is minimal.
 fn sub_gmn(
     tree: &DomainHierarchyTree,
-    leaf_counts: &HashMap<NodeId, usize>,
+    leaves: &ColumnLeaves,
     node: NodeId,
     k: usize,
     strategy: MinimalNodeStrategy,
@@ -83,7 +96,7 @@ fn sub_gmn(
         return Ok(());
     }
     let descend_ok = children.iter().all(|&c| {
-        let count = count_under(tree, leaf_counts, c).unwrap_or(0);
+        let count = leaves.count_under(c).unwrap_or(0);
         count >= k || (strategy == MinimalNodeStrategy::Aggressive && count == 0)
     });
     if !descend_ok {
@@ -91,41 +104,16 @@ fn sub_gmn(
         return Ok(());
     }
     for &child in children {
-        let count = count_under(tree, leaf_counts, child)?;
-        if count == 0 {
+        if leaves.count_under(child)? == 0 {
             // Aggressive strategy: an empty subtree stays as a single
             // generalization node (it covers its leaves; there is nothing to
             // re-identify inside it).
             out.push(child);
         } else {
-            sub_gmn(tree, leaf_counts, child, k, strategy, out)?;
+            sub_gmn(tree, leaves, child, k, strategy, out)?;
         }
     }
     Ok(())
-}
-
-/// Count, per leaf node, how many entries of `column` map to it (via the
-/// shared memoized value→leaf resolution of [`crate::plan`]).
-fn count_leaves(
-    table: &Table,
-    column: &str,
-    tree: &DomainHierarchyTree,
-) -> Result<HashMap<NodeId, usize>, BinningError> {
-    let col = crate::plan::resolve_column_leaves(table, column, tree)?;
-    Ok(col.leaves.iter().zip(&col.entry_counts).map(|(&l, &n)| (l, n)).collect())
-}
-
-/// `NumTuple`: number of entries whose leaf lies under `node`.
-fn count_under(
-    tree: &DomainHierarchyTree,
-    leaf_counts: &HashMap<NodeId, usize>,
-    node: NodeId,
-) -> Result<usize, BinningError> {
-    let mut total = 0usize;
-    for leaf in tree.leaves_under(node).map_err(BinningError::Dht)? {
-        total += leaf_counts.get(leaf).copied().unwrap_or(0);
-    }
-    Ok(total)
 }
 
 #[cfg(test)]

@@ -22,16 +22,23 @@
 //!   rather than on rows: the bins are counted once, and a merge re-keys
 //!   only the bins it touches.
 //!
+//! Both modes read each column through the leaves the agent resolved once
+//! for both binning stages (`plan::ColumnLeaves`); [`generate_ultimate_nodes`]
+//! resolves them itself for callers holding only a table. The exhaustive
+//! search counts a candidate's bins with one dense scratch counter, which
+//! renumbers its partial row keys when the key space would pass
+//! `DENSE_BIN_CAP`.
+//!
 //! The exhaustive search runs on `threads` scoped worker threads
 //! ([`std::thread::scope`], mirroring the chunk-parallel protection engine):
-//! candidates are scored against the same immutable `SearchPlan`/`TableLeaves`
-//! state, the candidate space is sharded into contiguous linear-index ranges,
-//! and per-shard bests merge under a total order — lowest loss first, ties
-//! broken by the lowest candidate index in the deterministic enumeration
-//! order (a fixed lexicographic order on the per-column node vectors). The
-//! greedy search is sequential, with a deterministic pick. The outcome is
-//! therefore byte-identical for every thread count, a property pinned by the
-//! repository-level `binning_equivalence` suite.
+//! candidates are scored against the same immutable `SearchPlan` and column
+//! leaves, the candidate space is sharded into contiguous linear-index
+//! ranges, and per-shard bests merge under a total order — lowest loss
+//! first, ties broken by the lowest candidate index in the deterministic
+//! enumeration order (a fixed lexicographic order on the per-column node
+//! vectors). The greedy search is sequential, with a deterministic pick.
+//! The outcome is therefore byte-identical for every thread count, a
+//! property pinned by the repository-level `binning_equivalence` suite.
 //!
 //! The selection score is either specificity loss (the paper's preferred
 //! estimate) or the full information loss of Eq. (1)–(3), per
@@ -39,8 +46,8 @@
 
 use crate::config::SelectionStrategy;
 use crate::error::BinningError;
-use crate::plan::{SearchPlan, TableLeaves};
-use medshield_dht::{DhtKind, DomainHierarchyTree, GeneralizationSet, NodeId};
+use crate::plan::{node_loss, resolve_column_leaves, ColumnLeaves, SearchPlan};
+use medshield_dht::{DomainHierarchyTree, GeneralizationSet, NodeId};
 use medshield_relation::Table;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::thread;
@@ -98,12 +105,36 @@ pub fn generate_ultimate_nodes(
     exhaustive_limit: usize,
     threads: usize,
 ) -> Result<MultiBinning, BinningError> {
+    check_search_args(k, threads)?;
+    let leaves = columns
+        .iter()
+        .map(|c| resolve_column_leaves(table, c.column, c.tree))
+        .collect::<Result<Vec<_>, _>>()?;
+    ultimate_nodes(columns, &leaves, k, selection, exhaustive_limit, threads)
+}
+
+/// Reject a degenerate k or thread count, before any column is resolved.
+fn check_search_args(k: usize, threads: usize) -> Result<(), BinningError> {
     if k == 0 {
         return Err(BinningError::InvalidK);
     }
     if threads == 0 {
         return Err(BinningError::InvalidThreads);
     }
+    Ok(())
+}
+
+/// [`generate_ultimate_nodes`] over columns already resolved to their
+/// leaves (`leaves[i]` belongs to `columns[i]`).
+pub(crate) fn ultimate_nodes(
+    columns: &[ColumnContext<'_>],
+    leaves: &[ColumnLeaves],
+    k: usize,
+    selection: SelectionStrategy,
+    exhaustive_limit: usize,
+    threads: usize,
+) -> Result<MultiBinning, BinningError> {
+    check_search_args(k, threads)?;
     if columns.is_empty() {
         return Ok(MultiBinning {
             ultimate: Vec::new(),
@@ -113,155 +144,125 @@ pub fn generate_ultimate_nodes(
         });
     }
 
-    let leaves = TableLeaves::build(table, columns)?;
-
     // Decide the search mode from the size of the combination space.
     let mut product: usize = 1;
     for c in columns {
-        let n = GeneralizationSet::count_between(c.tree, c.minimal, c.maximal)
-            .map_err(BinningError::Dht)?;
-        product = product.saturating_mul(n);
+        product =
+            product.saturating_mul(GeneralizationSet::count_between(c.tree, c.minimal, c.maximal)?);
     }
 
     if product <= exhaustive_limit {
-        let plan = SearchPlan::build(columns, &leaves, selection, exhaustive_limit)?;
-        exhaustive_search(&plan, &leaves, columns, k, threads)
+        let plan = SearchPlan::build(columns, leaves, selection, exhaustive_limit)?;
+        exhaustive_search(&plan, leaves, columns, k, threads)
     } else {
-        greedy_search(columns, &leaves, k, selection)
+        greedy_search(columns, leaves, k, selection)
     }
 }
 
-/// One row's bin key packed into a `u64` via the per-column strides.
-fn packed_key(leaves: &TableLeaves, covers: &[&[NodeId]], strides: &[u64], row: usize) -> u64 {
-    covers
-        .iter()
-        .enumerate()
-        .map(|(col, cover)| cover[leaves.row_leaf_ix[col][row] as usize].0 as u64 * strides[col])
-        .sum()
-}
-
-/// One row's bin key as the vector of covering nodes (the overflow fallback).
-fn vec_key(leaves: &TableLeaves, covers: &[&[NodeId]], row: usize) -> Vec<NodeId> {
-    covers
-        .iter()
-        .enumerate()
-        .map(|(col, cover)| cover[leaves.row_leaf_ix[col][row] as usize])
-        .collect()
-}
-
-/// True if every bin over `keys` holds at least `k` rows (count-only fast
-/// path for the exhaustive scan).
-fn all_bins_at_least<K: Eq + std::hash::Hash>(keys: impl Iterator<Item = K>, k: usize) -> bool {
-    let mut bins: HashMap<K, usize> = HashMap::new();
-    for key in keys {
-        *bins.entry(key).or_insert(0) += 1;
-    }
-    bins.values().all(|&n| n >= k)
-}
-
-/// True if every bin of the candidate combination (given per-column dense
-/// covering maps) holds at least `k` rows.
-fn bins_satisfy_k(
-    leaves: &TableLeaves,
-    covers: &[&[NodeId]],
-    strides: Option<&[u64]>,
-    k: usize,
-) -> bool {
-    let rows = leaves.rows();
-    if k <= 1 || rows == 0 {
-        return true;
-    }
-    match strides {
-        Some(strides) => {
-            all_bins_at_least((0..rows).map(|row| packed_key(leaves, covers, strides, row)), k)
-        }
-        None => all_bins_at_least((0..rows).map(|row| vec_key(leaves, covers, row)), k),
-    }
-}
-
-/// Largest dense bin-key space the scratch counter will allocate (slots of
-/// `u32`); candidates whose per-column bin counts multiply past this fall
-/// back to the hashed key path.
+/// Key space (slots of `u32`) past which the bin counter renumbers the
+/// partial row keys densely instead of multiplying in the next column.
 const DENSE_BIN_CAP: usize = 1 << 22;
 
-/// Reusable scratch state for the dense candidate-validity check, so the hot
+/// Reusable scratch state for the candidate-validity check, so the hot
 /// candidate loop performs no per-candidate allocation.
 #[derive(Default)]
 struct BinScratch {
-    /// Dense bin counts, grown to the largest key space seen; only the
-    /// `touched` slots are ever non-zero between candidates.
+    /// Dense counters over the key space, grown to the largest space seen;
+    /// only the `touched` slots are ever non-zero between uses.
     counts: Vec<u32>,
-    /// Keys dirtied by the current candidate (clearing is O(distinct bins),
-    /// not O(key space)).
-    touched: Vec<u32>,
-    /// Per-row packed bin keys, accumulated column by column.
+    /// Slots dirtied by the current pass (clearing is O(distinct keys), not
+    /// O(key space)).
+    touched: Vec<usize>,
+    /// Per-row bin keys, accumulated column by column.
     keys: Vec<usize>,
-    /// Mixed-radix strides over the candidate's per-column bin counts.
-    strides: Vec<usize>,
+}
+
+impl BinScratch {
+    /// True if every key (each below `space`) is held by at least `k` rows.
+    fn every_key_reaches(&mut self, space: usize, k: u32) -> bool {
+        if self.counts.len() < space {
+            self.counts.resize(space, 0);
+        }
+        for &key in &self.keys {
+            let slot = &mut self.counts[key];
+            if *slot == 0 {
+                self.touched.push(key);
+            }
+            *slot += 1;
+        }
+        let mut ok = true;
+        for &key in &self.touched {
+            ok &= self.counts[key] >= k;
+            self.counts[key] = 0;
+        }
+        self.touched.clear();
+        ok
+    }
+
+    /// Renumber the keys (every key below `space`) densely in first-seen row
+    /// order, returning the number of distinct keys (at most the row count).
+    fn renumber(&mut self, space: usize) -> usize {
+        if self.counts.len() < space {
+            self.counts.resize(space, 0);
+        }
+        for key in &mut self.keys {
+            let slot = &mut self.counts[*key];
+            if *slot == 0 {
+                self.touched.push(*key);
+                *slot = self.touched.len() as u32;
+            }
+            *key = *slot as usize - 1;
+        }
+        let distinct = self.touched.len();
+        for &key in &self.touched {
+            self.counts[key] = 0;
+        }
+        self.touched.clear();
+        distinct
+    }
 }
 
 /// True if every bin of the candidate (given as per-column option digits)
-/// holds at least `k` rows. The check is a branchless column scan: each
-/// column adds `bin_ix[leaf_ix] * stride` into the per-row key buffer, then
-/// a single counting pass over the packed keys tallies the dense scratch
-/// array. Equivalent to the hashed [`bins_satisfy_k`] (which remains as the
-/// overflow fallback for astronomically wide key spaces).
+/// holds at least `k` rows. Each column adds `bin_ix[leaf_ix] * space` into
+/// the per-row key (a branchless column scan), where `space` is the product
+/// of the bin counts so far; a single counting pass over the keys then
+/// tallies the dense scratch counter. When the product would pass
+/// [`DENSE_BIN_CAP`], the partial keys are first renumbered densely (there
+/// are at most `rows` distinct ones), so the key space never exceeds the
+/// larger of the cap and `rows` times one column's bin count.
 fn candidate_satisfies_k(
     plan: &SearchPlan,
-    leaves: &TableLeaves,
+    leaves: &[ColumnLeaves],
     digits: &[usize],
     k: usize,
     scratch: &mut BinScratch,
 ) -> bool {
-    let rows = leaves.rows();
+    let rows = leaves[0].row_leaf_ix.len();
     if k <= 1 || rows == 0 {
         return true;
     }
-    scratch.strides.clear();
-    let mut total: usize = 1;
-    for (c, &d) in plan.columns.iter().zip(digits) {
-        scratch.strides.push(total);
-        total = total.saturating_mul(c.bin_counts[d].max(1));
-        if total > DENSE_BIN_CAP {
-            let covers: Vec<&[NodeId]> =
-                plan.columns.iter().zip(digits).map(|(c, &d)| c.covers[d].as_slice()).collect();
-            let strides = plan.packed_keys.then_some(plan.key_strides.as_slice());
-            return bins_satisfy_k(leaves, &covers, strides, k);
-        }
-    }
-    if scratch.counts.len() < total {
-        scratch.counts.resize(total, 0);
-    }
     scratch.keys.clear();
     scratch.keys.resize(rows, 0);
-    for (col, (c, &d)) in plan.columns.iter().zip(digits).enumerate() {
+    let mut space: usize = 1;
+    for ((c, &d), col) in plan.columns.iter().zip(digits).zip(leaves) {
+        let bins = c.bin_counts[d].max(1);
+        if space.saturating_mul(bins) > DENSE_BIN_CAP {
+            space = scratch.renumber(space);
+        }
         let bin_ix = &c.bin_ix[d];
-        let stride = scratch.strides[col];
-        for (key, &leaf_ix) in scratch.keys.iter_mut().zip(&leaves.row_leaf_ix[col]) {
-            *key += bin_ix[leaf_ix as usize] as usize * stride;
+        for (key, &leaf_ix) in scratch.keys.iter_mut().zip(&col.row_leaf_ix) {
+            *key += bin_ix[leaf_ix as usize] as usize * space;
         }
+        space *= bins;
     }
-    for &key in &scratch.keys {
-        let slot = &mut scratch.counts[key];
-        if *slot == 0 {
-            scratch.touched.push(key as u32);
-        }
-        *slot += 1;
-    }
-    let mut ok = true;
-    for &key in &scratch.touched {
-        ok &= scratch.counts[key as usize] >= k as u32;
-        scratch.counts[key as usize] = 0;
-    }
-    scratch.touched.clear();
-    ok
+    scratch.every_key_reaches(space, k as u32)
 }
 
 /// Best candidate of one contiguous linear-index range: the valid candidate
 /// with the lowest score, ties broken by the lowest index.
 fn best_in_range(
     plan: &SearchPlan,
-    leaves: &TableLeaves,
+    leaves: &[ColumnLeaves],
     k: usize,
     start: usize,
     end: usize,
@@ -306,7 +307,7 @@ fn better_candidate(a: Option<(f64, usize)>, b: Option<(f64, usize)>) -> Option<
 /// Exhaustive `EnumGen` + `Selection`, sharded over the candidate space.
 fn exhaustive_search(
     plan: &SearchPlan,
-    leaves: &TableLeaves,
+    leaves: &[ColumnLeaves],
     columns: &[ColumnContext<'_>],
     k: usize,
     threads: usize,
@@ -372,14 +373,11 @@ struct MergeCandidate {
 /// deterministic.
 fn greedy_search(
     columns: &[ColumnContext<'_>],
-    leaves: &TableLeaves,
+    leaves: &[ColumnLeaves],
     k: usize,
     selection: SelectionStrategy,
 ) -> Result<MultiBinning, BinningError> {
     let mut warnings = Vec::new();
-    // Entries per occurring leaf, node-keyed (for the merge-score deltas).
-    let leaf_counts: Vec<HashMap<NodeId, usize>> =
-        (0..columns.len()).map(|i| leaves.leaf_count_map(i)).collect();
     // Current generalization per column, as an ordered node set.
     let mut current: Vec<BTreeSet<NodeId>> =
         columns.iter().map(|c| c.minimal.nodes().iter().copied().collect()).collect();
@@ -387,19 +385,18 @@ fn greedy_search(
     // compact leaf index, like the plan's per-option covers).
     let covers: Vec<Vec<NodeId>> = columns
         .iter()
-        .zip(&leaves.leaves)
-        .map(|(c, column_leaves)| {
-            column_leaves.iter().map(|&leaf| c.minimal.covering_node(c.tree, leaf)).collect()
+        .zip(leaves)
+        .map(|(c, col)| {
+            col.leaves.iter().map(|&leaf| c.minimal.covering_node(c.tree, leaf)).collect()
         })
-        .collect::<Result<_, _>>()
-        .map_err(BinningError::Dht)?;
+        .collect::<Result<_, _>>()?;
     // The bins of the minimal generalization: row count per combination of
     // covering nodes.
     let mut bins: HashMap<Box<[NodeId]>, usize> = HashMap::new();
     let mut key: Vec<NodeId> = Vec::with_capacity(columns.len());
-    for row in 0..leaves.rows() {
+    for row in 0..leaves[0].row_leaf_ix.len() {
         key.clear();
-        key.extend(covers.iter().zip(&leaves.row_leaf_ix).map(|(c, ix)| c[ix[row] as usize]));
+        key.extend(covers.iter().zip(leaves).map(|(c, col)| c[col.row_leaf_ix[row] as usize]));
         match bins.get_mut(key.as_slice()) {
             Some(n) => *n += 1,
             None => {
@@ -468,7 +465,7 @@ fn greedy_search(
             .map(|m| {
                 let delta = merge_score_delta(
                     columns[m.column].tree,
-                    &leaf_counts[m.column],
+                    &leaves[m.column],
                     m.parent,
                     &m.children,
                     selection,
@@ -537,7 +534,7 @@ fn greedy_search(
 /// Increase in the column score caused by merging `children` into `parent`.
 fn merge_score_delta(
     tree: &DomainHierarchyTree,
-    leaf_counts: &HashMap<NodeId, usize>,
+    leaves: &ColumnLeaves,
     parent: NodeId,
     children: &[NodeId],
     selection: SelectionStrategy,
@@ -547,48 +544,13 @@ fn merge_score_delta(
             (children.len() as f64 - 1.0) / tree.leaf_count().max(1) as f64
         }
         SelectionStrategy::FullInfoLoss => {
-            let total: usize = leaf_counts.values().sum();
+            let total = leaves.count_under(tree.root()).unwrap_or(0);
             if total == 0 {
                 return 0.0;
             }
-            let entries_under = |node: NodeId| -> usize {
-                tree.leaves_under(node)
-                    .map(|ls| ls.iter().map(|l| leaf_counts.get(l).copied().unwrap_or(0)).sum())
-                    .unwrap_or(0)
-            };
-            match tree.kind() {
-                DhtKind::Categorical => {
-                    let s = tree.leaf_count() as f64;
-                    let parent_cost = entries_under(parent) as f64
-                        * (tree.leaf_count_under(parent).unwrap_or(1) as f64 - 1.0)
-                        / s;
-                    let child_cost: f64 = children
-                        .iter()
-                        .map(|&c| {
-                            entries_under(c) as f64
-                                * (tree.leaf_count_under(c).unwrap_or(1) as f64 - 1.0)
-                                / s
-                        })
-                        .sum();
-                    (parent_cost - child_cost) / total as f64
-                }
-                DhtKind::Numeric => {
-                    let (lo, hi) = tree
-                        .node(tree.root())
-                        .expect("root exists")
-                        .interval
-                        .expect("numeric root interval");
-                    let span = (hi - lo) as f64;
-                    let width = |n: NodeId| {
-                        let (l, h) = tree.node(n).expect("node").interval.expect("interval");
-                        (h - l) as f64
-                    };
-                    let parent_cost = entries_under(parent) as f64 * width(parent) / span;
-                    let child_cost: f64 =
-                        children.iter().map(|&c| entries_under(c) as f64 * width(c) / span).sum();
-                    (parent_cost - child_cost) / total as f64
-                }
-            }
+            let cost = |node: NodeId| node_loss(tree, node, leaves.count_under(node).unwrap_or(0));
+            let child_cost: f64 = children.iter().map(|&c| cost(c)).sum();
+            (cost(parent) - child_cost) / total as f64
         }
     }
 }
@@ -748,6 +710,83 @@ mod tests {
                 assert_eq!(r.warnings, reference.warnings);
             }
         }
+    }
+
+    /// Four numeric columns of 64 occupied leaves each: every candidate's
+    /// per-column bin counts multiply past `DENSE_BIN_CAP`, so the counter
+    /// renumbers its partial keys. Each column may merge only its first leaf
+    /// pair, and the two rows in those leaves are k-anonymous only once all
+    /// four columns merge them, so exactly the last candidate is valid.
+    #[test]
+    fn wide_key_space_is_counted_exactly() {
+        let intervals: Vec<(i64, i64)> = (0..64).map(|v| (v, v + 1)).collect();
+        let names = ["a", "b", "c", "d"];
+        let trees: Vec<DomainHierarchyTree> =
+            names.iter().map(|&name| numeric_binary_tree(name, &intervals).unwrap()).collect();
+        let schema = Schema::new(
+            names.iter().map(|&name| ColumnDef::new(name, ColumnRole::QuasiNumeric)).collect(),
+        )
+        .unwrap();
+        let mut table = Table::new(schema);
+        for v in 0..64 {
+            for _ in 0..if v < 2 { 1 } else { 2 } {
+                table.insert(vec![Value::int(v); names.len()]).unwrap();
+            }
+        }
+        let minimal: Vec<GeneralizationSet> =
+            trees.iter().map(GeneralizationSet::all_leaves).collect();
+        let maximal: Vec<GeneralizationSet> = trees
+            .iter()
+            .map(|tree| {
+                let leaves = tree.leaves();
+                let mut nodes = vec![tree.parent(leaves[0]).unwrap().unwrap()];
+                nodes.extend(&leaves[2..]);
+                GeneralizationSet::new(tree, nodes).unwrap()
+            })
+            .collect();
+        let ctxs: Vec<ColumnContext<'_>> = (0..names.len())
+            .map(|i| ColumnContext {
+                column: names[i],
+                tree: &trees[i],
+                minimal: &minimal[i],
+                maximal: &maximal[i],
+            })
+            .collect();
+
+        let leaves: Vec<ColumnLeaves> =
+            ctxs.iter().map(|c| resolve_column_leaves(&table, c.column, c.tree).unwrap()).collect();
+        let plan =
+            SearchPlan::build(&ctxs, &leaves, SelectionStrategy::SpecificityLoss, 10_000).unwrap();
+        assert_eq!(plan.total_candidates(), 16);
+        for idx in 0..plan.total_candidates() {
+            let space: usize =
+                plan.columns.iter().zip(plan.decode(idx)).map(|(c, d)| c.bin_counts[d]).product();
+            assert!(space > DENSE_BIN_CAP, "candidate {idx} spans {space} keys");
+        }
+
+        let run = |threads| {
+            generate_ultimate_nodes(
+                &table,
+                &ctxs,
+                2,
+                SelectionStrategy::SpecificityLoss,
+                10_000,
+                threads,
+            )
+            .unwrap()
+        };
+        let sequential = run(1);
+        let sharded = run(4);
+        assert_eq!(sequential.mode, SearchMode::Exhaustive);
+        assert_eq!(sharded.ultimate, sequential.ultimate);
+        assert_eq!(sharded.satisfied, sequential.satisfied);
+        assert_eq!(sharded.warnings, sequential.warnings);
+        assert!(sequential.satisfied);
+        assert_eq!(sequential.ultimate, maximal);
+        let columns: Vec<(&str, &DomainHierarchyTree)> =
+            names.iter().copied().zip(trees.iter()).collect();
+        assert!(satisfies(&table, &columns, &sequential.ultimate, 2));
+        assert!(!satisfies(&table, &columns, &minimal, 2));
     }
 
     #[test]

@@ -35,13 +35,6 @@ impl KeyedPrf {
         self.hmac.digest(data)
     }
 
-    /// The full keyed digest of the concatenation of `parts`, streamed so the
-    /// caller never materializes the concatenated message. Byte-identical to
-    /// `digest` of the concatenation.
-    pub fn digest_parts(&self, parts: &[&[u8]]) -> [u8; 32] {
-        self.hmac.digest_parts(parts)
-    }
-
     /// Map `data` to a `u64` by taking the first eight bytes of the keyed
     /// digest (big-endian). The digest is a 32-byte HMAC-SHA256 tag, so
     /// this never truncates below eight bytes.

@@ -33,13 +33,6 @@ pub fn violating_bins(
     Ok(bins.into_iter().filter(|(_, size)| *size < k).collect())
 }
 
-/// Convenience: check k-anonymity over every quasi-identifying column of the
-/// table's schema (the full multi-attribute requirement).
-pub fn satisfies_k_anonymity_quasi(table: &Table, k: usize) -> Result<bool, RelationError> {
-    let names = table.schema().quasi_names();
-    satisfies_k_anonymity(table, &names, k)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,13 +83,6 @@ mod tests {
         assert_eq!(violations.len(), 1);
         assert_eq!(violations[0].1, 1);
         assert_eq!(violations[0].0, vec![Value::int(40), Value::text("Surgeon")]);
-    }
-
-    #[test]
-    fn quasi_shortcut_uses_schema() {
-        let t = table();
-        assert!(satisfies_k_anonymity_quasi(&t, 1).unwrap());
-        assert!(!satisfies_k_anonymity_quasi(&t, 2).unwrap());
     }
 
     #[test]

@@ -50,22 +50,6 @@ pub fn column_bin_report(
     Ok(BinReport { total_bins: all_values.len(), changed_bins: changed, below_k })
 }
 
-/// Reports for every quasi-identifying column of the schema, in schema order.
-pub fn quasi_bin_reports(
-    binned: &Table,
-    watermarked: &Table,
-    k: usize,
-) -> Result<Vec<(String, BinReport)>, RelationError> {
-    let names: Vec<String> =
-        binned.schema().quasi_names().into_iter().map(std::string::ToString::to_string).collect();
-    let mut out = Vec::with_capacity(names.len());
-    for name in names {
-        let report = column_bin_report(binned, watermarked, &name, k)?;
-        out.push((name, report));
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,17 +119,6 @@ mod tests {
         assert_eq!(r.total_bins, 3);
         assert_eq!(r.changed_bins, 2);
         assert_eq!(r.below_k, 1);
-    }
-
-    #[test]
-    fn quasi_reports_cover_all_quasi_columns() {
-        let t = base_table();
-        let reports = quasi_bin_reports(&t, &t, 3).unwrap();
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].0, "doctor");
-        assert_eq!(reports[1].0, "age");
-        // age bins are {30:5, 40:1} → one below 3.
-        assert_eq!(reports[1].1.below_k, 1);
     }
 
     #[test]

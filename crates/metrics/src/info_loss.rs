@@ -82,9 +82,10 @@ pub fn column_info_loss(table: &Table, cg: &ColumnGeneralization<'_>) -> Result<
         return Err(MetricsError::EmptyColumn(cg.column.to_string()));
     }
 
-    // n_i per generalization node.
-    let mut counts: std::collections::HashMap<medshield_dht::NodeId, usize> =
-        std::collections::HashMap::new();
+    // n_i per generalization node, summed below in node order so the result
+    // is the same to the bit on every call.
+    let mut counts: std::collections::BTreeMap<medshield_dht::NodeId, usize> =
+        std::collections::BTreeMap::new();
     for v in &values {
         let node = cg.generalization.node_for_value(cg.tree, v)?;
         *counts.entry(node).or_insert(0) += 1;
@@ -317,6 +318,32 @@ mod tests {
         let g = GeneralizationSet::all_leaves(&tree);
         let cg = ColumnGeneralization { column: "role", tree: &tree, generalization: &g };
         assert!(matches!(column_info_loss(&table, &cg), Err(MetricsError::Dht(_))));
+    }
+
+    #[test]
+    fn repeated_calls_agree_to_the_bit() {
+        // Forty leaves of widths 1..=40 holding 1..=40 entries: the terms
+        // differ in magnitude, so their sum depends on the order it is taken.
+        let mut intervals = Vec::new();
+        let mut lo = 0;
+        for width in 1..=40 {
+            intervals.push((lo, lo + width));
+            lo += width;
+        }
+        let tree = numeric_binary_tree("age", &intervals).unwrap();
+        let schema = Schema::new(vec![ColumnDef::new("age", ColumnRole::QuasiNumeric)]).unwrap();
+        let mut table = Table::new(schema);
+        for (n, &(lo, _)) in intervals.iter().enumerate() {
+            for _ in 0..=n {
+                table.insert(vec![Value::int(lo)]).unwrap();
+            }
+        }
+        let g = GeneralizationSet::all_leaves(&tree);
+        let cg = ColumnGeneralization { column: "age", tree: &tree, generalization: &g };
+        let first = column_info_loss(&table, &cg).unwrap();
+        for _ in 0..50 {
+            assert_eq!(column_info_loss(&table, &cg).unwrap().to_bits(), first.to_bits());
+        }
     }
 
     #[test]

@@ -22,11 +22,6 @@ pub fn mark_loss(original: &[bool], recovered: &[bool]) -> f64 {
     lost as f64 / original.len() as f64
 }
 
-/// Bit-level accuracy, `1 − mark_loss`.
-pub fn mark_accuracy(original: &[bool], recovered: &[bool]) -> f64 {
-    1.0 - mark_loss(original, recovered)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -35,7 +30,6 @@ mod tests {
     fn identical_marks_have_zero_loss() {
         let m = vec![true, false, true, true];
         assert_eq!(mark_loss(&m, &m), 0.0);
-        assert_eq!(mark_accuracy(&m, &m), 1.0);
     }
 
     #[test]
