@@ -35,12 +35,16 @@
 //! [`KeyedPrf::prefixed_value_wide4`] hash four `(prefix, data)` messages
 //! at once and return the first 16 tag bytes of each as a `u128`. They run
 //! one SHA-256 compression over four states, written as element-wise
-//! arithmetic on `[u32; 4]` lanes that the optimizer turns into 128-bit
-//! vector code on the baseline target, with no `unsafe` and no
-//! `std::arch`. That compression is `#[inline(never)]`: inlined into its
-//! callers, it lost the vectorization (on a shared 2-core x86-64 host a
-//! tag of an 81-byte identity took about 450 ns instead of 365 ns; the
-//! scalar path takes about 520 ns).
+//! arithmetic on `[u32; 4]` lanes, with no `unsafe` and no `std::arch`.
+//! On the baseline x86-64 target the optimizer vectorizes it only in part:
+//! the additions, xors and most shifts become SSE2 instructions, while
+//! some of each round's rotate shifts run in general registers, with lane
+//! shuffles in and out of the vector registers around them (see
+//! `sha256::compress4` for the instruction counts and how to check them).
+//! That compression is `#[inline(never)]`: inlined into its callers, it
+//! ran slower (on a shared 2-core x86-64 host a tag of an 81-byte identity
+//! took about 450 ns instead of 365 ns; the scalar path takes about
+//! 520 ns).
 //! Lanes whose padded messages span different block counts fall back to
 //! one-at-a-time hashing.
 //!

@@ -204,11 +204,18 @@ fn rotr3(x: Lanes, a: u32, b: u32, c: u32) -> Lanes {
 /// The SHA-256 compression on four independent states at once: lane `l` of `state` and
 /// of the 16 schedule words `block` is one message, and the lanes never mix.
 ///
-/// Element-wise arithmetic on `[u32; 4]` is what the optimizer turns into
-/// 128-bit vector instructions on the baseline target (SSE2 on x86-64): one
-/// call costs under three scalar compressions. The function stays
-/// `#[inline(never)]`: inlined into its callers, the vectorization was lost.
-/// The rotates are spelled as shifts for the reason given at `rotr3`.
+/// The element-wise arithmetic on `[u32; 4]` is only partly vectorized on
+/// the baseline target (SSE2 on x86-64). In the LTO release binaries
+/// (`medshield`, and `perfbench` built by `perfbench/run.py`) this function
+/// holds 75 `paddd`, 96 `pxor`, 52 `pslld` and 40 `psrld`, but also 56
+/// scalar `shr` with 73 `pshufd`, 64 `movd` and 36 `punpckldq` that move
+/// lanes between vector and general registers: part of every round's
+/// rotates runs one lane at a time. Count them with
+/// `objdump -d --no-show-raw-insn -C target/release/medshield` over the
+/// `medshield_crypto::sha256::compress4` symbol. One call still costs
+/// under three scalar compressions. The function stays `#[inline(never)]`:
+/// inlined into its callers, it ran slower. The rotates are spelled as
+/// shifts for the reason given at `rotr3`.
 #[inline(never)]
 pub(crate) fn compress4(state: &mut [Lanes; 8], block: &[Lanes; 16]) {
     let mut w = [[0u32; 4]; 64];

@@ -191,12 +191,17 @@ impl Request {
 
     /// Parse a frame payload into a request.
     pub fn parse(payload: &[u8]) -> Result<Request, RequestError> {
-        let text = std::str::from_utf8(payload).map_err(|_| RequestError::NotUtf8)?;
-        let (header, body) = match text.split_once('\n') {
-            Some((h, b)) => (h, b),
-            None => (text, ""),
-        };
-        let mut words = header.split_whitespace();
+        Request::from_payload(payload.to_vec())
+    }
+
+    /// Parse an owned frame payload into a request whose body is the
+    /// payload's own buffer: the header line is cut off its front, so a
+    /// large CSV body is never copied into a second allocation.
+    pub(crate) fn from_payload(payload: Vec<u8>) -> Result<Request, RequestError> {
+        let mut text = String::from_utf8(payload).map_err(|_| RequestError::NotUtf8)?;
+        // The header line and its newline; the body is the rest.
+        let header_end = text.find('\n').map_or(text.len(), |newline| newline.saturating_add(1));
+        let mut words = text.get(..header_end).unwrap_or_default().split_whitespace();
         let name = words.next().ok_or(RequestError::EmptyHeader)?;
         let command =
             Command::parse(name).ok_or_else(|| RequestError::UnknownCommand(name.to_string()))?;
@@ -207,7 +212,8 @@ impl Request {
                 .ok_or_else(|| RequestError::MalformedParameter(word.to_string()))?;
             params.insert(k.to_string(), v.to_string());
         }
-        Ok(Request { command, params, body: body.to_string() })
+        text.drain(..header_end);
+        Ok(Request { command, params, body: text })
     }
 }
 
@@ -273,7 +279,8 @@ pub enum ErrorCode {
     UnknownRecipient,
     /// The protection engine rejected the submission.
     Engine,
-    /// The durable release store could not persist or sync the release.
+    /// The durable release store could not persist or sync the release, or
+    /// a stored record did not read back with a valid checksum.
     Storage,
     /// The server is shutting down.
     ShuttingDown,
@@ -320,6 +327,25 @@ impl Response {
             out.extend_from_slice(body.as_bytes());
         }
         out
+    }
+
+    /// Append this response to `out` as one frame, with the v2 prefix when
+    /// `request_id` is present: the bytes of
+    /// `encode_frame(request_id, &self.encode())`, written straight into
+    /// `out` without building the payload or the frame first. Errs, leaving
+    /// `out` as it was, when the payload exceeds the 31-bit frame bound.
+    pub(crate) fn encode_frame_into(
+        &self,
+        request_id: Option<u64>,
+        out: &mut Vec<u8>,
+    ) -> io::Result<()> {
+        let body = self.body.as_deref().unwrap_or_default();
+        let payload_len = self.json.len().checked_add(1).and_then(|l| l.checked_add(body.len()));
+        write_frame_prefix(out, request_id, payload_len)?;
+        out.extend_from_slice(self.json.as_bytes());
+        out.push(b'\n');
+        out.extend_from_slice(body.as_bytes());
+        Ok(())
     }
 
     /// Decode a frame payload (header line = JSON, rest = body).
@@ -401,11 +427,27 @@ pub fn write_frame_v2(w: &mut impl Write, request_id: u64, payload: &[u8]) -> io
 /// core appends these to per-connection write buffers; clients write them
 /// straight to the socket.
 pub fn encode_frame(request_id: Option<u64>, payload: &[u8]) -> io::Result<Vec<u8>> {
-    let len =
-        u32::try_from(payload.len()).ok().filter(|&l| l <= MAX_ENCODABLE_LEN).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::InvalidInput, "payload exceeds 31-bit length")
-        })?;
     let mut out = Vec::with_capacity(payload.len().saturating_add(12));
+    write_frame_prefix(&mut out, request_id, Some(payload.len()))?;
+    out.extend_from_slice(payload);
+    Ok(out)
+}
+
+/// Append the prefix of a frame whose payload is `payload_len` bytes (`None`
+/// when that length overflowed): the length, with the v2 flag and the id
+/// when a request id is present. Errs, appending nothing, past the 31-bit
+/// bound.
+fn write_frame_prefix(
+    out: &mut Vec<u8>,
+    request_id: Option<u64>,
+    payload_len: Option<usize>,
+) -> io::Result<()> {
+    let len = payload_len
+        .and_then(|l| u32::try_from(l).ok())
+        .filter(|&l| l <= MAX_ENCODABLE_LEN)
+        .ok_or_else(|| {
+        io::Error::new(io::ErrorKind::InvalidInput, "payload exceeds 31-bit length")
+    })?;
     match request_id {
         None => out.extend_from_slice(&len.to_be_bytes()),
         Some(id) => {
@@ -413,8 +455,7 @@ pub fn encode_frame(request_id: Option<u64>, payload: &[u8]) -> io::Result<Vec<u
             out.extend_from_slice(&id.to_be_bytes());
         }
     }
-    out.extend_from_slice(payload);
-    Ok(out)
+    Ok(())
 }
 
 /// One step of the incremental frame reader.
@@ -572,6 +613,31 @@ mod tests {
         assert_eq!(parsed, req);
         assert_eq!(parsed.params["release"], "r3");
         assert_eq!(parsed.body, "ssn,age\n1,2\n");
+    }
+
+    #[test]
+    fn the_body_is_everything_after_the_first_newline() {
+        assert_eq!(Request::from_payload(b"ping".to_vec()), Ok(Request::new(Command::Ping)));
+        let request = Request::from_payload(b"protect  k=5 \n\nrow\n".to_vec()).unwrap();
+        assert_eq!(request, Request::new(Command::Protect).param("k", "5").body("\nrow\n"));
+    }
+
+    #[test]
+    fn responses_encode_into_a_buffer_as_encode_frame_gives_them() {
+        let responses = [
+            Response { json: "{\"status\":\"ok\"}".into(), body: Some("a,b\n1,2\n".into()) },
+            Response { json: "{\"status\":\"error\"}".into(), body: None },
+            Response { json: String::new(), body: Some(String::new()) },
+        ];
+        for request_id in [None, Some(0), Some(42), Some(u64::MAX)] {
+            let mut out = b"earlier frames".to_vec();
+            let mut expected = out.clone();
+            for response in &responses {
+                response.encode_frame_into(request_id, &mut out).unwrap();
+                expected.extend(encode_frame(request_id, &response.encode()).unwrap());
+            }
+            assert_eq!(out, expected);
+        }
     }
 
     #[test]

@@ -571,27 +571,20 @@ impl Connection {
     /// v1 reply is parked until every earlier v1 reply has been appended,
     /// restoring the request order legacy clients rely on.
     fn enqueue_reply(&mut self, tag: ReplyTag, response: &Response) {
-        let payload = response.encode();
-        let id = match tag {
-            ReplyTag::V2 { id } => Some(id),
-            ReplyTag::V1 { .. } => None,
-        };
-        let frame = encode_frame(id, &payload).unwrap_or_else(|_| {
-            // The reply exceeds the 31-bit frame bound (needs a > 2 GiB
-            // payload); substitute a small structured error so the client
-            // is not left waiting forever. Encoding *that* cannot fail.
-            let fallback =
-                error_response(ErrorCode::Engine, "the reply exceeds the frame length bound");
-            encode_frame(id, &fallback.encode()).unwrap_or_default()
-        });
         match tag {
-            ReplyTag::V2 { .. } => self.write_buf.extend_from_slice(&frame),
-            ReplyTag::V1 { seq } => {
-                self.pending_v1.insert(seq, frame);
+            ReplyTag::V2 { id } => append_reply(&mut self.write_buf, Some(id), response),
+            ReplyTag::V1 { seq } if seq == self.next_v1_write => {
+                append_reply(&mut self.write_buf, None, response);
+                self.next_v1_write = self.next_v1_write.wrapping_add(1);
                 while let Some(next) = self.pending_v1.remove(&self.next_v1_write) {
                     self.write_buf.extend_from_slice(&next);
                     self.next_v1_write = self.next_v1_write.wrapping_add(1);
                 }
+            }
+            ReplyTag::V1 { seq } => {
+                let mut frame = Vec::new();
+                append_reply(&mut frame, None, response);
+                self.pending_v1.insert(seq, frame);
             }
         }
     }
@@ -836,7 +829,7 @@ impl IoCore {
                 ReplyTag::V1 { seq }
             }
         };
-        let request = match Request::parse(&frame.payload) {
+        let request = match Request::from_payload(frame.payload) {
             Ok(request) => request,
             Err(RequestError::UnknownCommand(name)) => {
                 let response =
@@ -925,6 +918,17 @@ impl IoCore {
             ],
             None,
         )
+    }
+}
+
+/// Append `response` to `out` as one frame. A reply past the 31-bit frame
+/// bound (a > 2 GiB payload) becomes a small structured error instead, so
+/// the client is not left waiting forever; encoding *that* cannot fail.
+fn append_reply(out: &mut Vec<u8>, request_id: Option<u64>, response: &Response) {
+    if response.encode_frame_into(request_id, out).is_err() {
+        let fallback =
+            error_response(ErrorCode::Engine, "the reply exceeds the frame length bound");
+        let _ = fallback.encode_frame_into(request_id, out);
     }
 }
 
@@ -1526,9 +1530,17 @@ fn release_id_param(request: &Request) -> Result<u64, Response> {
 
 fn release_param(shared: &Arc<Shared>, request: &Request) -> Result<Arc<StoredRelease>, Response> {
     let id = release_id_param(request)?;
-    shared.store.get(id).ok_or_else(|| {
-        error_response(ErrorCode::UnknownRelease, &format!("no release named r{id} is stored"))
-    })
+    match shared.store.get(id) {
+        Ok(Some(stored)) => Ok(stored),
+        Ok(None) => Err(error_response(
+            ErrorCode::UnknownRelease,
+            &format!("no release named r{id} is stored"),
+        )),
+        Err(e) => Err(error_response(
+            ErrorCode::Storage,
+            &format!("release r{id} could not be read: {e}"),
+        )),
+    }
 }
 
 fn param<T: std::str::FromStr>(request: &Request, name: &str, default: T) -> Result<T, Response> {
@@ -1564,6 +1576,29 @@ fn error_response(code: ErrorCode, message: &str) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn replies_are_encoded_into_the_write_buffer_as_encode_frame_gives_them() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let _peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut conn = Connection::new(listener.accept().unwrap().0).unwrap();
+        let with_body = ok_response(vec![("rows", 2usize.into())], Some("a,b\n1,2\n".into()));
+        let bare = error_response(ErrorCode::Timeout, "late");
+        // v2 replies in completion order; v1 replies 1 and 2 complete out
+        // of order and are written in request order.
+        conn.enqueue_reply(ReplyTag::V2 { id: 7 }, &with_body);
+        conn.enqueue_reply(ReplyTag::V1 { seq: 1 }, &with_body);
+        conn.enqueue_reply(ReplyTag::V2 { id: u64::MAX }, &bare);
+        conn.enqueue_reply(ReplyTag::V1 { seq: 0 }, &bare);
+        let frames =
+            [(Some(7), &with_body), (Some(u64::MAX), &bare), (None, &bare), (None, &with_body)];
+        let expected: Vec<u8> = frames
+            .iter()
+            .flat_map(|(id, response)| encode_frame(*id, &response.encode()).unwrap())
+            .collect();
+        assert_eq!(conn.write_buf, expected);
+        assert!(conn.pending_v1.is_empty());
+    }
 
     #[test]
     fn bounded_queue_applies_backpressure_and_batches() {

@@ -12,8 +12,8 @@
 //! append(release)           recovery (open)
 //!   │                          │
 //!   ▼                          ▼
-//! wal.log  ──compaction──▶  snapshot.bin ──▶ map + next id
-//!   (length-prefixed,         (atomic tmp+rename,   ▲
+//! wal.log  ──compaction──▶  snapshot.bin ──▶ index (id → record location)
+//!   (length-prefixed,         (atomic tmp+rename,   ▲       + next id
 //!    CRC-32 framed            same framing)         │
 //!    records)                 torn WAL tail zeroed ─┘
 //!   │                             │ old generation kept as
@@ -22,6 +22,17 @@
 //! wal.log, recycled in place
 //! ```
 //!
+//! * **Nothing decoded stays in memory.** The store's memory grows with
+//!   the number of releases, not with their size: its index holds, per
+//!   release, the fixed-size location of its latest full record (snapshot
+//!   or WAL, byte offset, length, and the WAL generation its CRC covers)
+//!   and the recipients logged since the last compaction.
+//!   [`ReleaseStore::get`] reads that one frame with a positional read,
+//!   checks its CRC, decodes it and folds the recipients in; a record that
+//!   does not read back intact fails that read alone. Reads run under the
+//!   index lock, and a compaction moves every location to the new snapshot
+//!   under the same lock before the old files are reused, so no read ever
+//!   lands on a retired location.
 //! * **WAL records** are `[u32 len][u32 crc32][payload]` frames over the
 //!   compact binary codec of [`medshield_core::codec`]; a crash can only
 //!   tear the *tail*, which recovery detects (short frame, impossible
@@ -41,7 +52,8 @@
 //!   follow the recovered end (none on a clean v1 log, so opening one
 //!   writes nothing): a torn frame can hide complete, unacknowledged frames
 //!   of the same generation behind it, and an append that happened to end
-//!   where one begins would otherwise bring it back.
+//!   where one begins would otherwise bring it back. Recovery decodes every
+//!   record to validate it and keeps only its location.
 //! * **Snapshots** are written to `snapshot.tmp`, fsynced, renamed over
 //!   `snapshot.bin` and only then are the WAL's records retired. The
 //!   previous generation's file is kept as `snapshot.spare` (its contents
@@ -50,11 +62,16 @@
 //!   1. rename `snapshot.spare` to `snapshot.tmp` (create `snapshot.tmp`
 //!      when there is no spare);
 //!   2. overwrite it from offset 0, `set_len` it to the exact length and
-//!      `fdatasync` it;
+//!      `fdatasync` it. The records stream in id order from the old
+//!      snapshot and the WAL through buffered positional reads: each
+//!      payload is copied as it is once its CRC checks out, and only a
+//!      release with recipients logged since is decoded and re-encoded
+//!      with them folded in. A record that fails its CRC fails the
+//!      compaction here, before anything else changes;
 //!   3. hard-link `snapshot.bin` as `snapshot.spare`, so the rename below
 //!      drops a link instead of freeing the old file;
 //!   4. rename `snapshot.tmp` over `snapshot.bin` (removing the fresh link
-//!      if the rename fails);
+//!      if the rename fails), then point the index at the new file;
 //!   5. fsync the directory;
 //!   6. under the WAL lock, before any frame of the new generation is
 //!      written, overwrite the WAL header at offset 0 with the v2 header of
@@ -88,11 +105,12 @@
 //!   waiting on the same sync share one `fdatasync` call instead of queuing
 //!   one each.
 //! * **Failed writes fail-stop.** A frame write that errors sets the same
-//!   sticky flag as a failed fsync: reads keep serving, and every later
-//!   append, recipient add and sync errors. The file is left as it is,
-//!   since cutting it back would free a recycled log's stale tail under the
-//!   WAL lock. Whether any of the frame reached the disk is unknown; a
-//!   restart recovers every complete frame and stops at a torn one.
+//!   sticky flag as a failed fsync: every later append, recipient add and
+//!   sync errors, while reads keep serving every record that still reads
+//!   back with a valid CRC. The file is left as it is, since cutting it
+//!   back would free a recycled log's stale tail under the WAL lock.
+//!   Whether any of the frame reached the disk is unknown; a restart
+//!   recovers every complete frame and stops at a torn one.
 //! * **Recipient records:** `protect-for` appends a dedicated WAL record
 //!   per registered recipient (release id, name, fingerprint mark) instead
 //!   of rewriting the release; snapshots fold the recipients back into
@@ -108,9 +126,9 @@ use medshield_binning::ColumnBinning;
 use medshield_core::codec::{self, CodecError, Reader, Writer};
 use medshield_dht::NodeId;
 use medshield_watermark::{Mark, OwnershipProof};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write as IoWrite};
+use std::io::{BufWriter, Seek, SeekFrom, Write as IoWrite};
 use std::os::unix::fs::{FileExt, MetadataExt};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -139,6 +157,17 @@ impl StoredRelease {
     pub fn recipient(&self, name: &str) -> Option<&StoredRecipient> {
         self.recipients.iter().find(|r| r.name == name)
     }
+
+    /// Register each of `recipients` in order, skipping names already
+    /// registered: a recipient record replayed over a release that already
+    /// lists it (a snapshot folded it in) must not duplicate it.
+    fn fold_recipients(&mut self, recipients: &[StoredRecipient]) {
+        for recipient in recipients {
+            if self.recipient(&recipient.name).is_none() {
+                self.recipients.push(recipient.clone());
+            }
+        }
+    }
 }
 
 /// One recipient copy of a release: the identity the fingerprint was derived
@@ -159,7 +188,8 @@ pub enum StoreError {
     /// Reading or writing the backing files failed.
     Io(std::io::Error),
     /// The backing files exist but cannot be decoded (and the damage is not
-    /// a truncatable torn tail).
+    /// a truncatable torn tail), or a stored record no longer reads back
+    /// with a valid checksum.
     Corrupt(String),
     /// Another live process holds the data directory.
     Busy(String),
@@ -222,8 +252,11 @@ pub trait ReleaseStore: Send + Sync {
     /// commit). A no-op for in-memory stores.
     fn sync(&self) -> Result<(), StoreError>;
 
-    /// The release with the given id, if stored.
-    fn get(&self, id: u64) -> Option<Arc<StoredRelease>>;
+    /// The release with the given id, or `None` when none is stored. Errs
+    /// when the release is stored but cannot be read back: durable stores
+    /// read it from disk on every call, and a record that fails its
+    /// checksum fails this one release, not the store.
+    fn get(&self, id: u64) -> Result<Option<Arc<StoredRelease>>, StoreError>;
 
     /// Number of stored releases.
     fn len(&self) -> usize;
@@ -286,16 +319,19 @@ impl ReleaseStore for MemoryStore {
         recipient: StoredRecipient,
     ) -> Result<Option<Arc<StoredRelease>>, StoreError> {
         let mut map = lock_unpoisoned(&self.map);
-        fold_recipient(&mut map, id, recipient);
-        Ok(map.get(&id).cloned())
+        let Some(existing) = map.get_mut(&id) else { return Ok(None) };
+        if existing.recipient(&recipient.name).is_none() {
+            Arc::make_mut(existing).recipients.push(recipient);
+        }
+        Ok(Some(Arc::clone(existing)))
     }
 
     fn sync(&self) -> Result<(), StoreError> {
         Ok(())
     }
 
-    fn get(&self, id: u64) -> Option<Arc<StoredRelease>> {
-        lock_unpoisoned(&self.map).get(&id).cloned()
+    fn get(&self, id: u64) -> Result<Option<Arc<StoredRelease>>, StoreError> {
+        Ok(lock_unpoisoned(&self.map).get(&id).cloned())
     }
 
     fn len(&self) -> usize {
@@ -333,6 +369,13 @@ const SNAPSHOT_MAGIC: &[u8; 8] = b"MSSNP\x01\r\n";
 /// Length of a v2 WAL header: the magic and the `u64` generation.
 const WAL_HEADER_V2_LEN: u64 = 16;
 
+/// Length of a snapshot header: the magic, the next id and the record
+/// count.
+const SNAPSHOT_HEADER_LEN: u64 = 24;
+
+/// Length of a frame header: `[u32 len][u32 crc32]`.
+const FRAME_HEADER_LEN: usize = 8;
+
 /// Largest block of zeros opening writes at once over a stale WAL tail.
 const ZERO_BLOCK: usize = 256 * 1024;
 
@@ -341,10 +384,14 @@ const ZERO_BLOCK: usize = 256 * 1024;
 /// `write` per record.
 const SNAPSHOT_BUFFER: usize = 256 * 1024;
 
+/// Smallest read [`BlockReader`] makes: recovery and compaction read the
+/// files in blocks of this size, not one `read` per record.
+const READ_BUFFER: usize = 256 * 1024;
+
 /// Recovery refuses record lengths beyond this: a frame header announcing
 /// more is a torn or foreign tail, not a release record (real records are
 /// a few hundred bytes).
-const MAX_RECORD_LEN: usize = 64 * 1024 * 1024;
+const MAX_RECORD_LEN: u32 = 64 * 1024 * 1024;
 
 /// Version tags of the record payload encodings (the first payload byte).
 ///
@@ -362,6 +409,50 @@ const RELEASE_RECORD_V1: u8 = 1;
 const RELEASE_RECORD_V2: u8 = 2;
 const RECIPIENT_RECORD: u8 = 3;
 
+/// The file a stored record lies in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Source {
+    Snapshot,
+    Wal,
+}
+
+impl Source {
+    fn file_name(self) -> &'static str {
+        match self {
+            Source::Snapshot => SNAPSHOT_FILE,
+            Source::Wal => WAL_FILE,
+        }
+    }
+}
+
+/// Where a release's latest full record lies: the frame at byte `offset`
+/// of the snapshot or the WAL, its payload length, and the generation its
+/// CRC covers (`None` in a snapshot or a v1 WAL).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Location {
+    source: Source,
+    offset: u64,
+    len: u32,
+    generation: Option<u64>,
+}
+
+/// What the index keeps per release.
+#[derive(Debug)]
+struct Entry {
+    location: Location,
+    /// Recipients logged since the record at `location` was written, in
+    /// registration order; reads and compaction fold them in.
+    pending: Vec<StoredRecipient>,
+}
+
+/// The index of a durable store, and the snapshot file its snapshot
+/// locations point into. Every read of a record happens under its lock.
+#[derive(Debug)]
+struct Index {
+    entries: BTreeMap<u64, Entry>,
+    snapshot: Option<File>,
+}
+
 /// The sequencing state of the write-ahead log; guarded by one mutex so WAL
 /// bytes and release ids are appended in the same order.
 #[derive(Debug)]
@@ -370,6 +461,8 @@ struct Wal {
     /// The generation of a recycled (v2) log, whose frame CRCs cover it;
     /// `None` while the log is v1.
     generation: Option<u64>,
+    /// The offset the next frame is written at.
+    end: u64,
     /// Appends since the last snapshot, for the compaction trigger.
     since_snapshot: usize,
 }
@@ -390,15 +483,17 @@ struct SyncState {
 }
 
 /// The durable release store: WAL + snapshot + crash recovery. See the
-/// module docs for the file formats and the crash-ordering argument.
+/// module docs for the file formats, the index and the crash-ordering
+/// argument.
 #[derive(Debug)]
 pub struct DurableStore {
     dir: PathBuf,
-    map: Mutex<HashMap<u64, Arc<StoredRelease>>>,
+    index: Mutex<Index>,
     wal: Mutex<Wal>,
-    /// Duplicate handle to the WAL's file descriptor so group commit can
-    /// fsync without holding the append lock.
-    sync_file: File,
+    /// A second handle on the WAL: group commit fsyncs through it without
+    /// holding the append lock, and records are read through it with
+    /// positional reads, which leave the append cursor where it is.
+    wal_file: File,
     /// The next id to assign; only mutated under the WAL lock so id order
     /// equals log order.
     next: AtomicU64,
@@ -419,7 +514,7 @@ pub struct DurableStore {
 
 impl DurableStore {
     /// Open (or create) a durable store in `dir`, running crash recovery:
-    /// load the snapshot if one exists, replay the WAL on top up to a torn
+    /// index the snapshot if one exists, replay the WAL on top up to a torn
     /// tail record or a stale frame, zero what follows, and restore the next
     /// release id as one past the highest durable id.
     pub fn open(dir: impl AsRef<Path>, snapshot_every: usize) -> Result<DurableStore, StoreError> {
@@ -445,13 +540,16 @@ impl DurableStore {
         }
         discard_linked_spare(&dir)?;
 
-        let mut map = HashMap::new();
+        let mut entries = BTreeMap::new();
         let mut next: u64 = 1;
-        let snapshot_path = dir.join(SNAPSHOT_FILE);
-        if snapshot_path.exists() {
-            let bytes = std::fs::read(&snapshot_path)?;
-            parse_snapshot(&bytes, &mut map, &mut next)?;
-        }
+        let snapshot = match File::open(dir.join(SNAPSHOT_FILE)) {
+            Ok(file) => {
+                parse_snapshot(&file, &mut entries, &mut next)?;
+                Some(file)
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => None,
+            Err(e) => return Err(e.into()),
+        };
 
         let wal_path = dir.join(WAL_FILE);
         // Never truncate on open: recovery decides below how much of an
@@ -462,9 +560,10 @@ impl DurableStore {
             .create(true)
             .truncate(false)
             .open(&wal_path)?;
-        let mut bytes = Vec::new();
-        file.read_to_end(&mut bytes)?;
-        let (generation, valid_len) = match WalHeader::parse(&bytes) {
+        let mut reader = BlockReader::new(&file)?;
+        let head_len = reader.len.min(WAL_HEADER_V2_LEN) as usize;
+        let header = WalHeader::parse(reader.get(0, head_len)?.unwrap_or_default());
+        let (generation, valid_len) = match header {
             Some(WalHeader::Fresh) => {
                 // New log — or one whose very first header write was torn,
                 // which means it never held a record.
@@ -474,14 +573,16 @@ impl DurableStore {
                 (None, WAL_MAGIC_V1.len() as u64)
             }
             Some(WalHeader::V1) => {
-                let valid_len = replay_wal(&bytes, WAL_MAGIC_V1.len(), None, &mut map, &mut next);
-                zero_tail(&file, &bytes, valid_len)?;
+                let start = WAL_MAGIC_V1.len() as u64;
+                let valid_len = replay_wal(&mut reader, start, None, &mut entries, &mut next)?;
+                zero_tail(&file, &mut reader, valid_len)?;
                 (None, valid_len)
             }
             Some(WalHeader::V2(generation)) => {
-                let start = WAL_HEADER_V2_LEN as usize;
-                let valid_len = replay_wal(&bytes, start, Some(generation), &mut map, &mut next);
-                zero_tail(&file, &bytes, valid_len)?;
+                let start = WAL_HEADER_V2_LEN;
+                let valid_len =
+                    replay_wal(&mut reader, start, Some(generation), &mut entries, &mut next)?;
+                zero_tail(&file, &mut reader, valid_len)?;
                 (Some(generation), valid_len)
             }
             // Anything else is a foreign file; refuse to overwrite it.
@@ -492,6 +593,7 @@ impl DurableStore {
                 )))
             }
         };
+        drop(reader);
         // Position the cursor for appending.
         file.seek(SeekFrom::Start(valid_len))?;
         // Make the log's *directory entry* durable too: fdatasync on the
@@ -501,13 +603,13 @@ impl DurableStore {
         // prevent. Same ordering the snapshot rename uses.
         File::open(&dir).and_then(|d| d.sync_all())?;
 
-        let sync_file = file.try_clone()?;
-        let recovered = map.len();
+        let wal_file = file.try_clone()?;
+        let recovered = entries.len();
         Ok(DurableStore {
             dir,
-            map: Mutex::new(map),
-            wal: Mutex::new(Wal { file, generation, since_snapshot: 0 }),
-            sync_file,
+            index: Mutex::new(Index { entries, snapshot }),
+            wal: Mutex::new(Wal { file, generation, end: valid_len, since_snapshot: 0 }),
+            wal_file,
             next: AtomicU64::new(next),
             written: AtomicU64::new(0),
             sync_state: Mutex::new(SyncState::default()),
@@ -523,7 +625,7 @@ impl DurableStore {
         self.recovered
     }
 
-    /// Fold the current map into a snapshot and retire the WAL's records,
+    /// Fold every release into a snapshot and retire the WAL's records,
     /// without waiting for the `snapshot_every` trigger. Tests and
     /// operators use this; appends run it automatically.
     pub fn compact(&self) -> Result<(), StoreError> {
@@ -531,9 +633,36 @@ impl DurableStore {
         self.snapshot_locked(&mut wal)
     }
 
-    /// Write `payload` as one frame of the WAL's generation, apply the
-    /// record to the map with `apply`, and compact once `snapshot_every`
-    /// records have been logged since the last snapshot.
+    /// Read release `id` from its latest record: check the frame's length
+    /// and CRC, decode it and fold in the recipients logged since. `None`
+    /// when the index holds no such release. The read happens under the
+    /// index lock, so it never lands on a location a compaction retired.
+    fn read(&self, id: u64) -> Result<Option<StoredRelease>, StoreError> {
+        let index = lock_unpoisoned(&self.index);
+        let Some(entry) = index.entries.get(&id) else { return Ok(None) };
+        let location = entry.location;
+        let file = match location.source {
+            Source::Wal => &self.wal_file,
+            Source::Snapshot => index.snapshot.as_ref().ok_or_else(|| {
+                StoreError::Corrupt(format!("r{id} is indexed in a snapshot the store lacks"))
+            })?,
+        };
+        let mut frame = vec![0u8; FRAME_HEADER_LEN + location.len as usize];
+        file.read_exact_at(&mut frame, location.offset)?;
+        let payload = verified_payload(&frame, id, &location)?;
+        let (stored_id, mut release) = decode_release_record(payload, &mut Vec::new())?;
+        if stored_id != id {
+            return Err(StoreError::Corrupt(format!(
+                "the record indexed as r{id} is r{stored_id}"
+            )));
+        }
+        release.fold_recipients(&entry.pending);
+        Ok(Some(release))
+    }
+
+    /// Write `payload` as one frame of the WAL's generation, record it in
+    /// the index with `apply` (given the frame's location), and compact once
+    /// `snapshot_every` records have been logged since the last snapshot.
     ///
     /// A failed write fail-stops the store and leaves the file as it is:
     /// whether any of the frame reached the disk is unknown, and cutting the
@@ -543,14 +672,21 @@ impl DurableStore {
         &self,
         wal: &mut Wal,
         payload: &[u8],
-        apply: impl FnOnce(&mut HashMap<u64, Arc<StoredRelease>>) -> T,
+        apply: impl FnOnce(&mut Index, Location) -> T,
     ) -> Result<T, StoreError> {
         if let Err(e) = wal.file.write_all(&frame_record(wal.generation, payload)) {
             lock_unpoisoned(&self.sync_state).failed = true;
             return Err(StoreError::Io(e));
         }
+        let location = Location {
+            source: Source::Wal,
+            offset: wal.end,
+            len: payload.len() as u32,
+            generation: wal.generation,
+        };
+        wal.end += (FRAME_HEADER_LEN + payload.len()) as u64;
         self.written.fetch_add(1, Ordering::Release);
-        let applied = apply(&mut lock_unpoisoned(&self.map));
+        let applied = apply(&mut lock_unpoisoned(&self.index), location);
         wal.since_snapshot += 1;
         if self.snapshot_every > 0 && wal.since_snapshot >= self.snapshot_every {
             // Compaction is an optimization, never a correctness need: the
@@ -566,37 +702,79 @@ impl DurableStore {
         Ok(applied)
     }
 
-    /// Compact under the WAL lock, so no append can land between the map
-    /// capture and the header rewrite. The six steps and their crash
-    /// argument are in the module docs.
+    /// Compact under the WAL lock, so no record can be logged between
+    /// taking the plan and the header rewrite. The six steps and their
+    /// crash argument are in the module docs.
     fn snapshot_locked(&self, wal: &mut Wal) -> Result<(), StoreError> {
         wal.since_snapshot = 0;
-        let mut entries: Vec<(u64, Arc<StoredRelease>)> = {
-            let map = lock_unpoisoned(&self.map);
-            map.iter().map(|(id, release)| (*id, Arc::clone(release))).collect()
+        // The WAL lock keeps every entry as it is until this returns; the
+        // index lock is taken only to copy the plan and, after the rename,
+        // to point the entries at the new file.
+        let (old_snapshot, mut plan) = {
+            let index = lock_unpoisoned(&self.index);
+            let snapshot = index.snapshot.as_ref().map(File::try_clone).transpose()?;
+            let plan: Vec<(u64, Location, Vec<StoredRecipient>)> = index
+                .entries
+                .iter()
+                .map(|(id, entry)| (*id, entry.location, entry.pending.clone()))
+                .collect();
+            (snapshot, plan)
         };
-        entries.sort_by_key(|(id, _)| *id);
 
         // Steps 1–2: recycle the spare as snapshot.tmp and overwrite it,
-        // streaming each record through one reused payload buffer.
+        // streaming each record from the file it lies in. Each entry's plan
+        // location becomes the record's location in the new file.
         let tmp_path = self.dir.join(SNAPSHOT_TMP);
         let mut out = BufWriter::with_capacity(SNAPSHOT_BUFFER, self.open_snapshot_tmp(&tmp_path)?);
         out.write_all(SNAPSHOT_MAGIC)?;
         out.write_all(&self.next.load(Ordering::Relaxed).to_le_bytes())?;
-        out.write_all(&(entries.len() as u64).to_le_bytes())?;
+        out.write_all(&(plan.len() as u64).to_le_bytes())?;
+        let mut snapshot_reader = old_snapshot.as_ref().map(BlockReader::new).transpose()?;
+        let mut wal_reader = BlockReader::new(&self.wal_file)?;
         let mut payload = Vec::new();
-        for (id, release) in &entries {
-            let mut w = Writer::reusing(payload);
-            write_release_record(&mut w, *id, release);
-            payload = w.into_bytes()?;
-            out.write_all(&frame_header(None, &payload))?;
-            out.write_all(&payload)?;
+        let mut scratch = Vec::new();
+        let mut at = SNAPSHOT_HEADER_LEN;
+        for (id, location, pending) in &mut plan {
+            let reader = match location.source {
+                Source::Wal => Some(&mut wal_reader),
+                Source::Snapshot => snapshot_reader.as_mut(),
+            };
+            let frame_len = FRAME_HEADER_LEN + location.len as usize;
+            let frame = match reader {
+                Some(reader) => reader.get(location.offset, frame_len)?.unwrap_or_default(),
+                None => &[],
+            };
+            let record = verified_payload(frame, *id, location)?;
+            let len = if pending.is_empty() {
+                if location.generation.is_none() {
+                    // The CRC covers the payload alone, as in a snapshot.
+                    out.write_all(frame)?;
+                } else {
+                    out.write_all(&frame_header(None, record))?;
+                    out.write_all(record)?;
+                }
+                record.len()
+            } else {
+                let (_, mut release) = decode_release_record(record, &mut scratch)?;
+                release.fold_recipients(pending);
+                let mut w = Writer::reusing(payload);
+                write_release_record(&mut w, *id, &release);
+                payload = w.into_bytes()?;
+                out.write_all(&frame_header(None, &payload))?;
+                out.write_all(&payload)?;
+                payload.len()
+            };
+            *location = Location {
+                source: Source::Snapshot,
+                offset: at,
+                len: len as u32,
+                generation: None,
+            };
+            at += (FRAME_HEADER_LEN + len) as u64;
         }
-        let mut tmp = out.into_inner().map_err(|e| StoreError::Io(e.into_error()))?;
-        let len = tmp.stream_position()?;
-        tmp.set_len(len)?;
-        tmp.sync_data()?;
-        drop(tmp);
+        let snapshot = out.into_inner().map_err(|e| StoreError::Io(e.into_error()))?;
+        snapshot.set_len(at)?;
+        snapshot.sync_data()?;
         // Steps 3–4: keep the old generation alive as the next spare, then
         // swap the new snapshot in. With no snapshot yet (or a filesystem
         // without hard links) the rename frees the old file instead.
@@ -608,6 +786,19 @@ impl DurableStore {
                 let _ = std::fs::remove_file(&spare_path);
             }
             return Err(e.into());
+        }
+        // The new file is the snapshot now: every release reads from it
+        // from here on, before step 6 retires the WAL's frames and the next
+        // compaction overwrites the old snapshot.
+        {
+            let mut index = lock_unpoisoned(&self.index);
+            index.snapshot = Some(snapshot);
+            for (id, location, _) in plan {
+                if let Some(entry) = index.entries.get_mut(&id) {
+                    entry.location = location;
+                    entry.pending = Vec::new();
+                }
+            }
         }
         // The rename itself must be durable before the WAL loses the same
         // records. If the directory cannot be fsynced, keep the log as it
@@ -624,14 +815,19 @@ impl DurableStore {
         })
     }
 
-    /// Open `snapshot.tmp` for overwriting: the previous generation's
-    /// `snapshot.spare` renamed into place when there is one (its blocks are
-    /// rewritten rather than freed and reallocated), a new file otherwise.
+    /// Open `snapshot.tmp` for overwriting (and, once it is the snapshot,
+    /// for reading): the previous generation's `snapshot.spare` renamed into
+    /// place when there is one (its blocks are rewritten rather than freed
+    /// and reallocated), a new file otherwise.
     fn open_snapshot_tmp(&self, tmp_path: &Path) -> Result<File, StoreError> {
         discard_linked_spare(&self.dir)?;
+        let mut options = OpenOptions::new();
+        options.read(true).write(true);
         match std::fs::rename(self.dir.join(SNAPSHOT_SPARE), tmp_path) {
-            Ok(()) => Ok(OpenOptions::new().write(true).open(tmp_path)?),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(File::create(tmp_path)?),
+            Ok(()) => Ok(options.open(tmp_path)?),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                Ok(options.create(true).truncate(true).open(tmp_path)?)
+            }
             Err(e) => Err(e.into()),
         }
     }
@@ -657,25 +853,69 @@ fn recycle_wal(wal: &mut Wal) -> std::io::Result<()> {
     wal.file.sync_data()?;
     wal.file.seek(SeekFrom::Start(WAL_HEADER_V2_LEN))?;
     wal.generation = Some(generation);
+    wal.end = WAL_HEADER_V2_LEN;
     Ok(())
 }
 
-/// Zero the bytes of `bytes` (the log as opened) past `valid_len` up to the
-/// last non-zero one, then `fdatasync`: stale frames past a torn one must
-/// not be reachable by later appends (see the module docs). The file keeps
-/// its length.
-fn zero_tail(file: &File, bytes: &[u8], valid_len: u64) -> std::io::Result<()> {
-    let tail = usize::try_from(valid_len).ok().and_then(|at| bytes.get(at..)).unwrap_or_default();
-    let Some(last) = tail.iter().rposition(|&b| b != 0) else { return Ok(()) };
-    let dirty = tail.get(..=last).unwrap_or_default();
-    let zeros = vec![0u8; dirty.len().min(ZERO_BLOCK)];
+/// Zero the log's bytes past `valid_len` up to the last non-zero one, then
+/// `fdatasync`: stale frames past a torn one must not be reachable by later
+/// appends (see the module docs). The file keeps its length.
+fn zero_tail(file: &File, reader: &mut BlockReader<'_>, valid_len: u64) -> std::io::Result<()> {
+    let mut dirty_end = valid_len;
     let mut at = valid_len;
-    for block in dirty.chunks(ZERO_BLOCK) {
-        let zeros = zeros.get(..block.len()).unwrap_or_default();
-        file.write_all_at(zeros, at)?;
-        at += block.len() as u64;
+    while at < reader.len {
+        let n = (reader.len - at).min(ZERO_BLOCK as u64) as usize;
+        let block = reader.get(at, n)?.unwrap_or_default();
+        if let Some(last) = block.iter().rposition(|&b| b != 0) {
+            dirty_end = at + last as u64 + 1;
+        }
+        at += n as u64;
+    }
+    if dirty_end == valid_len {
+        return Ok(());
+    }
+    let zeros = vec![0u8; (dirty_end - valid_len).min(ZERO_BLOCK as u64) as usize];
+    let mut at = valid_len;
+    while at < dirty_end {
+        let n = (dirty_end - at).min(zeros.len() as u64) as usize;
+        file.write_all_at(zeros.get(..n).unwrap_or_default(), at)?;
+        at += n as u64;
     }
     file.sync_data()
+}
+
+/// Buffered positional reads of one file: the bytes asked for come out of
+/// a buffer of at least [`READ_BUFFER`] bytes filled with `read_at`, so
+/// records read in file order cost one read per buffer, not one per record,
+/// and the file's cursor (the WAL's append position) never moves.
+struct BlockReader<'a> {
+    file: &'a File,
+    /// The file's length when the reader was made; nothing past it is read.
+    len: u64,
+    /// The bytes of the file from `start` on.
+    buf: Vec<u8>,
+    start: u64,
+}
+
+impl<'a> BlockReader<'a> {
+    fn new(file: &'a File) -> std::io::Result<BlockReader<'a>> {
+        Ok(BlockReader { file, len: file.metadata()?.len(), buf: Vec::new(), start: 0 })
+    }
+
+    /// The `len` bytes at offset `at`, or `None` when the file ends first.
+    fn get(&mut self, at: u64, len: usize) -> std::io::Result<Option<&[u8]>> {
+        let Some(end) = at.checked_add(len as u64).filter(|&end| end <= self.len) else {
+            return Ok(None);
+        };
+        if at < self.start || end > self.start + self.buf.len() as u64 {
+            let size = (self.len - at).min(len.max(READ_BUFFER) as u64) as usize;
+            self.buf.resize(size, 0);
+            self.file.read_exact_at(&mut self.buf, at)?;
+            self.start = at;
+        }
+        let from = (at - self.start) as usize;
+        Ok(self.buf.get(from..from + len))
+    }
 }
 
 /// How a WAL file begins.
@@ -730,9 +970,9 @@ impl ReleaseStore for DurableStore {
         }
         let mut wal = lock_unpoisoned(&self.wal);
         let id = self.next.load(Ordering::Relaxed);
-        self.log(&mut wal, &encode_release_record(id, &release)?, |map| {
+        self.log(&mut wal, &encode_release_record(id, &release)?, |index, location| {
             self.next.store(id + 1, Ordering::Relaxed);
-            map.insert(id, Arc::new(release));
+            index.entries.insert(id, Entry { location, pending: Vec::new() });
             id
         })
     }
@@ -746,24 +986,20 @@ impl ReleaseStore for DurableStore {
             return Err(fail_stopped());
         }
         // The WAL lock orders the existence check, the record bytes and the
-        // map update against concurrent appends, exactly like `append`.
+        // index update against concurrent appends, exactly like `append`.
         let mut wal = lock_unpoisoned(&self.wal);
-        {
-            let map = lock_unpoisoned(&self.map);
-            match map.get(&id) {
-                None => return Ok(None),
-                Some(existing) if existing.recipient(&recipient.name).is_some() => {
-                    // Idempotent re-registration: the fingerprint is
-                    // deterministic, so there is nothing new to log.
-                    return Ok(Some(Arc::clone(existing)));
+        let Some(mut release) = self.read(id)? else { return Ok(None) };
+        // Re-registering a name logs nothing: the fingerprint is
+        // deterministic, so there is nothing new to record.
+        if release.recipient(&recipient.name).is_none() {
+            self.log(&mut wal, &encode_recipient_record(id, &recipient)?, |index, _| {
+                if let Some(entry) = index.entries.get_mut(&id) {
+                    entry.pending.push(recipient.clone());
                 }
-                Some(_) => {}
-            }
+            })?;
+            release.recipients.push(recipient);
         }
-        self.log(&mut wal, &encode_recipient_record(id, &recipient)?, |map| {
-            fold_recipient(map, id, recipient);
-            map.get(&id).cloned()
-        })
+        Ok(Some(Arc::new(release)))
     }
 
     fn sync(&self) -> Result<(), StoreError> {
@@ -791,7 +1027,7 @@ impl ReleaseStore for DurableStore {
             // own records (written before `target` was read).
             let cover = self.written.load(Ordering::Acquire);
             drop(state);
-            let result = self.sync_file.sync_data();
+            let result = self.wal_file.sync_data();
             state = lock_unpoisoned(&self.sync_state);
             state.syncing = false;
             match &result {
@@ -803,12 +1039,12 @@ impl ReleaseStore for DurableStore {
         }
     }
 
-    fn get(&self, id: u64) -> Option<Arc<StoredRelease>> {
-        lock_unpoisoned(&self.map).get(&id).cloned()
+    fn get(&self, id: u64) -> Result<Option<Arc<StoredRelease>>, StoreError> {
+        Ok(self.read(id)?.map(Arc::new))
     }
 
     fn len(&self) -> usize {
-        lock_unpoisoned(&self.map).len()
+        lock_unpoisoned(&self.index).entries.len()
     }
 
     fn next_id(&self) -> u64 {
@@ -820,18 +1056,18 @@ impl ReleaseStore for DurableStore {
     }
 
     fn poison_for_tests(&self) {
-        let _guard = lock_unpoisoned(&self.map);
+        let _guard = lock_unpoisoned(&self.index);
         // medlint::allow(no-panic, test hook: panics while holding the lock to exercise poison recovery)
         panic!("debug poison hook (durable store)");
     }
 }
 
-/// Split a `[u32 len][u32 crc32]` record header out of `bytes` at `at`.
-/// `None` when fewer than eight bytes remain — total on any input.
-fn record_header(bytes: &[u8], at: usize) -> Option<(usize, u32)> {
-    let header = bytes.get(at..at.checked_add(8)?)?;
+/// The `[u32 len][u32 crc32]` record header `bytes` start with; `None`
+/// when they are fewer than eight — total on any input.
+fn record_header(bytes: &[u8]) -> Option<(u32, u32)> {
+    let header = bytes.get(..FRAME_HEADER_LEN)?;
     let (len_raw, crc_raw) = header.split_at(4);
-    let len = usize::try_from(u32::from_le_bytes(len_raw.try_into().ok()?)).ok()?;
+    let len = u32::from_le_bytes(len_raw.try_into().ok()?);
     let crc = u32::from_le_bytes(crc_raw.try_into().ok()?);
     Some((len, crc))
 }
@@ -855,7 +1091,7 @@ fn frame_crc(generation: Option<u64>, payload: &[u8]) -> u32 {
 }
 
 /// The `[u32 len][u32 crc32]` header framing `payload`, little-endian.
-fn frame_header(generation: Option<u64>, payload: &[u8]) -> [u8; 8] {
+fn frame_header(generation: Option<u64>, payload: &[u8]) -> [u8; FRAME_HEADER_LEN] {
     let [l0, l1, l2, l3] = (payload.len() as u32).to_le_bytes();
     let [c0, c1, c2, c3] = frame_crc(generation, payload).to_le_bytes();
     [l0, l1, l2, l3, c0, c1, c2, c3]
@@ -863,10 +1099,35 @@ fn frame_header(generation: Option<u64>, payload: &[u8]) -> [u8; 8] {
 
 /// Frame a record payload: `[u32 len][u32 crc32][payload]`, little-endian.
 fn frame_record(generation: Option<u64>, payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(payload.len() + 8);
+    let mut frame = Vec::with_capacity(payload.len() + FRAME_HEADER_LEN);
     frame.extend_from_slice(&frame_header(generation, payload));
     frame.extend_from_slice(payload);
     frame
+}
+
+/// The payload of `frame`, the bytes read at `location` for release `id`,
+/// once the frame's length and CRC match the location; otherwise the record
+/// no longer reads back intact and the error names it.
+fn verified_payload<'a>(
+    frame: &'a [u8],
+    id: u64,
+    location: &Location,
+) -> Result<&'a [u8], StoreError> {
+    let payload = frame.get(FRAME_HEADER_LEN..).unwrap_or_default();
+    let intact = record_header(frame).is_some_and(|(len, crc)| {
+        len == location.len
+            && payload.len() == len as usize
+            && crc == frame_crc(location.generation, payload)
+    });
+    if intact {
+        Ok(payload)
+    } else {
+        Err(StoreError::Corrupt(format!(
+            "the record of r{id} at byte {} of {} does not read back with a valid checksum",
+            location.offset,
+            location.source.file_name()
+        )))
+    }
 }
 
 /// Encode one release record payload (version, id, columns, mark, proof,
@@ -917,8 +1178,9 @@ fn encode_recipient_record(id: u64, recipient: &StoredRecipient) -> Result<Vec<u
 
 /// One decoded WAL/snapshot record.
 enum StoreRecord {
-    /// A full release (v1 without recipients, v2 with).
-    Release(u64, StoredRelease),
+    /// A full release (v1 without recipients, v2 with), by id: it was
+    /// decoded only to validate it.
+    Release(u64),
     /// A recipient added to an existing release.
     Recipient(u64, StoredRecipient),
 }
@@ -929,8 +1191,8 @@ enum StoreRecord {
 fn decode_record(payload: &[u8], scratch: &mut Vec<NodeId>) -> Result<StoreRecord, CodecError> {
     match payload.first().copied() {
         Some(RELEASE_RECORD_V1) | Some(RELEASE_RECORD_V2) => {
-            let (id, release) = decode_release_record(payload, scratch)?;
-            Ok(StoreRecord::Release(id, release))
+            let (id, _) = decode_release_record(payload, scratch)?;
+            Ok(StoreRecord::Release(id))
         }
         Some(RECIPIENT_RECORD) => {
             let mut r = Reader::new(payload);
@@ -996,97 +1258,94 @@ fn decode_release_record(
     Ok((id, StoredRelease { columns, mark, ownership, recipients }))
 }
 
-/// Fold a recipient-add record onto its release (clone-on-write of the
-/// shared [`Arc`]). Idempotent by name, so replaying a WAL record whose
-/// recipient the snapshot already folded in cannot duplicate it. A record
-/// naming a release the map does not hold is ignored: recipient records are
-/// only ever appended after their release's record, so the release must have
-/// been dropped by an earlier (torn-tail) truncation.
-fn fold_recipient(map: &mut HashMap<u64, Arc<StoredRelease>>, id: u64, recipient: StoredRecipient) {
-    let Some(existing) = map.get(&id) else { return };
-    if existing.recipient(&recipient.name).is_some() {
-        return;
-    }
-    let mut updated = (**existing).clone();
-    updated.recipients.push(recipient);
-    map.insert(id, Arc::new(updated));
-}
-
 /// Replay the WAL records of `generation` (`None` for a v1 log) that start
-/// at byte `start` into `map`, returning the byte length of the valid
-/// prefix. A short header, an impossible length, a checksum mismatch under
-/// `generation` or an undecodable payload all end the replay there — the
-/// torn tail of the crashed writer, or a stale frame of an older
-/// generation.
+/// at byte `start` into `entries`, returning the byte length of the valid
+/// prefix. Each record is decoded to validate it; the index keeps only its
+/// location, or, for a recipient record, the recipient (once per name; a
+/// record naming a release the index lacks is ignored, since recipient
+/// records only ever follow their release's record, which an earlier
+/// torn-tail truncation must have dropped). A short header, an impossible
+/// length, a checksum mismatch under `generation` or an undecodable payload
+/// all end the replay there — the torn tail of the crashed writer, or a
+/// stale frame of an older generation.
 fn replay_wal(
-    bytes: &[u8],
-    start: usize,
+    reader: &mut BlockReader<'_>,
+    start: u64,
     generation: Option<u64>,
-    map: &mut HashMap<u64, Arc<StoredRelease>>,
+    entries: &mut BTreeMap<u64, Entry>,
     next: &mut u64,
-) -> u64 {
+) -> std::io::Result<u64> {
     let mut at = start;
     let mut scratch = Vec::new();
-    while let Some((len, crc)) = record_header(bytes, at) {
-        if len > MAX_RECORD_LEN {
-            break;
-        }
-        let Some(payload) = bytes.get(at + 8..at + 8 + len) else { break };
+    loop {
+        let header = reader.get(at, FRAME_HEADER_LEN)?.and_then(record_header);
+        let Some((len, crc)) = header.filter(|&(len, _)| len <= MAX_RECORD_LEN) else { break };
+        let Some(payload) = reader.get(at + FRAME_HEADER_LEN as u64, len as usize)? else { break };
         if frame_crc(generation, payload) != crc {
             break;
         }
+        let location = Location { source: Source::Wal, offset: at, len, generation };
         match decode_record(payload, &mut scratch) {
-            Ok(StoreRecord::Release(id, release)) => {
-                map.insert(id, Arc::new(release));
+            Ok(StoreRecord::Release(id)) => {
+                entries.insert(id, Entry { location, pending: Vec::new() });
                 *next = (*next).max(id + 1);
             }
             Ok(StoreRecord::Recipient(id, recipient)) => {
-                fold_recipient(map, id, recipient);
+                if let Some(entry) = entries.get_mut(&id) {
+                    if !entry.pending.iter().any(|r| r.name == recipient.name) {
+                        entry.pending.push(recipient);
+                    }
+                }
             }
             Err(_) => break,
         }
-        at += 8 + len;
+        at += (FRAME_HEADER_LEN + len as usize) as u64;
     }
-    at as u64
+    Ok(at)
 }
 
-/// Parse a snapshot file **strictly**: snapshots are written atomically
+/// Index a snapshot file **strictly**: snapshots are written atomically
 /// (tmp + fsync + rename), so unlike the WAL they are never legitimately
-/// torn — any damage is a hard [`StoreError::Corrupt`].
+/// torn — any damage is a hard [`StoreError::Corrupt`]. Each record is
+/// decoded to validate it; the index keeps only its location.
 fn parse_snapshot(
-    bytes: &[u8],
-    map: &mut HashMap<u64, Arc<StoredRelease>>,
+    file: &File,
+    entries: &mut BTreeMap<u64, Entry>,
     next: &mut u64,
 ) -> Result<(), StoreError> {
     let corrupt = |m: &str| StoreError::Corrupt(format!("snapshot: {m}"));
-    if !bytes.starts_with(SNAPSHOT_MAGIC) {
-        return Err(corrupt("missing magic or header"));
-    }
-    let mut at = SNAPSHOT_MAGIC.len();
-    let stored_next = read_u64_at(bytes, at).ok_or_else(|| corrupt("missing magic or header"))?;
-    at += 8;
-    let count = read_u64_at(bytes, at).ok_or_else(|| corrupt("missing magic or header"))?;
-    at += 8;
+    let mut reader = BlockReader::new(file)?;
+    let header = reader
+        .get(0, SNAPSHOT_HEADER_LEN as usize)?
+        .filter(|header| header.starts_with(SNAPSHOT_MAGIC))
+        .ok_or_else(|| corrupt("missing magic or header"))?;
+    let (stored_next, count) = read_u64_at(header, SNAPSHOT_MAGIC.len())
+        .zip(read_u64_at(header, SNAPSHOT_MAGIC.len() + 8))
+        .ok_or_else(|| corrupt("missing magic or header"))?;
+    let mut at = SNAPSHOT_HEADER_LEN;
     let mut scratch = Vec::new();
     for i in 0..count {
-        let (len, crc) =
-            record_header(bytes, at).ok_or_else(|| corrupt(&format!("record {i} header cut")))?;
+        let (len, crc) = reader
+            .get(at, FRAME_HEADER_LEN)?
+            .and_then(record_header)
+            .ok_or_else(|| corrupt(&format!("record {i} header cut")))?;
         if len > MAX_RECORD_LEN {
             return Err(corrupt(&format!("record {i} announces {len} bytes")));
         }
-        let payload = bytes
-            .get(at + 8..at + 8 + len)
+        let payload = reader
+            .get(at + FRAME_HEADER_LEN as u64, len as usize)?
             .ok_or_else(|| corrupt(&format!("record {i} payload cut")))?;
         if frame_crc(None, payload) != crc {
             return Err(corrupt(&format!("record {i} checksum mismatch")));
         }
-        let (id, release) = decode_release_record(payload, &mut scratch)
+        let (id, _) = decode_release_record(payload, &mut scratch)
             .map_err(|e| corrupt(&format!("record {i}: {e}")))?;
-        map.insert(id, Arc::new(release));
+        let location = Location { source: Source::Snapshot, offset: at, len, generation: None };
+        entries.insert(id, Entry { location, pending: Vec::new() });
         *next = (*next).max(id + 1);
-        at += 8 + len;
+        at += (FRAME_HEADER_LEN + len as usize) as u64;
     }
-    if at != bytes.len() {
+    if at != reader.len {
         return Err(corrupt("trailing bytes after the last record"));
     }
     *next = (*next).max(stored_next);
@@ -1134,11 +1393,13 @@ mod tests {
     fn live_wal_bytes(dir: &Path) -> u64 {
         let bytes = std::fs::read(dir.join(WAL_FILE)).unwrap();
         let (start, generation) = match WalHeader::parse(&bytes) {
-            Some(WalHeader::V1) => (WAL_MAGIC_V1.len(), None),
-            Some(WalHeader::V2(generation)) => (WAL_HEADER_V2_LEN as usize, Some(generation)),
+            Some(WalHeader::V1) => (WAL_MAGIC_V1.len() as u64, None),
+            Some(WalHeader::V2(generation)) => (WAL_HEADER_V2_LEN, Some(generation)),
             _ => panic!("the WAL has no header"),
         };
-        replay_wal(&bytes, start, generation, &mut HashMap::new(), &mut 1) - start as u64
+        let file = File::open(dir.join(WAL_FILE)).unwrap();
+        let mut reader = BlockReader::new(&file).unwrap();
+        replay_wal(&mut reader, start, generation, &mut BTreeMap::new(), &mut 1).unwrap() - start
     }
 
     #[test]
@@ -1149,8 +1410,8 @@ mod tests {
         assert_eq!(store.append(release(2)).unwrap(), 2);
         assert_eq!(store.len(), 2);
         assert!(!store.is_durable());
-        assert_eq!(store.get(1).unwrap().mark, Mark::from_bytes(&[1], 20));
-        assert!(store.get(3).is_none());
+        assert_eq!(store.get(1).unwrap().unwrap().mark, Mark::from_bytes(&[1], 20));
+        assert!(store.get(3).unwrap().is_none());
         store.sync().unwrap();
     }
 
@@ -1166,7 +1427,10 @@ mod tests {
         // Re-registering an existing name changes nothing.
         let again = store.add_recipient(id, recipient("clinic-a")).unwrap().unwrap();
         assert_eq!(*again, *updated);
-        assert_eq!(store.get(id).unwrap().recipient("clinic-b"), Some(&recipient("clinic-b")));
+        assert_eq!(
+            store.get(id).unwrap().unwrap().recipient("clinic-b"),
+            Some(&recipient("clinic-b"))
+        );
     }
 
     #[test]
@@ -1186,13 +1450,13 @@ mod tests {
         // and do not advance the id sequence.
         assert_eq!(store.recovered_releases(), 2);
         assert_eq!(store.next_id(), 3);
-        let restored = store.get(1).unwrap();
+        let restored = store.get(1).unwrap().unwrap();
         assert_eq!(
             restored.recipients,
             vec![recipient("clinic-a"), recipient("clinic-b")],
             "registration order survives recovery"
         );
-        assert!(store.get(2).unwrap().recipients.is_empty());
+        assert!(store.get(2).unwrap().unwrap().recipients.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1209,7 +1473,7 @@ mod tests {
             store.sync().unwrap();
         }
         let store = DurableStore::open(&dir, 0).unwrap();
-        let restored = store.get(1).unwrap();
+        let restored = store.get(1).unwrap().unwrap();
         assert_eq!(restored.recipients, vec![recipient("clinic-a"), recipient("clinic-b")]);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1238,7 +1502,7 @@ mod tests {
         std::fs::write(&wal_path, &before_compaction).unwrap();
         let store = DurableStore::open(&dir, 0).unwrap();
         assert_eq!(store.recovered_releases(), 1);
-        assert_eq!(store.get(1).unwrap().recipients, vec![recipient("clinic-a")]);
+        assert_eq!(store.get(1).unwrap().unwrap().recipients, vec![recipient("clinic-a")]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1257,7 +1521,7 @@ mod tests {
         assert!(wal_len >= before_trigger, "{wal_len} < {before_trigger}");
         drop(store);
         let store = DurableStore::open(&dir, 3).unwrap();
-        assert_eq!(store.get(1).unwrap().recipients.len(), 2);
+        assert_eq!(store.get(1).unwrap().unwrap().recipients.len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1293,7 +1557,7 @@ mod tests {
         assert_eq!(store.recovered_releases(), 5);
         assert_eq!(store.next_id(), 6, "ids must never be reused across restarts");
         for seed in 1..=5u8 {
-            assert_eq!(*store.get(u64::from(seed)).unwrap(), release(seed));
+            assert_eq!(*store.get(u64::from(seed)).unwrap().unwrap(), release(seed));
         }
         // New appends continue past the recovered ids.
         assert_eq!(store.append(release(9)).unwrap(), 6);
@@ -1318,7 +1582,7 @@ mod tests {
         assert_eq!(store.recovered_releases(), 6);
         assert_eq!(store.next_id(), 7);
         for seed in 1..=6u8 {
-            assert_eq!(*store.get(u64::from(seed)).unwrap(), release(seed));
+            assert_eq!(*store.get(u64::from(seed)).unwrap().unwrap(), release(seed));
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1369,7 +1633,7 @@ mod tests {
         drop(store);
         let store = DurableStore::open(&dir, 0).unwrap();
         assert_eq!(store.recovered_releases(), 3);
-        assert_eq!(*store.get(3).unwrap(), release(9));
+        assert_eq!(*store.get(3).unwrap().unwrap(), release(9));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1394,7 +1658,7 @@ mod tests {
         let store = DurableStore::open(&dir, 2).unwrap();
         assert_eq!(store.recovered_releases(), 6);
         for seed in 1..=6u8 {
-            assert_eq!(*store.get(u64::from(seed)).unwrap(), release(seed));
+            assert_eq!(*store.get(u64::from(seed)).unwrap().unwrap(), release(seed));
         }
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1415,14 +1679,14 @@ mod tests {
         assert!(fail_stopped(store.add_recipient(id, recipient("clinic-a")).unwrap_err()));
         assert!(fail_stopped(store.sync().unwrap_err()));
         // Reads keep serving what was acknowledged, and nothing else.
-        assert_eq!(*store.get(id).unwrap(), release(2));
-        assert!(store.get(3).is_none());
+        assert_eq!(*store.get(id).unwrap().unwrap(), release(2));
+        assert!(store.get(3).unwrap().is_none());
         assert_eq!(store.next_id(), 3);
         drop(store);
         let store = DurableStore::open(&dir, 0).unwrap();
         assert_eq!(store.recovered_releases(), 2);
         for seed in 1..=2u8 {
-            assert_eq!(*store.get(u64::from(seed)).unwrap(), release(seed));
+            assert_eq!(*store.get(u64::from(seed)).unwrap().unwrap(), release(seed));
         }
         assert_eq!(store.next_id(), 3);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1522,7 +1786,7 @@ mod tests {
                 scope.spawn(move || {
                     let id = store.append(release(seed)).unwrap();
                     store.sync().unwrap();
-                    assert!(store.get(id).is_some());
+                    assert!(store.get(id).unwrap().is_some());
                 });
             }
         });
@@ -1531,6 +1795,203 @@ mod tests {
         drop(store);
         let store = DurableStore::open(&dir, 0).unwrap();
         assert_eq!(store.recovered_releases(), 8);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The snapshot `write_release_record` gives for the releases `store`
+    /// serves: header, then every release in id order, folded and framed.
+    fn snapshot_of_decoded_releases(store: &DurableStore) -> Vec<u8> {
+        let ids: Vec<u64> = lock_unpoisoned(&store.index).entries.keys().copied().collect();
+        let mut bytes = SNAPSHOT_MAGIC.to_vec();
+        bytes.extend_from_slice(&store.next_id().to_le_bytes());
+        bytes.extend_from_slice(&(ids.len() as u64).to_le_bytes());
+        for id in ids {
+            let release = store.get(id).unwrap().unwrap();
+            let mut w = Writer::new();
+            write_release_record(&mut w, id, &release);
+            bytes.extend_from_slice(&frame_record(None, &w.into_bytes().unwrap()));
+        }
+        bytes
+    }
+
+    #[test]
+    fn streamed_compaction_writes_the_snapshot_the_decoded_releases_encode_to() {
+        let dir = test_dir("streamed");
+        let store = DurableStore::open(&dir, 0).unwrap();
+        for seed in 1..=3u8 {
+            store.append(release(seed)).unwrap();
+        }
+        store.add_recipient(1, recipient("clinic-a")).unwrap().unwrap();
+        // First compaction: every record comes from the v1 WAL.
+        let expected = snapshot_of_decoded_releases(&store);
+        store.compact().unwrap();
+        assert_eq!(std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap(), expected);
+        // Second: records from the snapshot, some with recipients logged
+        // since, and records from a v2 WAL, one of them a release appended
+        // with its recipients already folded in.
+        store.add_recipient(2, recipient("clinic-b")).unwrap().unwrap();
+        store.add_recipient(1, recipient("clinic-c")).unwrap().unwrap();
+        store.append(release(4)).unwrap();
+        let mut with = release(5);
+        with.recipients = vec![recipient("clinic-d")];
+        store.append(with).unwrap();
+        store.add_recipient(4, recipient("clinic-e")).unwrap().unwrap();
+        let expected = snapshot_of_decoded_releases(&store);
+        store.compact().unwrap();
+        assert_eq!(std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap(), expected);
+        // Third: every record copied from the snapshot as it is.
+        store.compact().unwrap();
+        assert_eq!(std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap(), expected);
+        drop(store);
+        let store = DurableStore::open(&dir, 0).unwrap();
+        assert_eq!(snapshot_of_decoded_releases(&store), expected);
+        assert_eq!(
+            store.get(1).unwrap().unwrap().recipients,
+            vec![recipient("clinic-a"), recipient("clinic-c")]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_store_keeps_no_decoded_release() {
+        let dir = test_dir("undecoded");
+        {
+            let store = DurableStore::open(&dir, 0).unwrap();
+            store.append(release(1)).unwrap();
+            store.sync().unwrap();
+        }
+        let store = DurableStore::open(&dir, 0).unwrap();
+        let recovered = store.get(1).unwrap().unwrap();
+        let appended = store.append(release(2)).unwrap();
+        let appended = store.get(appended).unwrap().unwrap();
+        assert_eq!(Arc::strong_count(&recovered), 1);
+        assert_eq!(Arc::strong_count(&appended), 1);
+        store.compact().unwrap();
+        drop(store);
+        let store = DurableStore::open(&dir, 0).unwrap();
+        for id in 1..=2 {
+            let compacted = store.get(id).unwrap().unwrap();
+            assert_eq!(Arc::strong_count(&compacted), 1);
+            assert_eq!(*compacted, release(id as u8));
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn gets_read_acknowledged_state_during_appends_recipients_and_compactions() {
+        let dir = test_dir("concurrent-gets");
+        let store = DurableStore::open(&dir, 4).unwrap();
+        const RELEASES: u8 = 48;
+        // Recipients acknowledged so far, per acknowledged release id.
+        let acked: Mutex<BTreeMap<u64, usize>> = Mutex::new(BTreeMap::new());
+        let done = std::sync::atomic::AtomicBool::new(false);
+        let reads = AtomicU64::new(0);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                for seed in 1..=RELEASES {
+                    let id = store.append(release(seed)).unwrap();
+                    lock_unpoisoned(&acked).insert(id, 0);
+                    // Each release gets one recipient now and one three
+                    // appends later, so recipients are pending across
+                    // compactions.
+                    store.add_recipient(id, recipient(&names_of(id)[0])).unwrap().unwrap();
+                    lock_unpoisoned(&acked).insert(id, 1);
+                    if let Some(earlier) = id.checked_sub(3).filter(|&e| e > 0) {
+                        store
+                            .add_recipient(earlier, recipient(&names_of(earlier)[1]))
+                            .unwrap()
+                            .unwrap();
+                        lock_unpoisoned(&acked).insert(earlier, 2);
+                    }
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    while !done.load(Ordering::SeqCst) {
+                        let snapshot: Vec<(u64, usize)> =
+                            lock_unpoisoned(&acked).iter().map(|(id, n)| (*id, *n)).collect();
+                        for (id, at_least) in snapshot {
+                            let got = store.get(id).unwrap().expect("an acknowledged release");
+                            let names: Vec<String> =
+                                got.recipients.iter().map(|r| r.name.clone()).collect();
+                            assert!(names.len() >= at_least, "r{id}: {names:?}");
+                            assert_eq!(names[..], names_of(id)[..names.len()], "r{id}");
+                            assert_eq!(got.columns, release(id as u8).columns);
+                            assert_eq!(got.mark, release(id as u8).mark);
+                            reads.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        assert!(reads.load(Ordering::Relaxed) > 0);
+        // Every fourth record logged triggered a compaction, and each one
+        // moved the WAL on by one generation.
+        let header = std::fs::read(dir.join(WAL_FILE)).unwrap();
+        let generation = read_u64_at(&header, WAL_MAGIC_V2.len()).unwrap();
+        assert!(generation >= 10, "only {generation} compactions");
+        drop(store);
+        let store = DurableStore::open(&dir, 0).unwrap();
+        for id in 1..=u64::from(RELEASES) {
+            let expected = if id + 3 <= u64::from(RELEASES) { 2 } else { 1 };
+            let got = store.get(id).unwrap().unwrap();
+            assert_eq!(got.recipients.len(), expected, "r{id}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The recipient names a release of the concurrent test ends up with.
+    fn names_of(id: u64) -> Vec<String> {
+        vec![format!("c{id}-0"), format!("c{id}-1")]
+    }
+
+    #[test]
+    fn a_record_that_fails_its_checksum_fails_its_reads_and_compaction_only() {
+        let dir = test_dir("bitrot");
+        let store = DurableStore::open(&dir, 0).unwrap();
+        for seed in 1..=3u8 {
+            store.append(release(seed)).unwrap();
+        }
+        store.compact().unwrap();
+        store.append(release(4)).unwrap();
+        store.append(release(5)).unwrap();
+        store.sync().unwrap();
+        let frame_len = |seed: u8| {
+            let payload = encode_release_record(u64::from(seed), &release(seed)).unwrap();
+            frame_record(None, &payload).len() as u64
+        };
+        // Flip a payload byte of release 2 in the snapshot and of release 5
+        // in the WAL, behind the open store's back.
+        let flip = |file: &str, at: u64| {
+            let file = OpenOptions::new().read(true).write(true).open(dir.join(file)).unwrap();
+            let mut byte = [0u8];
+            file.read_exact_at(&mut byte, at).unwrap();
+            file.write_all_at(&[byte[0] ^ 0x40], at).unwrap();
+        };
+        flip(SNAPSHOT_FILE, SNAPSHOT_HEADER_LEN + frame_len(1) + 20);
+        flip(WAL_FILE, WAL_HEADER_V2_LEN + frame_len(4) + 20);
+        for id in [2, 5] {
+            match store.get(id) {
+                Err(StoreError::Corrupt(m)) => assert!(m.contains(&format!("r{id} ")), "{m}"),
+                other => panic!("r{id}: expected Corrupt, got {other:?}"),
+            }
+        }
+        for id in [1, 3, 4] {
+            assert_eq!(*store.get(id).unwrap().unwrap(), release(id as u8));
+        }
+        assert!(store.add_recipient(2, recipient("clinic-a")).is_err());
+        // Compaction refuses to fold a damaged record and changes nothing.
+        let wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
+        let snapshot = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+        assert!(matches!(store.compact(), Err(StoreError::Corrupt(_))));
+        assert_eq!(std::fs::read(dir.join(WAL_FILE)).unwrap(), wal);
+        assert_eq!(std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap(), snapshot);
+        // The store did not fail-stop: it still appends, syncs and serves.
+        let id = store.append(release(6)).unwrap();
+        store.add_recipient(1, recipient("clinic-b")).unwrap().unwrap();
+        store.sync().unwrap();
+        assert_eq!(*store.get(id).unwrap().unwrap(), release(6));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

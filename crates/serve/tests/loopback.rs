@@ -736,3 +736,96 @@ fn durable_server_restart_serves_byte_identical_replies_and_fresh_ids() {
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn stored_releases_serve_byte_identical_replies_after_compaction_and_restart() {
+    let dir =
+        std::env::temp_dir().join(format!("medshield-loopback-compact-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let durable_config =
+        || ServeConfig { data_dir: Some(dir.clone()), snapshot_every: 0, ..serve_config() };
+
+    // Every reply a stored release answers, for each release, with its
+    // records still in the WAL.
+    let replies = |client: &mut Client, releases: &[(String, String, String)]| {
+        let mut out = Vec::new();
+        for (id, release_csv, copy_csv) in releases {
+            out.push(client.detect(id, release_csv).unwrap());
+            out.push(client.resolve_ownership(id, release_csv).unwrap());
+            out.push(client.list_recipients(id).unwrap());
+            out.push(client.resolve_leaker(id, copy_csv).unwrap());
+        }
+        assert!(out.iter().all(Response::is_ok), "{out:?}");
+        out
+    };
+    let handle = serve(durable_config(), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut releases = Vec::new();
+    for n in [160usize, 220] {
+        let reply = client.protect(&csv::to_csv(&dataset(n).table)).unwrap();
+        assert!(reply.is_ok(), "{}", reply.json);
+        let id = reply.release_id().unwrap();
+        let release_csv = reply.body.unwrap();
+        let mut copy_csv = String::new();
+        for recipient in ["clinic-a", "clinic-b"] {
+            let copy = client.protect_for_release(&id, recipient, &release_csv).unwrap();
+            assert!(copy.is_ok(), "{}", copy.json);
+            copy_csv = copy.body.unwrap();
+        }
+        releases.push((id, release_csv, copy_csv));
+    }
+    let before = replies(&mut client, &releases);
+    handle.shutdown();
+
+    // Fold everything into a snapshot, then serve from it.
+    medshield_serve::DurableStore::open(&dir, 0).unwrap().compact().unwrap();
+    let handle = serve(durable_config(), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    assert_eq!(replies(&mut client, &releases), before);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_stored_record_that_fails_its_checksum_answers_storage_for_its_release_only() {
+    let dir =
+        std::env::temp_dir().join(format!("medshield-loopback-bitrot-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServeConfig { data_dir: Some(dir.clone()), snapshot_every: 0, ..serve_config() };
+    let handle = serve(config, "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut releases = Vec::new();
+    for n in [160usize, 220] {
+        let reply = client.protect(&csv::to_csv(&dataset(n).table)).unwrap();
+        assert!(reply.is_ok(), "{}", reply.json);
+        releases.push((reply.release_id().unwrap(), reply.body.unwrap()));
+    }
+    // Flip a byte inside the first release's record: the v1 WAL's 8-byte
+    // magic, then the record's 8-byte frame header, then its payload.
+    {
+        use std::os::unix::fs::FileExt;
+        let wal = std::fs::OpenOptions::new().read(true).write(true).open(dir.join("wal.log"));
+        let wal = wal.unwrap();
+        let mut byte = [0u8];
+        wal.read_exact_at(&mut byte, 40).unwrap();
+        wal.write_all_at(&[byte[0] ^ 0x40], 40).unwrap();
+    }
+    let (damaged, damaged_csv) = &releases[0];
+    let storage = |reply: Response| {
+        assert_eq!(reply.code().as_deref(), Some("storage"), "{}", reply.json);
+    };
+    storage(client.detect(damaged, damaged_csv).unwrap());
+    storage(client.resolve_ownership(damaged, damaged_csv).unwrap());
+    storage(client.list_recipients(damaged).unwrap());
+    storage(client.resolve_leaker(damaged, damaged_csv).unwrap());
+    storage(client.protect_for_release(damaged, "clinic-a", damaged_csv).unwrap());
+    // The other release, and the server, carry on.
+    let (intact, intact_csv) = &releases[1];
+    let detect = client.detect(intact, intact_csv).unwrap();
+    assert!(detect.is_ok(), "{}", detect.json);
+    let copy = client.protect_for_release(intact, "clinic-a", intact_csv).unwrap();
+    assert!(copy.is_ok(), "{}", copy.json);
+    assert!(client.ping().unwrap().is_ok());
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}

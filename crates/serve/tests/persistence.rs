@@ -159,7 +159,7 @@ fn a_v1_single_mark_store_recovers_byte_identically_under_the_new_codec() {
     let store = DurableStore::open(&dir, 0).unwrap();
     assert_eq!(store.recovered_releases(), 3);
     for id in 1..=3u64 {
-        let got = store.get(id).unwrap();
+        let got = store.get(id).unwrap().unwrap();
         assert_eq!(&*got, &release(id - 1), "release {id} corrupted by the upgrade");
         assert!(got.recipients.is_empty());
     }
@@ -196,7 +196,7 @@ fn a_v1_single_mark_store_recovers_byte_identically_under_the_new_codec() {
         .unwrap();
     drop(store);
     let store = DurableStore::open(&dir, 0).unwrap();
-    let upgraded = store.get(3).unwrap();
+    let upgraded = store.get(3).unwrap().unwrap();
     assert_eq!(upgraded.recipients.len(), 1);
     assert_eq!(upgraded.recipients[0].name, "clinic");
     assert_eq!(upgraded.recipients[0].mark, mark);
@@ -225,7 +225,7 @@ fn assert_recovers(dir: &Path, seeds: &[u64]) {
     let store = DurableStore::open(dir, 0).unwrap();
     assert_eq!(store.recovered_releases(), seeds.len());
     for (id, seed) in (1u64..).zip(seeds) {
-        assert_eq!(&*store.get(id).unwrap(), &release(*seed), "release {id}");
+        assert_eq!(&*store.get(id).unwrap().unwrap(), &release(*seed), "release {id}");
     }
     assert_eq!(store.next_id(), seeds.len() as u64 + 1);
 }
@@ -373,13 +373,13 @@ fn a_stale_release_record_after_a_live_recipient_record_is_not_replayed() {
     std::fs::write(dir.join("wal.log"), wal(6)).unwrap();
     let store = DurableStore::open(&dir, 0).unwrap();
     assert_eq!(
-        store.get(1).unwrap().recipients,
+        store.get(1).unwrap().unwrap().recipients,
         vec![recipient("clinic-a"), recipient("clinic-b")]
     );
     drop(store);
     // Control: the same record under the live generation would be replayed.
     std::fs::write(dir.join("wal.log"), wal(7)).unwrap();
-    assert!(DurableStore::open(&dir, 0).unwrap().get(1).unwrap().recipients.is_empty());
+    assert!(DurableStore::open(&dir, 0).unwrap().get(1).unwrap().unwrap().recipients.is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -539,15 +539,15 @@ proptest! {
         // …monotone in the surviving bytes: whatever came back is
         // bit-perfect and owns ids 1..=folded + recovered.
         for seed in 0..folded as u64 {
-            prop_assert_eq!(&*store.get(seed + 1).unwrap(), &release(seed));
+            prop_assert_eq!(&*store.get(seed + 1).unwrap().unwrap(), &release(seed));
         }
         for i in 0..recovered as u64 {
-            let got = store.get(folded as u64 + i + 1);
+            let got = store.get(folded as u64 + i + 1).unwrap();
             prop_assert!(got.is_some(), "release {} lost", folded as u64 + i + 1);
             prop_assert_eq!(&*got.unwrap(), &release(100 + i));
         }
         for i in recovered as u64..releases as u64 {
-            prop_assert!(store.get(folded as u64 + i + 1).is_none());
+            prop_assert!(store.get(folded as u64 + i + 1).unwrap().is_none());
         }
         // New ids start past every recovered id, and appends land cleanly
         // on the cut log.
@@ -560,7 +560,7 @@ proptest! {
         // One more restart proves the log is well-formed after the cut.
         let store = DurableStore::open(&dir, 0).unwrap();
         prop_assert_eq!(store.recovered_releases(), folded + recovered + 1);
-        prop_assert_eq!(&*store.get(new_id).unwrap(), &release(99));
+        prop_assert_eq!(&*store.get(new_id).unwrap().unwrap(), &release(99));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -609,17 +609,17 @@ proptest! {
         let store = DurableStore::open(&dir, 0).unwrap();
         // Everything the snapshots folded in must survive any WAL damage.
         for seed in 0..recycled as u64 {
-            prop_assert_eq!(&*store.get(seed + 1).unwrap(), &release(200 + seed));
+            prop_assert_eq!(&*store.get(seed + 1).unwrap().unwrap(), &release(200 + seed));
         }
         for seed in 0..snapshotted as u64 {
-            prop_assert_eq!(&*store.get(recycled as u64 + seed + 1).unwrap(), &release(seed));
+            prop_assert_eq!(&*store.get(recycled as u64 + seed + 1).unwrap().unwrap(), &release(seed));
         }
         // The surviving WAL tail is a prefix of the post-snapshot appends.
         let recovered_tail = store.recovered_releases() - folded;
         prop_assert!(recovered_tail <= tail);
         for i in 0..recovered_tail as u64 {
             prop_assert_eq!(
-                &*store.get(folded as u64 + i + 1).unwrap(),
+                &*store.get(folded as u64 + i + 1).unwrap().unwrap(),
                 &release(100 + i)
             );
         }
