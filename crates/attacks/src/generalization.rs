@@ -22,41 +22,22 @@ pub struct GeneralizationAttack {
     /// The attacker's knowledge of the domain hierarchy trees (public: the
     /// trees are part of the data dictionary, not of the secret key).
     pub trees: BTreeMap<String, DomainHierarchyTree>,
-    /// Do not generalize a value above this depth (the attacker still wants
-    /// usable data). `None` allows climbing all the way to the root.
-    pub max_depth_floor: Option<usize>,
 }
 
 impl GeneralizationAttack {
     /// Generalize every quasi value `levels` steps up its tree.
     pub fn new(levels: usize, trees: BTreeMap<String, DomainHierarchyTree>) -> Self {
-        GeneralizationAttack { levels: levels.max(1), trees, max_depth_floor: None }
+        GeneralizationAttack { levels: levels.max(1), trees }
     }
 
-    /// Restrict the attack so that values are never generalized to a depth
-    /// shallower than `floor` (e.g. the depth of the maximal generalization
-    /// nodes, which the attacker respects to keep the data usable).
-    pub fn with_depth_floor(mut self, floor: usize) -> Self {
-        self.max_depth_floor = Some(floor);
-        self
-    }
-}
-
-impl GeneralizationAttack {
-    /// `value` moved `levels` steps up `tree`, stopping at the root or the
-    /// depth floor. Nulls and values the tree cannot resolve pass through.
+    /// `value` moved `levels` steps up `tree`, stopping at the root. Nulls
+    /// and values the tree cannot resolve pass through.
     fn climb(&self, tree: &DomainHierarchyTree, value: &Value) -> Value {
         if value.is_null() {
             return value.clone();
         }
         let Ok(mut node) = tree.node_for_value(value) else { return value.clone() };
         for _ in 0..self.levels {
-            let depth = tree.depth(node).unwrap_or(0);
-            if let Some(floor) = self.max_depth_floor {
-                if depth <= floor {
-                    break;
-                }
-            }
             match tree.parent(node) {
                 Ok(Some(parent)) => node = parent,
                 _ => break,
@@ -121,20 +102,6 @@ mod tests {
         for v in attacked.column_values("symptom").unwrap() {
             let node = tree.node_for_value(&v).unwrap();
             assert_eq!(node, tree.root());
-        }
-    }
-
-    #[test]
-    fn depth_floor_is_respected() {
-        let ds = dataset();
-        let attack = GeneralizationAttack::new(99, ds.trees.clone()).with_depth_floor(1);
-        let attacked = attack.apply(&ds.table);
-        for column in ["doctor", "symptom", "prescription"] {
-            let tree = &ds.trees[column];
-            for v in attacked.column_values(column).unwrap() {
-                let node = tree.node_for_value(&v).unwrap();
-                assert!(tree.depth(node).unwrap() >= 1, "column {column} value {v}");
-            }
         }
     }
 

@@ -53,7 +53,7 @@
 use medshield_core::{ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 use medshield_relation::csv;
-use medshield_serve::{serve, Client, Command, PipelinedClient, Request, ServeConfig};
+use medshield_serve::{serve, Client, Command, Request, ServeConfig};
 use std::collections::{BTreeMap, VecDeque};
 use std::time::Instant;
 
@@ -160,11 +160,9 @@ fn run_connections_phase(
         for jobs_list in fleet_shards {
             let barrier = &barrier;
             scope.spawn(move || {
-                let mut fleet: Vec<(PipelinedClient, VecDeque<usize>)> = jobs_list
+                let mut fleet: Vec<(Client, VecDeque<usize>)> = jobs_list
                     .into_iter()
-                    .map(|jobs| {
-                        (PipelinedClient::connect(addr).expect("connect a pipelined client"), jobs)
-                    })
+                    .map(|jobs| (Client::connect(addr).expect("connect a pipelined client"), jobs))
                     .collect();
                 let warm_ups: Vec<u64> = fleet
                     .iter_mut()

@@ -1,18 +1,18 @@
 //! Shared experiment harness for regenerating the figures and tables of the
 //! paper's evaluation section (§7).
 //!
-//! Every binary in `src/bin/` drives one experiment:
+//! The binaries in `src/bin/`:
 //!
-//! | binary | paper artifact |
+//! | binary | what it runs |
 //! |---|---|
-//! | `fig11` | Fig. 11 — k vs. information loss, mono- vs multi-attribute binning |
-//! | `fig12a` | Fig. 12(a) — mark loss under subset alteration, η ∈ {50, 75, 100} |
-//! | `fig12b` | Fig. 12(b) — mark loss under subset addition |
-//! | `fig12c` | Fig. 12(c) — mark loss under subset deletion |
-//! | `fig13` | Fig. 13 — information loss caused by watermarking vs η |
-//! | `fig14` | Fig. 14 — effect of watermarking on binning (bin statistics) |
-//! | `generalization_attack` | §5.2 ablation — single-level vs hierarchical under the generalization attack |
-//! | `all_experiments` | runs everything above in sequence |
+//! | `figures` | every paper figure below, in-process, in this order; `figures <name>` runs one |
+//! | `figures fig11` | Fig. 11 — k vs. information loss, mono- vs multi-attribute binning |
+//! | `figures fig12a` | Fig. 12(a) — mark loss under subset alteration, η ∈ {50, 75, 100} |
+//! | `figures fig12b` | Fig. 12(b) — mark loss under subset addition |
+//! | `figures fig12c` | Fig. 12(c) — mark loss under subset deletion |
+//! | `figures fig13` | Fig. 13 — information loss caused by watermarking vs η |
+//! | `figures fig14` | Fig. 14 — effect of watermarking on binning (bin statistics) |
+//! | `figures generalization_attack` | §5.2 ablation — single-level vs hierarchical under the generalization attack |
 //! | `throughput` | engine throughput at 1/2/4/8 threads → `BENCH_throughput.json` |
 //! | `binning` | sharded `GenUltiNd` search throughput at 1/2/4/8 threads → `BENCH_binning.json` |
 //! | `serve` | loopback serving-layer requests/sec at 1/2/4/8 pool workers, 1/64/1024 pipelined connections and 1/4/16 registered recipients → `BENCH_serve.json` |

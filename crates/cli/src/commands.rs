@@ -320,15 +320,16 @@ pub(crate) fn serve_config_from(
     let defaults = medshield_serve::ServeConfig::default();
     let config = medshield_serve::ServeConfig {
         engine: config_from(options)?,
-        engine_threads: options.parse_or("engine-threads", 1)?,
-        workers: options.parse_or("threads", 4)?,
-        queue_depth: options.parse_or("queue-depth", 64)?,
-        request_timeout: std::time::Duration::from_millis(
-            options.parse_or("request-timeout-ms", 30_000u64)?,
-        ),
-        batch_max: options.parse_or("batch-max", 8)?,
+        engine_threads: options.parse_or("engine-threads", defaults.engine_threads)?,
+        workers: options.parse_or("threads", defaults.workers)?,
+        queue_depth: options.parse_or("queue-depth", defaults.queue_depth)?,
+        request_timeout: std::time::Duration::from_millis(options.parse_or(
+            "request-timeout-ms",
+            u64::try_from(defaults.request_timeout.as_millis()).unwrap_or(u64::MAX),
+        )?),
+        batch_max: options.parse_or("batch-max", defaults.batch_max)?,
         max_connections: options.parse_or("max-connections", defaults.max_connections)?,
-        per_attribute_default: options.parse_or("per-attribute", true)?,
+        per_attribute_default: options.parse_or("per-attribute", defaults.per_attribute_default)?,
         data_dir: options.get("data-dir").map(std::path::PathBuf::from),
         snapshot_every: options.parse_or("snapshot-every", defaults.snapshot_every)?,
         ..defaults
@@ -535,11 +536,25 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(addr, "127.0.0.1:7878");
+        // With no flags, every field but the engine is the library default.
+        let (unset, _) = serve_config_from(&opts(&[])).unwrap();
+        let defaults = medshield_serve::ServeConfig::default();
+        assert_eq!(unset.engine_threads, defaults.engine_threads);
+        assert_eq!(unset.workers, defaults.workers);
+        assert_eq!(unset.queue_depth, defaults.queue_depth);
+        assert_eq!(unset.max_frame_len, defaults.max_frame_len);
+        assert_eq!(unset.request_timeout, defaults.request_timeout);
+        assert_eq!(unset.batch_max, defaults.batch_max);
+        assert_eq!(unset.batch_small_bytes, defaults.batch_small_bytes);
+        assert_eq!(unset.max_connections, defaults.max_connections);
+        assert_eq!(unset.per_attribute_default, defaults.per_attribute_default);
+        assert_eq!(unset.data_dir, defaults.data_dir);
+        assert_eq!(unset.snapshot_every, defaults.snapshot_every);
+        assert_eq!(unset.debug_hooks, defaults.debug_hooks);
         assert_eq!(config.workers, 2);
         assert_eq!(config.queue_depth, 8);
         assert_eq!(config.engine.binning.spec.k, 4);
-        // The connection limit rides the same parser, with the library default.
-        assert_eq!(config.max_connections, medshield_serve::ServeConfig::default().max_connections);
+        assert_eq!(config.max_connections, defaults.max_connections);
         let (config, _) = serve_config_from(&opts(&[("max-connections", "3")])).unwrap();
         assert_eq!(config.max_connections, 3);
         // Drive the parsed configuration on an ephemeral port: a protect

@@ -1,6 +1,6 @@
 //! Configuration of the end-to-end protection pipeline.
 
-use medshield_binning::{BinningConfig, KAnonymitySpec, MinimalNodeStrategy, SelectionStrategy};
+use medshield_binning::{BinningConfig, KAnonymitySpec, SelectionStrategy};
 use medshield_watermark::{WatermarkConfig, WatermarkKey};
 use serde::{Deserialize, Serialize};
 
@@ -23,10 +23,6 @@ pub struct ProtectionConfig {
     /// instead of from `mark_text`. This is what makes the ownership dispute
     /// resolvable without the original table.
     pub mark_from_statistic: bool,
-    /// Depth of the maximal generalization nodes when the caller does not
-    /// supply explicit per-column usage metrics (0 = the tree root, i.e. no
-    /// usage restriction).
-    pub default_maximal_depth: usize,
 }
 
 impl ProtectionConfig {
@@ -47,19 +43,14 @@ impl Default for ProtectionConfig {
 pub struct ProtectionConfigBuilder {
     k: usize,
     epsilon: usize,
-    minimal_strategy: MinimalNodeStrategy,
     selection_strategy: SelectionStrategy,
-    exhaustive_limit: usize,
     encryption_secret: Vec<u8>,
     master_secret: Vec<u8>,
     eta: u64,
     duplication: usize,
-    weighted_voting: bool,
-    columns: Option<Vec<String>>,
     mark_len: usize,
     mark_text: String,
     mark_from_statistic: bool,
-    default_maximal_depth: usize,
 }
 
 impl Default for ProtectionConfigBuilder {
@@ -67,19 +58,14 @@ impl Default for ProtectionConfigBuilder {
         ProtectionConfigBuilder {
             k: 10,
             epsilon: 0,
-            minimal_strategy: MinimalNodeStrategy::default(),
             selection_strategy: SelectionStrategy::default(),
-            exhaustive_limit: 4_096,
             encryption_secret: b"medshield-binning-secret".to_vec(),
             master_secret: b"medshield-watermark-secret".to_vec(),
             eta: 100,
             duplication: 8,
-            weighted_voting: false,
-            columns: None,
             mark_len: 20,
             mark_text: "medshield".to_string(),
             mark_from_statistic: false,
-            default_maximal_depth: 0,
         }
     }
 }
@@ -94,12 +80,6 @@ impl ProtectionConfigBuilder {
     /// The ε safety margin added to k before binning (§6).
     pub fn epsilon(mut self, epsilon: usize) -> Self {
         self.epsilon = epsilon;
-        self
-    }
-
-    /// The minimal-node strategy of mono-attribute binning.
-    pub fn minimal_strategy(mut self, s: MinimalNodeStrategy) -> Self {
-        self.minimal_strategy = s;
         self
     }
 
@@ -133,18 +113,6 @@ impl ProtectionConfigBuilder {
         self
     }
 
-    /// Enable level-weighted majority voting during detection.
-    pub fn weighted_voting(mut self, on: bool) -> Self {
-        self.weighted_voting = on;
-        self
-    }
-
-    /// Restrict watermarking to specific quasi-identifying columns.
-    pub fn watermark_columns(mut self, columns: Vec<String>) -> Self {
-        self.columns = Some(columns);
-        self
-    }
-
     /// Length of the mark in bits.
     pub fn mark_len(mut self, len: usize) -> Self {
         self.mark_len = len.max(1);
@@ -165,46 +133,28 @@ impl ProtectionConfigBuilder {
         self
     }
 
-    /// Depth of the default maximal generalization nodes (usage metrics)
-    /// when none are supplied per column.
-    pub fn default_maximal_depth(mut self, depth: usize) -> Self {
-        self.default_maximal_depth = depth;
-        self
-    }
-
-    /// Cap on exhaustive enumeration in multi-attribute binning.
-    pub fn exhaustive_limit(mut self, limit: usize) -> Self {
-        self.exhaustive_limit = limit.max(1);
-        self
-    }
-
-    /// Finish building.
+    /// Finish building. Every binning and watermarking knob the builder
+    /// does not set keeps the default of [`BinningConfig`] and
+    /// [`WatermarkConfig::new`]; the secrets are the builder's own.
     pub fn build(self) -> ProtectionConfig {
         let binning = BinningConfig {
             spec: KAnonymitySpec::with_epsilon(self.k, self.epsilon),
-            minimal_strategy: self.minimal_strategy,
             selection_strategy: self.selection_strategy,
-            exhaustive_limit: self.exhaustive_limit,
-            // The engine's `threads` knob overrides this so one setting
-            // drives both the binning search and the watermark stages.
-            threads: 1,
             encryption_secret: self.encryption_secret,
+            // The engine's `threads` knob overrides the default single
+            // thread, so one setting drives both the binning search and the
+            // watermark stages.
+            ..BinningConfig::default()
         };
         let key = WatermarkKey::from_master(&self.master_secret, self.eta);
-        let watermark = WatermarkConfig {
-            key,
-            duplication: self.duplication,
-            columns: self.columns,
-            weighted_voting: self.weighted_voting,
-            virtual_key_columns: Vec::new(),
-        };
+        let watermark =
+            WatermarkConfig { duplication: self.duplication, ..WatermarkConfig::new(key) };
         ProtectionConfig {
             binning,
             watermark,
             mark_len: self.mark_len,
             mark_text: self.mark_text,
             mark_from_statistic: self.mark_from_statistic,
-            default_maximal_depth: self.default_maximal_depth,
         }
     }
 }
@@ -220,7 +170,6 @@ mod tests {
         assert_eq!(c.watermark.key.eta, 100);
         assert_eq!(c.mark_len, 20);
         assert!(!c.mark_from_statistic);
-        assert_eq!(c.default_maximal_depth, 0);
         assert_eq!(c.binning.threads, 1);
     }
 
@@ -231,39 +180,30 @@ mod tests {
             .epsilon(3)
             .eta(50)
             .duplication(4)
-            .weighted_voting(true)
-            .watermark_columns(vec!["doctor".into()])
             .mark_len(32)
             .mark_text("owner")
             .mark_from_statistic(true)
-            .default_maximal_depth(1)
-            .exhaustive_limit(99)
             .encryption_secret(b"enc".to_vec())
             .watermark_secret(b"wat".to_vec())
-            .minimal_strategy(MinimalNodeStrategy::Aggressive)
             .selection_strategy(SelectionStrategy::FullInfoLoss)
             .build();
         assert_eq!(c.binning.spec.k, 25);
         assert_eq!(c.binning.spec.epsilon, 3);
         assert_eq!(c.binning.spec.effective_k(), 28);
-        assert_eq!(c.binning.exhaustive_limit, 99);
-        assert_eq!(c.binning.minimal_strategy, MinimalNodeStrategy::Aggressive);
         assert_eq!(c.binning.selection_strategy, SelectionStrategy::FullInfoLoss);
         assert_eq!(c.watermark.key.eta, 50);
         assert_eq!(c.watermark.duplication, 4);
-        assert!(c.watermark.weighted_voting);
-        assert_eq!(c.watermark.columns, Some(vec!["doctor".to_string()]));
+        assert_eq!(c.binning.encryption_secret, b"enc".to_vec());
         assert_eq!(c.mark_len, 32);
+        assert_eq!(c.mark_text, "owner");
         assert!(c.mark_from_statistic);
-        assert_eq!(c.default_maximal_depth, 1);
     }
 
     #[test]
     fn degenerate_values_are_clamped() {
-        let c = ProtectionConfig::builder().duplication(0).mark_len(0).exhaustive_limit(0).build();
+        let c = ProtectionConfig::builder().duplication(0).mark_len(0).build();
         assert_eq!(c.watermark.duplication, 1);
         assert_eq!(c.mark_len, 1);
-        assert_eq!(c.binning.exhaustive_limit, 1);
     }
 
     #[test]

@@ -168,17 +168,15 @@ impl ProtectionEngine {
         &self.watermarker
     }
 
-    /// Default per-column usage metrics: maximal generalization nodes at the
-    /// configured depth.
+    /// Default per-column usage metrics: the tree roots as the maximal
+    /// generalization nodes, the "directly given" metrics of §7.
     pub fn default_maximal(
         &self,
         trees: &BTreeMap<String, DomainHierarchyTree>,
     ) -> BTreeMap<String, GeneralizationSet> {
         trees
             .iter()
-            .map(|(name, tree)| {
-                (name.clone(), GeneralizationSet::at_depth(tree, self.config.default_maximal_depth))
-            })
+            .map(|(name, tree)| (name.clone(), GeneralizationSet::root_only(tree)))
             .collect()
     }
 

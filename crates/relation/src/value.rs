@@ -64,25 +64,6 @@ impl Value {
         }
     }
 
-    /// The interval bounds, if this is an `Interval`.
-    pub fn as_interval(&self) -> Option<(i64, i64)> {
-        match self {
-            Value::Interval { lo, hi } => Some((*lo, *hi)),
-            _ => None,
-        }
-    }
-
-    /// True if an integer value (or degenerate interval) falls inside this
-    /// value interpreted as a numeric range. An `Int` behaves as the
-    /// degenerate interval `[v, v+1)`.
-    pub fn numeric_contains(&self, point: i64) -> bool {
-        match self {
-            Value::Int(v) => *v == point,
-            Value::Interval { lo, hi } => point >= *lo && point < *hi,
-            _ => false,
-        }
-    }
-
     /// A short name of the variant, used in error messages.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -223,7 +204,6 @@ mod tests {
     fn constructors_and_accessors() {
         assert_eq!(Value::int(42).as_int(), Some(42));
         assert_eq!(Value::text("doctor").as_text(), Some("doctor"));
-        assert_eq!(Value::interval(25, 50).as_interval(), Some((25, 50)));
         assert!(Value::Null.is_null());
         assert!(!Value::int(1).is_null());
         assert_eq!(Value::int(1).as_text(), None);
@@ -252,18 +232,6 @@ mod tests {
         assert_eq!(Value::parse("[25, 50)"), Value::interval(25, 50));
         // Malformed interval falls back to text.
         assert_eq!(Value::parse("[25;50)"), Value::text("[25;50)"));
-    }
-
-    #[test]
-    fn numeric_contains() {
-        assert!(Value::int(30).numeric_contains(30));
-        assert!(!Value::int(30).numeric_contains(31));
-        let iv = Value::interval(25, 50);
-        assert!(iv.numeric_contains(25));
-        assert!(iv.numeric_contains(49));
-        assert!(!iv.numeric_contains(50));
-        assert!(!Value::text("x").numeric_contains(1));
-        assert!(!Value::Null.numeric_contains(0));
     }
 
     #[test]

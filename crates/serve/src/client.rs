@@ -1,23 +1,22 @@
-//! Clients for the serving layer.
+//! The client of the serving layer.
 //!
-//! Two flavors share one TCP connection model:
-//!
-//! * [`Client`] — the minimal blocking client: v1 frames, one request in
-//!   flight, replies in order. The simplest way to script the server from
-//!   tests, benches or other processes.
-//! * [`PipelinedClient`] — the v2 client: every request carries a request
-//!   id, many may be in flight on one connection, and replies are matched
-//!   back to their ids however the server ordered them
-//!   ([`PipelinedClient::submit`] / [`PipelinedClient::wait`] /
-//!   [`PipelinedClient::poll_reply`]).
+//! [`Client`] is one TCP connection speaking v2 frames: every request
+//! carries a request id, many may be in flight, and replies are matched
+//! back to their ids however the server ordered them ([`Client::submit`] /
+//! [`Client::wait`] / [`Client::poll_reply`]). The blocking calls
+//! ([`Client::call`], [`Client::request_raw`] and the typed helpers such as
+//! [`Client::protect`]) submit one request and wait for its reply, the
+//! simplest way to script the server from tests, benches or other
+//! processes. v1 frames stay part of the protocol (`docs/PROTOCOL.md`);
+//! a raw v1 requester writes them with [`crate::protocol::encode_frame`].
 
 use crate::json;
 use crate::protocol::{
-    read_frame, write_frame, write_frame_v2, Command, FrameError, FrameReader, ReadStep, Request,
-    Response,
+    encode_frame, Command, FrameError, FrameReader, ReadStep, Request, Response,
+    DEFAULT_MAX_FRAME_LEN,
 };
 use std::collections::BTreeMap;
-use std::io;
+use std::io::{self, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -59,34 +58,120 @@ impl From<FrameError> for ClientError {
     }
 }
 
-/// A blocking connection to a serving-layer endpoint.
+/// A connection to a serving-layer endpoint, speaking v2 frames.
+///
+/// [`submit`](Client::submit) writes a request and returns its id
+/// immediately, so many requests can be in flight at once;
+/// [`wait`](Client::wait) blocks until that id's reply arrives (parking any
+/// other replies read along the way); [`poll_reply`](Client::poll_reply)
+/// hands back *any* one ready reply within a timeout — the shape a
+/// throughput driver wants. [`call`](Client::call) and the typed helpers
+/// are `submit` then `wait`: one request, one blocking reply.
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
-    max_frame_len: usize,
+    reader: FrameReader,
+    next_id: u64,
+    pending: usize,
+    /// Replies read while waiting for a different id, parked by id.
+    parked: BTreeMap<u64, Response>,
+    /// The read timeout currently installed on the socket, so repeated
+    /// polls with the same timeout skip the syscall.
+    installed_timeout: Option<Duration>,
 }
+
+/// Another name for [`Client`], which callers that pipeline (such as the
+/// `perfbench` harness) still use.
+pub type PipelinedClient = Client;
 
 impl Client {
     /// Connect to the server.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Client { stream, max_frame_len: crate::protocol::DEFAULT_MAX_FRAME_LEN })
+        Ok(Client {
+            stream,
+            reader: FrameReader::new(),
+            next_id: 0,
+            pending: 0,
+            parked: BTreeMap::new(),
+            installed_timeout: None,
+        })
     }
 
-    /// Raise or lower the largest response frame this client accepts.
-    pub fn max_frame_len(mut self, max: usize) -> Client {
-        self.max_frame_len = max;
-        self
+    /// Requests submitted whose replies have not been handed back yet.
+    pub fn pending(&self) -> usize {
+        self.pending
     }
 
-    /// Send a raw frame payload and read one response frame. This is the
-    /// escape hatch tests use to send deliberately malformed requests.
+    /// Write one request frame and return the id its reply will carry.
+    /// Does not wait for anything: call again to pipeline.
+    pub fn submit(&mut self, request: &Request) -> Result<u64, ClientError> {
+        self.submit_raw(&request.encode())
+    }
+
+    /// Write a raw payload as a v2 frame (the escape hatch for deliberately
+    /// malformed requests) and return its request id.
+    pub fn submit_raw(&mut self, payload: &[u8]) -> Result<u64, ClientError> {
+        let id = self.next_id;
+        self.next_id = self.next_id.wrapping_add(1);
+        self.stream.write_all(&encode_frame(Some(id), payload)?)?;
+        self.pending = self.pending.saturating_add(1);
+        Ok(id)
+    }
+
+    /// Block until the reply for `id` arrives. Replies for other ids read
+    /// along the way are parked for their own `wait`/`poll_reply` calls. A
+    /// reply frame without an id (the server's `oversized-frame` and
+    /// `connection-limit` refusals, sent as v1 frames before it closes the
+    /// connection) answers this call.
+    pub fn wait(&mut self, id: u64) -> Result<Response, ClientError> {
+        loop {
+            if let Some(response) = self.parked.remove(&id) {
+                self.pending = self.pending.saturating_sub(1);
+                return Ok(response);
+            }
+            match self.read_reply(None)? {
+                Some((Some(got), response)) => {
+                    self.parked.insert(got, response);
+                }
+                Some((None, response)) => {
+                    self.pending = self.pending.saturating_sub(1);
+                    return Ok(response);
+                }
+                None => {}
+            }
+        }
+    }
+
+    /// Hand back any one ready reply, waiting up to `timeout` (which must
+    /// be non-zero) for the wire. `Ok(None)` means nothing completed in
+    /// time — in-flight requests stay in flight.
+    pub fn poll_reply(
+        &mut self,
+        timeout: Duration,
+    ) -> Result<Option<(u64, Response)>, ClientError> {
+        if let Some(id) = self.parked.keys().next().copied() {
+            if let Some(response) = self.parked.remove(&id) {
+                self.pending = self.pending.saturating_sub(1);
+                return Ok(Some((id, response)));
+            }
+        }
+        match self.read_reply(Some(timeout))? {
+            Some((Some(id), response)) => {
+                self.pending = self.pending.saturating_sub(1);
+                Ok(Some((id, response)))
+            }
+            Some((None, _)) => Err(ClientError::Frame("reply frame carries no request id".into())),
+            None => Ok(None),
+        }
+    }
+
+    /// Send a raw frame payload and read its reply. This is the escape
+    /// hatch tests use to send deliberately malformed requests.
     pub fn request_raw(&mut self, payload: &[u8]) -> Result<Response, ClientError> {
-        write_frame(&mut self.stream, payload)?;
-        let reply = read_frame(&mut self.stream, self.max_frame_len)?
-            .ok_or(ClientError::ConnectionClosed)?;
-        Response::decode(&reply.payload).map_err(|e| ClientError::Frame(e.to_string()))
+        let id = self.submit_raw(payload)?;
+        self.wait(id)
     }
 
     /// Send a request and read its response.
@@ -179,129 +264,25 @@ impl Client {
     pub fn ping(&mut self) -> Result<Response, ClientError> {
         self.call(&Request::new(Command::Ping))
     }
-}
 
-/// A pipelined v2 connection: many requests in flight, replies matched to
-/// their request ids in whatever order the server finishes them.
-///
-/// [`submit`](PipelinedClient::submit) writes a request and returns its id
-/// immediately; [`wait`](PipelinedClient::wait) blocks until that id's
-/// reply arrives (parking any other replies read along the way);
-/// [`poll_reply`](PipelinedClient::poll_reply) hands back *any* one ready
-/// reply within a timeout — the shape a throughput driver wants.
-#[derive(Debug)]
-pub struct PipelinedClient {
-    stream: TcpStream,
-    reader: FrameReader,
-    max_frame_len: usize,
-    next_id: u64,
-    pending: usize,
-    /// Replies read while waiting for a different id, parked by id.
-    parked: BTreeMap<u64, Response>,
-    /// The read timeout currently installed on the socket, so repeated
-    /// polls with the same timeout skip the syscall.
-    installed_timeout: Option<Duration>,
-}
-
-impl PipelinedClient {
-    /// Connect to the server.
-    pub fn connect(addr: impl ToSocketAddrs) -> Result<PipelinedClient, ClientError> {
-        let stream = TcpStream::connect(addr)?;
-        stream.set_nodelay(true)?;
-        Ok(PipelinedClient {
-            stream,
-            reader: FrameReader::new(),
-            max_frame_len: crate::protocol::DEFAULT_MAX_FRAME_LEN,
-            next_id: 0,
-            pending: 0,
-            parked: BTreeMap::new(),
-            installed_timeout: None,
-        })
-    }
-
-    /// Raise or lower the largest response frame this client accepts.
-    pub fn max_frame_len(mut self, max: usize) -> PipelinedClient {
-        self.max_frame_len = max;
-        self
-    }
-
-    /// Requests submitted whose replies have not been handed back yet.
-    pub fn pending(&self) -> usize {
-        self.pending
-    }
-
-    /// Write one request frame and return the id its reply will carry.
-    /// Does not wait for anything: call again to pipeline.
-    pub fn submit(&mut self, request: &Request) -> Result<u64, ClientError> {
-        self.submit_raw(&request.encode())
-    }
-
-    /// Write a raw payload as a v2 frame (the escape hatch for deliberately
-    /// malformed requests) and return its request id.
-    pub fn submit_raw(&mut self, payload: &[u8]) -> Result<u64, ClientError> {
-        let id = self.next_id;
-        self.next_id = self.next_id.wrapping_add(1);
-        write_frame_v2(&mut self.stream, id, payload)?;
-        self.pending = self.pending.saturating_add(1);
-        Ok(id)
-    }
-
-    /// Block until the reply for `id` arrives. Replies for other ids read
-    /// along the way are parked for their own `wait`/`poll_reply` calls.
-    pub fn wait(&mut self, id: u64) -> Result<Response, ClientError> {
-        loop {
-            if let Some(response) = self.parked.remove(&id) {
-                self.pending = self.pending.saturating_sub(1);
-                return Ok(response);
-            }
-            if let Some((got, response)) = self.read_reply(None)? {
-                self.parked.insert(got, response);
-            }
-        }
-    }
-
-    /// Hand back any one ready reply, waiting up to `timeout` (which must
-    /// be non-zero) for the wire. `Ok(None)` means nothing completed in
-    /// time — in-flight requests stay in flight.
-    pub fn poll_reply(
-        &mut self,
-        timeout: Duration,
-    ) -> Result<Option<(u64, Response)>, ClientError> {
-        if let Some(id) = self.parked.keys().next().copied() {
-            if let Some(response) = self.parked.remove(&id) {
-                self.pending = self.pending.saturating_sub(1);
-                return Ok(Some((id, response)));
-            }
-        }
-        match self.read_reply(Some(timeout))? {
-            Some((id, response)) => {
-                self.pending = self.pending.saturating_sub(1);
-                Ok(Some((id, response)))
-            }
-            None => Ok(None),
-        }
-    }
-
-    /// Read one reply frame. `timeout: None` blocks until a frame or an
-    /// error; `Some(t)` returns `Ok(None)` on a timeout tick, keeping any
-    /// partial frame for the next call.
+    /// Read one reply frame and its request id (`None` on a v1 frame).
+    /// `timeout: None` blocks until a frame or an error; `Some(t)` returns
+    /// `Ok(None)` on a timeout tick, keeping any partial frame for the next
+    /// call.
     fn read_reply(
         &mut self,
         timeout: Option<Duration>,
-    ) -> Result<Option<(u64, Response)>, ClientError> {
+    ) -> Result<Option<(Option<u64>, Response)>, ClientError> {
         if self.installed_timeout != timeout {
             self.stream.set_read_timeout(timeout)?;
             self.installed_timeout = timeout;
         }
         loop {
-            match self.reader.step(&mut self.stream, self.max_frame_len) {
+            match self.reader.step(&mut self.stream, DEFAULT_MAX_FRAME_LEN) {
                 Ok(ReadStep::Frame(frame)) => {
-                    let Some(id) = frame.request_id else {
-                        return Err(ClientError::Frame("reply frame carries no request id".into()));
-                    };
                     let response = Response::decode(&frame.payload)
                         .map_err(|e| ClientError::Frame(e.to_string()))?;
-                    return Ok(Some((id, response)));
+                    return Ok(Some((frame.request_id, response)));
                 }
                 Ok(ReadStep::Idle) => {
                     if timeout.is_some() {

@@ -22,10 +22,9 @@
 //!   in-memory default, and the durable WAL + snapshot store
 //!   ([`DurableStore`]) that survives a hard kill — enabled with
 //!   [`ServeConfig::data_dir`] / `medshield serve --data-dir`.
-//! * [`client`] — the blocking [`Client`] (v1, one request at a time) and
-//!   the [`PipelinedClient`] (v2, many requests in flight per connection),
-//!   used by the CLI, the loopback integration tests and the serve
-//!   benchmark.
+//! * [`client`] — the [`Client`]: one v2 connection with blocking calls
+//!   and pipelined `submit`/`wait`, used by the CLI, the loopback
+//!   integration tests and the serve benchmark.
 //!
 //! Served responses are **byte-identical** to calling the engine in-process
 //! (the `serve` benchmark gates on it), so moving from library use to the

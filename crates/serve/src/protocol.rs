@@ -42,7 +42,7 @@
 //! malformed input yields a structured reply, never a dropped connection.
 
 use std::collections::BTreeMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 
 /// Upper bound accepted for a frame payload unless the server configures its
 /// own (16 MiB — roughly a 100k-row CSV submission).
@@ -409,19 +409,6 @@ pub struct Frame {
     pub payload: Vec<u8>,
 }
 
-/// Write one v1 frame (length prefix + payload, no request id).
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&encode_frame(None, payload)?)?;
-    w.flush()
-}
-
-/// Write one v2 frame (length prefix with [`V2_FLAG`], 8-byte request id,
-/// payload).
-pub fn write_frame_v2(w: &mut impl Write, request_id: u64, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&encode_frame(Some(request_id), payload)?)?;
-    w.flush()
-}
-
 /// Encode a frame into one contiguous buffer — the prefix (with the v2 flag
 /// when a request id is present), the id, the payload. The server's I/O
 /// core appends these to per-connection write buffers; clients write them
@@ -496,11 +483,6 @@ impl FrameReader {
     /// A reader with no partial state.
     pub fn new() -> FrameReader {
         FrameReader::default()
-    }
-
-    /// True when no frame is partially read (safe to stop reading).
-    pub fn is_clean(&self) -> bool {
-        self.header_read == 0 && !self.in_id && !self.in_payload
     }
 
     /// Decode the completed 4-byte prefix: enforce the length limit, then
@@ -670,9 +652,8 @@ mod tests {
 
     #[test]
     fn frames_roundtrip_and_enforce_the_limit() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").unwrap();
-        write_frame(&mut buf, b"").unwrap();
+        let buf =
+            [encode_frame(None, b"hello").unwrap(), encode_frame(None, b"").unwrap()].concat();
         let mut cursor = std::io::Cursor::new(buf);
         let frame = read_frame(&mut cursor, 1024).unwrap().unwrap();
         assert_eq!(frame, Frame { request_id: None, payload: b"hello".to_vec() });
@@ -680,8 +661,7 @@ mod tests {
         assert_eq!(frame, Frame { request_id: None, payload: Vec::new() });
         assert!(read_frame(&mut cursor, 1024).unwrap().is_none());
 
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &[7u8; 100]).unwrap();
+        let buf = encode_frame(None, &[7u8; 100]).unwrap();
         let mut cursor = std::io::Cursor::new(buf);
         match read_frame(&mut cursor, 64) {
             Err(FrameError::Oversized { len: 100, max: 64 }) => {}
@@ -691,10 +671,12 @@ mod tests {
 
     #[test]
     fn v2_frames_carry_request_ids_and_mix_with_v1() {
-        let mut buf = Vec::new();
-        write_frame_v2(&mut buf, 7, b"first").unwrap();
-        write_frame(&mut buf, b"legacy").unwrap();
-        write_frame_v2(&mut buf, u64::MAX, b"").unwrap();
+        let buf = [
+            encode_frame(Some(7), b"first").unwrap(),
+            encode_frame(None, b"legacy").unwrap(),
+            encode_frame(Some(u64::MAX), b"").unwrap(),
+        ]
+        .concat();
         let mut cursor = std::io::Cursor::new(buf);
         let frame = read_frame(&mut cursor, 1024).unwrap().unwrap();
         assert_eq!(frame, Frame { request_id: Some(7), payload: b"first".to_vec() });
@@ -710,8 +692,7 @@ mod tests {
         // The length limit is enforced from the prefix alone, before the
         // payload is buffered; the id bytes were not yet consumed, so the
         // reader reports the announced length faithfully.
-        let mut buf = Vec::new();
-        write_frame_v2(&mut buf, 42, &[7u8; 100]).unwrap();
+        let buf = encode_frame(Some(42), &[7u8; 100]).unwrap();
         let mut cursor = std::io::Cursor::new(buf);
         match read_frame(&mut cursor, 64) {
             Err(FrameError::Oversized { len: 100, max: 64 }) => {}
@@ -721,8 +702,7 @@ mod tests {
 
     #[test]
     fn v2_truncated_id_is_an_error_not_a_hang() {
-        let mut buf = Vec::new();
-        write_frame_v2(&mut buf, 42, b"payload").unwrap();
+        let mut buf = encode_frame(Some(42), b"payload").unwrap();
         buf.truncate(8); // prefix + half the id
         let mut cursor = std::io::Cursor::new(buf);
         assert!(matches!(read_frame(&mut cursor, 1024), Err(FrameError::Truncated)));
@@ -743,8 +723,7 @@ mod tests {
         let mut cursor = std::io::Cursor::new(vec![0u8, 0]);
         assert!(matches!(read_frame(&mut cursor, 1024), Err(FrameError::Truncated)));
         // Payload cut short.
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello world").unwrap();
+        let mut buf = encode_frame(None, b"hello world").unwrap();
         buf.truncate(buf.len() - 3);
         let mut cursor = std::io::Cursor::new(buf);
         assert!(matches!(read_frame(&mut cursor, 1024), Err(FrameError::Truncated)));
@@ -774,8 +753,7 @@ mod tests {
                 Ok(1)
             }
         }
-        let mut framed = Vec::new();
-        write_frame(&mut framed, b"split me").unwrap();
+        let framed = encode_frame(None, b"split me").unwrap();
         let mut trickle = Trickle { data: framed, at: 0, ready: false };
         let mut reader = FrameReader::new();
         let mut idles = 0;
@@ -791,11 +769,9 @@ mod tests {
             }
         }
         assert!(idles > 0, "the trickle reader must have reported idle steps");
-        assert!(reader.is_clean());
 
         // The same byte-at-a-time stream, v2: the id survives splitting too.
-        let mut framed = Vec::new();
-        write_frame_v2(&mut framed, 0xDEAD_BEEF_u64, b"split v2").unwrap();
+        let framed = encode_frame(Some(0xDEAD_BEEF_u64), b"split v2").unwrap();
         let mut trickle = Trickle { data: framed, at: 0, ready: false };
         let mut reader = FrameReader::new();
         loop {
@@ -809,6 +785,5 @@ mod tests {
                 ReadStep::Eof => panic!("hit EOF before the v2 frame completed"),
             }
         }
-        assert!(reader.is_clean());
     }
 }

@@ -15,7 +15,7 @@
 //! wal.log  ──compaction──▶  snapshot.bin ──▶ index (id → record location)
 //!   (length-prefixed,         (atomic tmp+rename,   ▲       + next id
 //!    CRC-32 framed            same framing)         │
-//!    records)                 torn WAL tail zeroed ─┘
+//!    records)                 torn WAL tail cut ────┘
 //!   │                             │ old generation kept as
 //!   │ header rewritten for the    ▼ snapshot.spare, rewritten in place
 //!   ▼ next generation               by the next compaction
@@ -48,12 +48,16 @@
 //!   held the WAL lock for up to a second per compaction. Recovery reads
 //!   the whole file and stops at the first frame whose CRC fails under the
 //!   header's generation, so an older generation's stale frame reads
-//!   exactly like a torn tail. Opening zeroes whatever non-zero bytes
-//!   follow the recovered end (none on a clean v1 log, so opening one
-//!   writes nothing): a torn frame can hide complete, unacknowledged frames
-//!   of the same generation behind it, and an append that happened to end
-//!   where one begins would otherwise bring it back. Recovery decodes every
-//!   record to validate it and keeps only its location.
+//!   exactly like a torn tail. Opening cuts the file to the recovered end
+//!   with `set_len` and `fdatasync`s it before the first append (a clean
+//!   v1 log ends there already, so opening one writes nothing): a torn
+//!   frame can hide complete, unacknowledged frames of the same generation
+//!   behind it, and an append that happened to end where one begins would
+//!   otherwise bring it back. The cut also drops a recycled log's stale
+//!   tail, so the next start reads only the live frames; it happens before
+//!   the store serves anything, so no lock is held while the blocks are
+//!   freed. Recovery decodes every record to validate it and keeps only its
+//!   location.
 //! * **Snapshots** are written to `snapshot.tmp`, fsynced, renamed over
 //!   `snapshot.bin` and only then are the WAL's records retired. The
 //!   previous generation's file is kept as `snapshot.spare` (its contents
@@ -376,9 +380,6 @@ const SNAPSHOT_HEADER_LEN: u64 = 24;
 /// Length of a frame header: `[u32 len][u32 crc32]`.
 const FRAME_HEADER_LEN: usize = 8;
 
-/// Largest block of zeros opening writes at once over a stale WAL tail.
-const ZERO_BLOCK: usize = 256 * 1024;
-
 /// Capacity of the buffered writer a compaction streams the snapshot
 /// through: the snapshot is written in blocks of this size, not one
 /// `write` per record.
@@ -515,8 +516,8 @@ pub struct DurableStore {
 impl DurableStore {
     /// Open (or create) a durable store in `dir`, running crash recovery:
     /// index the snapshot if one exists, replay the WAL on top up to a torn
-    /// tail record or a stale frame, zero what follows, and restore the next
-    /// release id as one past the highest durable id.
+    /// tail record or a stale frame, cut the file there, and restore the
+    /// next release id as one past the highest durable id.
     pub fn open(dir: impl AsRef<Path>, snapshot_every: usize) -> Result<DurableStore, StoreError> {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
@@ -575,14 +576,12 @@ impl DurableStore {
             Some(WalHeader::V1) => {
                 let start = WAL_MAGIC_V1.len() as u64;
                 let valid_len = replay_wal(&mut reader, start, None, &mut entries, &mut next)?;
-                zero_tail(&file, &mut reader, valid_len)?;
                 (None, valid_len)
             }
             Some(WalHeader::V2(generation)) => {
                 let start = WAL_HEADER_V2_LEN;
                 let valid_len =
                     replay_wal(&mut reader, start, Some(generation), &mut entries, &mut next)?;
-                zero_tail(&file, &mut reader, valid_len)?;
                 (Some(generation), valid_len)
             }
             // Anything else is a foreign file; refuse to overwrite it.
@@ -593,6 +592,14 @@ impl DurableStore {
                 )))
             }
         };
+        // Cut whatever follows the recovered end (a torn frame, or a
+        // recycled log's stale tail) before the first append: frames past a
+        // torn one must not be revived by an append that ends where one
+        // begins (see the module docs).
+        if reader.len > valid_len {
+            file.set_len(valid_len)?;
+            file.sync_data()?;
+        }
         drop(reader);
         // Position the cursor for appending.
         file.seek(SeekFrom::Start(valid_len))?;
@@ -855,33 +862,6 @@ fn recycle_wal(wal: &mut Wal) -> std::io::Result<()> {
     wal.generation = Some(generation);
     wal.end = WAL_HEADER_V2_LEN;
     Ok(())
-}
-
-/// Zero the log's bytes past `valid_len` up to the last non-zero one, then
-/// `fdatasync`: stale frames past a torn one must not be reachable by later
-/// appends (see the module docs). The file keeps its length.
-fn zero_tail(file: &File, reader: &mut BlockReader<'_>, valid_len: u64) -> std::io::Result<()> {
-    let mut dirty_end = valid_len;
-    let mut at = valid_len;
-    while at < reader.len {
-        let n = (reader.len - at).min(ZERO_BLOCK as u64) as usize;
-        let block = reader.get(at, n)?.unwrap_or_default();
-        if let Some(last) = block.iter().rposition(|&b| b != 0) {
-            dirty_end = at + last as u64 + 1;
-        }
-        at += n as u64;
-    }
-    if dirty_end == valid_len {
-        return Ok(());
-    }
-    let zeros = vec![0u8; (dirty_end - valid_len).min(ZERO_BLOCK as u64) as usize];
-    let mut at = valid_len;
-    while at < dirty_end {
-        let n = (dirty_end - at).min(zeros.len() as u64) as usize;
-        file.write_all_at(zeros.get(..n).unwrap_or_default(), at)?;
-        at += n as u64;
-    }
-    file.sync_data()
 }
 
 /// Buffered positional reads of one file: the bytes asked for come out of
@@ -1627,8 +1607,8 @@ mod tests {
         let store = DurableStore::open(&dir, 0).unwrap();
         assert_eq!(store.recovered_releases(), 2, "the torn third record is dropped");
         assert_eq!(store.next_id(), 3);
-        // Recovery stopped at a record boundary and zeroed the torn bytes,
-        // so new appends land cleanly after the survivors.
+        // Recovery stopped at a record boundary and cut the torn bytes, so
+        // new appends land cleanly after the survivors.
         assert_eq!(store.append(release(9)).unwrap(), 3);
         drop(store);
         let store = DurableStore::open(&dir, 0).unwrap();

@@ -9,9 +9,10 @@
 use medshield_core::{ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{ontology, DatasetConfig, MedicalDataset};
 use medshield_relation::{csv, Schema, Table};
-use medshield_serve::{
-    serve, Client, Command, PipelinedClient, Request, Response, ServeConfig, MEDICAL_ROLES,
-};
+use medshield_serve::protocol::{encode_frame, read_frame, DEFAULT_MAX_FRAME_LEN};
+use medshield_serve::{serve, Client, Command, Request, Response, ServeConfig, MEDICAL_ROLES};
+use std::io::Write;
+use std::net::TcpStream;
 use std::time::Duration;
 
 fn engine_config() -> ProtectionConfig {
@@ -241,6 +242,58 @@ fn oversized_frames_get_a_structured_reply() {
     handle.shutdown();
 }
 
+/// Send `payload` as one raw v1 frame and read the reply, which must be a
+/// v1 frame too.
+fn v1_call(stream: &mut TcpStream, payload: &[u8]) -> Response {
+    stream.write_all(&encode_frame(None, payload).unwrap()).unwrap();
+    let frame = read_frame(stream, DEFAULT_MAX_FRAME_LEN).unwrap().expect("a v1 reply frame");
+    assert_eq!(frame.request_id, None, "a v1 request got a v2 reply");
+    Response::decode(&frame.payload).unwrap()
+}
+
+#[test]
+fn v1_frames_get_the_replies_the_client_gets() {
+    // Two fresh servers, so both hand out the same release ids: one is
+    // spoken to in raw v1 frames, the other through the v2 `Client`.
+    let max_frame_len = 64 * 1024;
+    let config = || ServeConfig { max_frame_len, ..serve_config() };
+    let (v1_server, v2_server) =
+        (serve(config(), "127.0.0.1:0").unwrap(), serve(config(), "127.0.0.1:0").unwrap());
+    let mut v1 = TcpStream::connect(v1_server.addr()).unwrap();
+    let mut client = Client::connect(v2_server.addr()).unwrap();
+
+    let protect = Request::new(Command::Protect).body(csv::to_csv(&dataset(300).table)).encode();
+    assert!(protect.len() < max_frame_len);
+    let protected = v1_call(&mut v1, &protect);
+    assert!(protected.is_ok(), "{}", protected.json);
+    assert_eq!(protected, client.request_raw(&protect).unwrap());
+
+    let suspect = drop_tail_rows(protected.body.as_deref().unwrap(), 40);
+    let detect = Request::new(Command::Detect)
+        .param("release", protected.release_id().unwrap())
+        .body(suspect)
+        .encode();
+    assert!(detect.len() < max_frame_len);
+    let detected = v1_call(&mut v1, &detect);
+    assert_eq!(detected.bool_field("carries_mark"), Some(true), "{}", detected.json);
+    assert_eq!(detected, client.request_raw(&detect).unwrap());
+
+    // The oversized frame goes last: the server closes the connection after
+    // refusing it.
+    let refusals = [
+        (b"nuke --all\n".to_vec(), "unknown-command"),
+        (b"\n".to_vec(), "bad-request"),
+        (vec![b'x'; max_frame_len + 1], "oversized-frame"),
+    ];
+    for (payload, code) in refusals {
+        let refused = v1_call(&mut v1, &payload);
+        assert_eq!(refused.code().as_deref(), Some(code), "{}", refused.json);
+        assert_eq!(refused, client.request_raw(&payload).unwrap());
+    }
+    v1_server.shutdown();
+    v2_server.shutdown();
+}
+
 #[test]
 fn queue_full_and_timeout_are_structured_errors() {
     // One worker, a queue of one, and the debug sleep command to hold the
@@ -378,7 +431,7 @@ fn a_mixed_micro_batch_answers_each_detect_as_if_sent_alone() {
             let before = client.ping().unwrap().u64_field("batched_detects").unwrap();
             // Hold the single worker so the detects queue up behind the
             // sleep on the same connection and are drained as one batch.
-            let mut pipelined = PipelinedClient::connect(addr).unwrap();
+            let mut pipelined = Client::connect(addr).unwrap();
             let sleep = pipelined.submit(&Request::new(Command::Sleep).param("ms", "400")).unwrap();
             let ids: Vec<u64> = order
                 .iter()

@@ -487,6 +487,35 @@ fn a_frame_past_a_torn_one_is_not_revived_by_a_later_append() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+#[test]
+fn a_recycled_wal_with_a_stale_tail_reopens_at_its_recovered_length() {
+    let dir = fresh_dir("cut-tail");
+    let wal_path = dir.join("wal.log");
+    let wal_len = || std::fs::metadata(&wal_path).unwrap().len() as usize;
+    // Six frames, then a compaction that recycles the log in place and one
+    // frame of the new generation: the other five frames' bytes stay behind
+    // it as a stale tail.
+    {
+        let store = append_all(&dir, 0..6);
+        store.compact().unwrap();
+        store.append(release(6)).unwrap();
+        store.sync().unwrap();
+    }
+    let live = 16 + frame_len(7, 6);
+    assert!(live < wal_len(), "no stale tail past the live end");
+    assert_recovers(&dir, &(0..7).collect::<Vec<u64>>());
+    assert_eq!(wal_len(), live, "opening left the stale tail in place");
+    // The cut log goes on: the next frame lands at the recovered end.
+    {
+        let store = DurableStore::open(&dir, 0).unwrap();
+        store.append(release(7)).unwrap();
+        store.sync().unwrap();
+    }
+    assert_eq!(wal_len(), live + frame_len(8, 7));
+    assert_recovers(&dir, &(0..8).collect::<Vec<u64>>());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 

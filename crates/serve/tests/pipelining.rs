@@ -1,15 +1,13 @@
 //! Pipelining integration suite: many requests in flight on one
 //! connection, replies matched to request ids in whatever order the
-//! workers finish, v1 clients untouched, and the I/O core surviving slow
+//! workers finish, v1 frames still answered, and the I/O core surviving slow
 //! readers and byte-at-a-time writers.
 
 use medshield_core::{ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{ontology, DatasetConfig, MedicalDataset};
 use medshield_relation::csv;
 use medshield_serve::protocol::{encode_frame, read_frame};
-use medshield_serve::{
-    serve, Client, Command, PipelinedClient, Request, ServeConfig, PROTOCOL_VERSION,
-};
+use medshield_serve::{serve, Client, Command, Request, ServeConfig, PROTOCOL_VERSION};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -63,7 +61,7 @@ fn replies_arrive_out_of_order_and_match_their_ids() {
     // with its own id.
     let config = ServeConfig { debug_hooks: true, ..serve_config() };
     let handle = serve(config, "127.0.0.1:0").unwrap();
-    let mut client = PipelinedClient::connect(handle.addr()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
     let slow = client.submit(&Request::new(Command::Sleep).param("ms", "400")).unwrap();
     let fast = client.submit(&Request::new(Command::Sleep).param("ms", "1")).unwrap();
     assert_eq!(client.pending(), 2);
@@ -97,7 +95,7 @@ fn interleaved_pipelined_detects_are_byte_identical_to_in_process() {
     let clean_csv = reply.body.clone().unwrap();
     let attacked_csv = drop_tail_rows(&clean_csv, 60);
 
-    // The expected replies, served once over the plain v1 client (itself
+    // The expected replies, served once by blocking calls (themselves
     // gated byte-identical to the in-process engine by the loopback suite).
     let expected_clean = setup.detect(&release_id, &clean_csv).unwrap();
     let expected_attacked = setup.detect(&release_id, &attacked_csv).unwrap();
@@ -105,7 +103,7 @@ fn interleaved_pipelined_detects_are_byte_identical_to_in_process() {
     assert_ne!(expected_clean.json, expected_attacked.json, "the two suspects must differ");
 
     const IN_FLIGHT: usize = 16;
-    let mut client = PipelinedClient::connect(handle.addr()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
     let mut submitted = Vec::new();
     for i in 0..IN_FLIGHT {
         let suspect = if i % 2 == 0 { &clean_csv } else { &attacked_csv };
@@ -200,7 +198,7 @@ fn unread_replies_back_up_without_loss_while_the_client_stalls() {
     let expected = engine.protect_per_attribute(&ds.table, &ontology::all_trees()).unwrap();
     let expected_body = csv::to_csv(&expected.table);
 
-    let mut client = PipelinedClient::connect(handle.addr()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
     let ids: Vec<u64> = (0..6)
         .map(|_| client.submit(&Request::new(Command::Protect).body(&table_csv)).unwrap())
         .collect();

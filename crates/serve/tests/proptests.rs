@@ -6,7 +6,7 @@
 use medshield_core::{ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 use medshield_relation::csv;
-use medshield_serve::{serve, Client, Command, PipelinedClient, Request, ServeConfig};
+use medshield_serve::{serve, Client, Command, Request, ServeConfig};
 use proptest::prelude::*;
 
 fn engine_config() -> ProtectionConfig {
@@ -82,7 +82,7 @@ proptest! {
             "127.0.0.1:0",
         )
         .unwrap();
-        let mut client = PipelinedClient::connect(handle.addr()).unwrap();
+        let mut client = Client::connect(handle.addr()).unwrap();
         let mut ids: Vec<(u64, u64)> = Vec::new();
         for i in 0..n as u64 {
             let id = client

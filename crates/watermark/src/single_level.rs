@@ -32,28 +32,6 @@ impl SingleLevelWatermarker {
         SingleLevelWatermarker { config }
     }
 
-    /// Precompute the run-wide embedding state; see
-    /// [`HierarchicalWatermarker::plan_embed`](crate::HierarchicalWatermarker::plan_embed).
-    pub fn plan_embed<'a>(
-        &self,
-        schema: &medshield_relation::Schema,
-        binning_columns: &'a [ColumnBinning],
-        trees: &'a BTreeMap<String, DomainHierarchyTree>,
-        mark: &Mark,
-    ) -> Result<EmbedPlan<'a>, WatermarkError> {
-        EmbedPlan::build(&self.config, schema, binning_columns, trees, mark)
-    }
-
-    /// Prepare the columnar embedding kernel; see
-    /// [`HierarchicalWatermarker::prepare_embed`](crate::HierarchicalWatermarker::prepare_embed).
-    pub fn prepare_embed(
-        &self,
-        plan: &EmbedPlan<'_>,
-        table: &mut Table,
-    ) -> Result<EmbedKernel, WatermarkError> {
-        EmbedKernel::prepare(plan, table, EmbedStyle::SingleLevel)
-    }
-
     /// Embed the mark by permuting each selected value within the sibling set
     /// of its ultimate generalization node.
     pub fn embed(
@@ -62,34 +40,13 @@ impl SingleLevelWatermarker {
         trees: &BTreeMap<String, DomainHierarchyTree>,
         mark: &Mark,
     ) -> Result<Table, WatermarkError> {
-        let plan = self.plan_embed(binned.table.schema(), &binned.columns, trees, mark)?;
+        let plan =
+            EmbedPlan::build(&self.config, binned.table.schema(), &binned.columns, trees, mark)?;
         let mut table = binned.table.snapshot();
-        let kernel = self.prepare_embed(&plan, &mut table)?;
+        let kernel = EmbedKernel::prepare(&plan, &mut table, EmbedStyle::SingleLevel)?;
         let chunk = kernel.run_range(&plan, &table, 0..table.len())?;
         kernel.apply(&plan, &mut table, vec![chunk])?;
         Ok(table)
-    }
-
-    /// Precompute the run-wide detection state; see
-    /// [`HierarchicalWatermarker::plan_detect`](crate::HierarchicalWatermarker::plan_detect).
-    pub fn plan_detect<'a>(
-        &self,
-        schema: &medshield_relation::Schema,
-        columns: &'a [ColumnBinning],
-        trees: &'a BTreeMap<String, DomainHierarchyTree>,
-        mark_len: usize,
-    ) -> Result<DetectPlan<'a>, WatermarkError> {
-        DetectPlan::build(&self.config, schema, columns, trees, mark_len)
-    }
-
-    /// Prepare the columnar detection kernel; see
-    /// [`HierarchicalWatermarker::prepare_detect`](crate::HierarchicalWatermarker::prepare_detect).
-    pub fn prepare_detect(
-        &self,
-        plan: &DetectPlan<'_>,
-        table: &Table,
-    ) -> Result<DetectKernel, WatermarkError> {
-        DetectKernel::prepare(plan, table, single_level_cell_vote)
     }
 
     /// Detect the mark by reading the parity of each selected value's
@@ -103,8 +60,8 @@ impl SingleLevelWatermarker {
         trees: &BTreeMap<String, DomainHierarchyTree>,
         mark_len: usize,
     ) -> Result<Vec<bool>, WatermarkError> {
-        let plan = self.plan_detect(table.schema(), columns, trees, mark_len)?;
-        let kernel = self.prepare_detect(&plan, table)?;
+        let plan = DetectPlan::build(&self.config, table.schema(), columns, trees, mark_len)?;
+        let kernel = DetectKernel::prepare(&plan, table, single_level_cell_vote)?;
         let tally = kernel.run_range(&plan, table, 0..table.len())?;
         Ok(tally.into_report(mark_len).mark)
     }
