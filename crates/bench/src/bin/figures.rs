@@ -7,6 +7,8 @@
 //! ```
 //!
 //! The table has `MEDSHIELD_TUPLES` tuples (default: the paper's 20,000).
+//! Each per-attribute release a run needs, named by its `(k, η)`, is
+//! protected once: on its first use, and dropped after its last.
 
 #![forbid(unsafe_code)]
 
@@ -21,30 +23,92 @@ use medshield_binning::{BinningAgent, BinningConfig, MinimalNodeStrategy};
 use medshield_core::metrics::mark_loss;
 use medshield_core::watermark::{Mark, SingleLevelWatermarker, WatermarkConfig, WatermarkKey};
 use medshield_core::{analytic_interference, measure_interference};
+use medshield_core::{ProtectedRelease, ProtectionEngine};
 use medshield_datagen::MedicalDataset;
+use std::collections::HashMap;
+use std::rc::Rc;
 
-/// One experiment: it prints its figure for the shared table.
-type Figure = fn(&MedicalDataset);
+/// One experiment: it prints its figure for the shared table, taking its
+/// releases from the run's [`Releases`].
+type Figure = fn(&mut Releases<'_>);
 
-/// Every experiment by the name `figures` takes, in the order it runs them.
-const FIGURES: [(&str, Figure); 7] = [
-    ("fig11", fig11),
-    ("fig12a", fig12a),
-    ("fig12b", fig12b),
-    ("fig12c", fig12c),
-    ("fig13", fig13),
-    ("fig14", fig14),
-    ("generalization_attack", generalization_attack),
+/// The `(k, η)` of one per-attribute release.
+type Protection = (usize, u64);
+
+/// A per-attribute release and the engine that detects its mark.
+type Protected = Rc<(ProtectionEngine, ProtectedRelease)>;
+
+/// The releases Figs. 12(a)–(c) attack: η ∈ {50, 75, 100} at k = 10.
+const ATTACKED: [Protection; 3] = [(10, 50), (10, 75), (10, 100)];
+
+/// The releases of Fig. 13: η from 50 to 200 at k = 10.
+const FIG13: [Protection; 7] =
+    [(10, 50), (10, 75), (10, 100), (10, 125), (10, 150), (10, 175), (10, 200)];
+
+/// The releases of Fig. 14: k ∈ {10, 20, 45, 100} at η = 100. Its Lemma
+/// 1/2 table reuses the first.
+const FIG14: [Protection; 4] = [(10, 100), (20, 100), (45, 100), (100, 100)];
+
+/// Every experiment by the name `figures` takes, in the order it runs them,
+/// with every release it takes from [`Releases::get`], one entry per call.
+const FIGURES: [(&str, Figure, &[Protection]); 7] = [
+    ("fig11", fig11, &[]),
+    ("fig12a", fig12a, &ATTACKED),
+    ("fig12b", fig12b, &ATTACKED),
+    ("fig12c", fig12c, &ATTACKED),
+    ("fig13", fig13, &FIG13),
+    ("fig14", fig14, &FIG14),
+    ("generalization_attack", generalization_attack, &[(10, 50)]),
 ];
+
+/// The per-attribute releases of one run. A release is protected on its
+/// first [`Releases::get`] and kept only while a later call still needs it.
+struct Releases<'a> {
+    dataset: &'a MedicalDataset,
+    /// Calls still to come, per release.
+    uses: HashMap<Protection, usize>,
+    kept: HashMap<Protection, Protected>,
+}
+
+impl<'a> Releases<'a> {
+    /// The releases for running `figures` over `dataset`, in order.
+    fn new(dataset: &'a MedicalDataset, figures: &[(&str, Figure, &[Protection])]) -> Self {
+        let mut uses = HashMap::new();
+        for protection in figures.iter().flat_map(|(_, _, needs)| needs.iter()) {
+            *uses.entry(*protection).or_insert(0) += 1;
+        }
+        Releases { dataset, uses, kept: HashMap::new() }
+    }
+
+    /// The release protected with `k` and `eta`.
+    ///
+    /// # Panics
+    ///
+    /// If the running figure did not list `(k, eta)` once for this call.
+    fn get(&mut self, k: usize, eta: u64) -> Protected {
+        let key = (k, eta);
+        let left = self.uses.get_mut(&key).filter(|left| **left > 0);
+        let left = left.unwrap_or_else(|| panic!("(k, η) = {key:?} is not listed in FIGURES"));
+        *left -= 1;
+        let protected = match self.kept.remove(&key) {
+            Some(protected) => protected,
+            None => Rc::new(protect_per_attribute(self.dataset, k, eta)),
+        };
+        if *left > 0 {
+            self.kept.insert(key, Rc::clone(&protected));
+        }
+        protected
+    }
+}
 
 fn main() {
     let only = std::env::args().nth(1);
     let selected: Vec<_> = match &only {
         None => FIGURES.to_vec(),
-        Some(name) => FIGURES.iter().filter(|(figure, _)| figure == name).copied().collect(),
+        Some(name) => FIGURES.iter().filter(|(figure, ..)| figure == name).copied().collect(),
     };
     if selected.is_empty() {
-        let names: Vec<&str> = FIGURES.iter().map(|(figure, _)| *figure).collect();
+        let names: Vec<&str> = FIGURES.iter().map(|(figure, ..)| *figure).collect();
         eprintln!(
             "unknown figure `{}`; expected one of: {}",
             only.unwrap_or_default(),
@@ -53,17 +117,19 @@ fn main() {
         std::process::exit(2);
     }
     let dataset = experiment_dataset();
-    for (_, run) in selected {
+    let mut releases = Releases::new(&dataset, &selected);
+    for (_, run, _) in selected {
         if only.is_none() {
             println!();
         }
-        run(&dataset);
+        run(&mut releases);
     }
 }
 
 /// Figure 11 — k vs. information loss (%), mono-attribute vs multi-attribute
 /// binning, plus the minimal-node-strategy ablation mentioned in §4.2/§7.1.
-fn fig11(dataset: &MedicalDataset) {
+fn fig11(releases: &mut Releases<'_>) {
+    let dataset = releases.dataset;
     let maximal = root_usage_metrics(dataset);
     print_figure_header(
         "Figure 11",
@@ -116,20 +182,21 @@ fn fig11(dataset: &MedicalDataset) {
 /// loss (%) after `attack(fraction, i)` hits the release, where `i` is the
 /// fraction's index in `fractions`.
 fn mark_loss_under(
-    dataset: &MedicalDataset,
+    releases: &mut Releases<'_>,
     label: &str,
     fractions: &[f64],
     attack: impl Fn(f64, u64) -> Box<dyn Attack>,
 ) {
-    let etas = [50u64, 75, 100];
+    let trees = &releases.dataset.trees;
     println!("{label:>16} {:>8} {:>8} {:>8}", "η=50", "η=75", "η=100");
     let mut rows: Vec<Vec<f64>> = vec![Vec::new(); fractions.len()];
-    for &eta in &etas {
-        let (pipeline, release) = protect_per_attribute(dataset, 10, eta);
+    for (k, eta) in ATTACKED {
+        let protected = releases.get(k, eta);
+        let (pipeline, release) = &*protected;
         for (fi, &fraction) in fractions.iter().enumerate() {
             let attacked = attack(fraction, fi as u64).apply(&release.table);
             let detection = pipeline
-                .detect(&attacked, &release.binning.columns, &dataset.trees)
+                .detect(&attacked, &release.binning.columns, trees)
                 .expect("detection runs on attacked data");
             rows[fi].push(mark_loss(release.mark.bits(), &detection.mark) * 100.0);
         }
@@ -148,13 +215,13 @@ fn mark_loss_under(
 
 /// Figure 12(a) — robustness to Subset Alteration: percentage of altered
 /// data vs mark loss, for η ∈ {50, 75, 100}.
-fn fig12a(dataset: &MedicalDataset) {
+fn fig12a(releases: &mut Releases<'_>) {
     print_figure_header(
         "Figure 12(a)",
         "robustness of hierarchical watermarking to Subset Alteration",
     );
     let fractions = [0.0f64, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8];
-    mark_loss_under(dataset, "data alteration %", &fractions, |fraction, i| {
+    mark_loss_under(releases, "data alteration %", &fractions, |fraction, i| {
         Box::new(SubsetAlteration::new(fraction, 2005 + i))
     });
     println!("paper shape: mark loss grows slowly with the altered fraction (≈30% loss");
@@ -163,13 +230,13 @@ fn fig12a(dataset: &MedicalDataset) {
 
 /// Figure 12(b) — robustness to Subset Addition: percentage of added bogus
 /// tuples vs mark loss, for η ∈ {50, 75, 100}.
-fn fig12b(dataset: &MedicalDataset) {
+fn fig12b(releases: &mut Releases<'_>) {
     print_figure_header(
         "Figure 12(b)",
         "robustness of hierarchical watermarking to Subset Addition",
     );
     let fractions = [0.0f64, 0.2, 0.4, 0.6, 0.8, 1.0, 1.5, 2.0];
-    mark_loss_under(dataset, "data addition %", &fractions, |fraction, i| {
+    mark_loss_under(releases, "data addition %", &fractions, |fraction, i| {
         Box::new(SubsetAddition::new(fraction, 404 + i))
     });
     println!("paper shape: newly added bogus tuples only pollute the majority vote, so");
@@ -180,13 +247,13 @@ fn fig12b(dataset: &MedicalDataset) {
 /// tuples vs mark loss, for η ∈ {50, 75, 100}. Deletions are issued as SQL
 /// range deletes over the (encrypted) identifier, like the paper's
 /// `DELETE FROM R WHERE SSN > lval AND SSN < uval`.
-fn fig12c(dataset: &MedicalDataset) {
+fn fig12c(releases: &mut Releases<'_>) {
     print_figure_header(
         "Figure 12(c)",
         "robustness of hierarchical watermarking to Subset Deletion",
     );
     let fractions = [0.0f64, 0.2, 0.4, 0.6, 0.8, 0.9, 0.95, 0.98];
-    mark_loss_under(dataset, "data deletion %", &fractions, |fraction, i| {
+    mark_loss_under(releases, "data deletion %", &fractions, |fraction, i| {
         Box::new(SubsetDeletion::ranges(fraction, 777 + i, "ssn"))
     });
     println!("paper shape: mark loss increases roughly linearly with the amount of deleted");
@@ -204,16 +271,17 @@ fn fig12c(dataset: &MedicalDataset) {
 /// Fig. 13 bounds at a few per cent. The extra Eq.-3 information loss of
 /// the watermarked table over the binned table is reported alongside for
 /// completeness.
-fn fig13(dataset: &MedicalDataset) {
+fn fig13(releases: &mut Releases<'_>) {
+    let dataset = releases.dataset;
     print_figure_header("Figure 13", "information loss caused by watermarking vs η");
 
-    let etas = [50u64, 75, 100, 125, 150, 175, 200];
     println!(
         "{:>6} {:>18} {:>22} {:>22}",
         "η", "cells permuted %", "binning info loss %", "extra info loss %"
     );
-    for &eta in &etas {
-        let (_pipeline, release) = protect_per_attribute(dataset, 10, eta);
+    for (k, eta) in FIG13 {
+        let protected = releases.get(k, eta);
+        let release = &protected.1;
         let total_cells = (dataset.table.len() * release.binning.columns.len()) as f64;
         let permuted = release.embedding.changed_cells as f64 / total_cells * 100.0;
 
@@ -239,21 +307,23 @@ fn fig13(dataset: &MedicalDataset) {
 /// the total number of bins, the number of bins whose size changed, and the
 /// number of bins whose size fell below k. Also prints the analytic Lemma
 /// 1/2 probabilities for reference.
-fn fig14(dataset: &MedicalDataset) {
+fn fig14(releases: &mut Releases<'_>) {
+    let dataset = releases.dataset;
     print_figure_header(
         "Figure 14",
         "effect of watermarking on binning (total bins / bins changed / bins below k)",
     );
 
-    let ks = [10usize, 20, 45, 100];
     let columns = ["age", "zip_code", "doctor", "symptom", "prescription"];
 
     println!(
         "{:>5} | {:^20} | {:^20} | {:^20} | {:^20} | {:^20}",
         "k", columns[0], columns[1], columns[2], columns[3], columns[4]
     );
-    for &k in &ks {
-        let (_pipeline, release) = protect_per_attribute(dataset, k, 100);
+    let mut first = None;
+    for (k, eta) in FIG14 {
+        let protected = releases.get(k, eta);
+        let release = &protected.1;
         let reports = measure_interference(&release.binning.table, &release.table, k)
             .expect("interference measurable");
         let by_name: std::collections::BTreeMap<_, _> = reports.into_iter().collect();
@@ -263,13 +333,14 @@ fn fig14(dataset: &MedicalDataset) {
             row.push_str(&format!(" {:>6} {:>6} {:>6} |", r.total_bins, r.changed_bins, r.below_k));
         }
         println!("{row}");
+        first.get_or_insert(protected);
     }
     println!();
     println!("cell format: total bins / bins with changed size / bins with size < k");
     println!("paper shape: many bins change size, essentially none drop below k.");
 
     // Analytic §6 probabilities (Lemmas 1 and 2) for the k = 10 run.
-    let (_pipeline, release) = protect_per_attribute(dataset, 10, 100);
+    let release = &first.expect("FIG14 lists the k = 10 release").1;
     println!("\nLemma 1/2 (k=10): per column, probability that one bit-embedding shrinks");
     println!("(Pr-) or grows (Pr+) a particular bin — equal by the seamlessness argument:");
     for a in analytic_interference(&release.binning.columns, &dataset.trees) {
@@ -283,13 +354,15 @@ fn fig14(dataset: &MedicalDataset) {
 /// §5.2 ablation — the generalization attack against the single-level
 /// scheme (the paper's argument for why a hierarchical scheme is needed)
 /// and against the hierarchical scheme itself.
-fn generalization_attack(dataset: &MedicalDataset) {
+fn generalization_attack(releases: &mut Releases<'_>) {
+    let dataset = releases.dataset;
     print_figure_header(
         "Section 5.2 ablation",
         "generalization attack vs single-level and hierarchical watermarking",
     );
 
-    let (pipeline, release) = protect_per_attribute(dataset, 10, 50);
+    let protected = releases.get(10, 50);
+    let (pipeline, release) = &*protected;
 
     // Single-level baseline with its own key, embedded into the same binned
     // table.

@@ -9,6 +9,15 @@
 //! statistics, CSV export) do per-distinct-value work once and per-row work
 //! on the plain code vector.
 //!
+//! The dictionary is shared copy-on-write: cloning a column (and so
+//! [`Table::snapshot`](crate::table::Table::snapshot)) copies only the codes,
+//! and the copy takes its own dictionary only when it interns a value the
+//! shared one lacks. A table derived from another (binned, watermarked,
+//! fingerprinted) therefore holds a column it never rewrites, such as the
+//! encrypted identifiers, once. The `Value → code` index is a cache: it is
+//! built on the first [`Column::intern`] and never copied, so a table that
+//! is only read never pays for it.
+//!
 //! In-place writes never shrink a dictionary: stale entries may linger after
 //! deletions or overwrites, so consumers that need the *live* distinct set
 //! must count codes present in the rows (see `relation::stats`), not
@@ -19,18 +28,27 @@ use crate::value::Value;
 use std::borrow::Cow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One table column: the distinct values interned once, plus one dense code
 /// per row.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 pub struct Column {
-    dict: Vec<Value>,
+    /// Shared with every clone until one of them interns a new value.
+    dict: Arc<Vec<Value>>,
     codes: Vec<u32>,
     /// `Value → code` for a prefix of `dict` (entries are distinct, so its
-    /// length is the prefix length). A column built by [`ColumnBuilder`]
-    /// starts unindexed; [`Column::intern`] catches the index up first, so a
-    /// table that is only read never pays for it.
+    /// length is the prefix length). A clone, a column built by
+    /// [`ColumnBuilder`] and one built by [`Column::map_distinct`] start
+    /// unindexed; [`Column::intern`] catches the index up first.
     index: HashMap<Value, u32>,
+}
+
+impl Clone for Column {
+    /// Shares the dictionary and copies the codes; the index is left behind.
+    fn clone(&self) -> Self {
+        Column { dict: Arc::clone(&self.dict), codes: self.codes.clone(), index: HashMap::new() }
+    }
 }
 
 impl Column {
@@ -76,24 +94,9 @@ impl Column {
             return code;
         }
         let code = code_of(self.dict.len());
-        self.dict.push(value.clone());
+        Arc::make_mut(&mut self.dict).push(value.clone());
         self.index.insert(value.clone(), code);
         code
-    }
-
-    /// Intern an owned `value` with one hash probe, into a column whose
-    /// index already covers its whole dictionary (one that only this method
-    /// has filled).
-    fn intern_owned(&mut self, value: Value) -> u32 {
-        debug_assert_eq!(self.index.len(), self.dict.len(), "the index covers the dictionary");
-        let code = code_of(self.dict.len());
-        match self.index.entry(value) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                self.dict.push(e.key().clone());
-                *e.insert(code)
-            }
-        }
     }
 
     /// Append a row holding `value`.
@@ -119,32 +122,35 @@ impl Column {
     /// occurrence. Dictionary entries no row references are never visited.
     ///
     /// The result is the column [`Column::push`] would build from the mapped
-    /// values, fresh dictionary included, so it carries no stale entries.
-    /// On failure returns the first failing row and the error `f` gave for
-    /// its value.
+    /// values, fresh dictionary included, so it carries no stale entries. It
+    /// starts unindexed, and no mapped value is cloned. On failure returns
+    /// the first failing row and the error `f` gave for its value.
     pub fn map_distinct<E>(
         &self,
         mut f: impl FnMut(&Value) -> Result<Value, E>,
     ) -> Result<Column, (usize, E)> {
-        let mut out = Column {
-            dict: Vec::with_capacity(self.dict.len()),
-            codes: Vec::with_capacity(self.len()),
-            index: HashMap::with_capacity(self.dict.len()),
-        };
+        let mut seen: HashMap<Value, u32> = HashMap::with_capacity(self.dict.len());
+        let mut codes = Vec::with_capacity(self.len());
         let mut memo: Vec<Option<u32>> = vec![None; self.dict.len()];
         for (row, &c) in self.codes.iter().enumerate() {
             let code = match memo[slot(c)] {
                 Some(code) => code,
                 None => {
                     let mapped = f(&self.dict[slot(c)]).map_err(|err| (row, err))?;
-                    let code = out.intern_owned(mapped);
+                    let next = code_of(seen.len());
+                    let code = *seen.entry(mapped).or_insert(next);
                     memo[slot(c)] = Some(code);
                     code
                 }
             };
-            out.codes.push(code);
+            codes.push(code);
         }
-        Ok(out)
+        // Move the distinct values into the dictionary in code order.
+        let mut dict = vec![Value::Null; seen.len()];
+        for (value, code) in seen {
+            dict[slot(code)] = value;
+        }
+        Ok(Column { dict: Arc::new(dict), codes, index: HashMap::new() })
     }
 
     /// Keep only the rows whose `keep` flag is true. `keep` must have one
@@ -165,7 +171,9 @@ impl Column {
 /// values, dictionary in first-occurrence order and codes included.
 #[derive(Debug, Default)]
 pub(crate) struct ColumnBuilder<'a> {
-    column: Column,
+    /// Wrapped in an [`Arc`] once, by [`ColumnBuilder::finish`].
+    dict: Vec<Value>,
+    codes: Vec<u32>,
     /// Trimmed field → code. Keys borrow from the input where they can.
     fields: HashMap<Cow<'a, str>, u32>,
     /// Non-text value → code. Text values are unique by their trimmed field,
@@ -175,14 +183,19 @@ pub(crate) struct ColumnBuilder<'a> {
 }
 
 impl<'a> ColumnBuilder<'a> {
-    /// Append a row holding `Value::parse(field)`.
+    /// Append a row holding `Value::parse(field)`, probing the field map
+    /// once.
     pub(crate) fn push(&mut self, field: Cow<'a, str>) {
-        let trimmed = field.trim();
-        let code = match self.fields.get(trimmed) {
-            Some(&code) => code,
-            None => {
-                let value = Value::parse(trimmed);
-                let dict = &mut self.column.dict;
+        let key = match field {
+            Cow::Borrowed(field) => Cow::Borrowed(field.trim()),
+            Cow::Owned(field) if field.trim().len() == field.len() => Cow::Owned(field),
+            Cow::Owned(field) => Cow::Owned(field.trim().to_owned()),
+        };
+        let code = match self.fields.entry(key) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let value = Value::parse(e.key());
+                let dict = &mut self.dict;
                 let code = match value {
                     Value::Text(_) => {
                         let code = code_of(dict.len());
@@ -195,20 +208,15 @@ impl<'a> ColumnBuilder<'a> {
                         code
                     }),
                 };
-                let key = match field {
-                    Cow::Borrowed(field) => Cow::Borrowed(field.trim()),
-                    Cow::Owned(field) => Cow::Owned(field.trim().to_owned()),
-                };
-                self.fields.insert(key, code);
-                code
+                *e.insert(code)
             }
         };
-        self.column.codes.push(code);
+        self.codes.push(code);
     }
 
     /// The finished column.
     pub(crate) fn finish(self) -> Column {
-        self.column
+        Column { dict: Arc::new(self.dict), codes: self.codes, index: HashMap::new() }
     }
 }
 

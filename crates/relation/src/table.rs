@@ -119,7 +119,7 @@ impl Table {
     /// rewritten through [`Column::map_distinct`]: `f(position, value)` is
     /// called once per distinct value each column's rows reference, where
     /// `position` indexes `columns`. The rewritten columns carry fresh
-    /// dictionaries.
+    /// dictionaries; the others share theirs with `self`.
     ///
     /// On failure returns the error of the first failing cell in row-major
     /// order (ties broken by position in `columns`).
@@ -178,8 +178,12 @@ impl Table {
         std::mem::replace(&mut self.len, kept) - kept
     }
 
-    /// A deep copy of the table (used to snapshot the pre-watermarking state
-    /// for interference measurements).
+    /// An independent copy of the table: the watermark's release copy, an
+    /// attack's working copy, the pre-watermarking state for interference
+    /// measurements. It shares every column dictionary with `self` and
+    /// copies only the per-row codes; either side takes its own dictionary
+    /// when it interns a value the shared one lacks, so a write to one side
+    /// never shows in the other.
     pub fn snapshot(&self) -> Table {
         self.clone()
     }

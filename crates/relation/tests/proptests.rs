@@ -165,6 +165,82 @@ proptest! {
         prop_assert_eq!(csv::to_csv(&rebuilt), csv::to_csv(&table));
     }
 
+    /// A snapshot shares its source's dictionaries, and writes to either
+    /// side never show in the other. After random interleaved `set_at`,
+    /// `insert`, `retain_rows` and `Column::intern` calls on both sides,
+    /// each side holds exactly its own expected dictionaries (the source's,
+    /// then the values that side interned, in order) and codes, and equals
+    /// a row-by-row rebuild of its own expected rows.
+    #[test]
+    fn snapshots_share_dictionaries_until_one_side_writes(
+        table in arb_table(),
+        ops in prop::collection::vec(
+            (any::<bool>(), 0u8..4, any::<u16>(), 0usize..3, arb_value()),
+            0..30,
+        ),
+    ) {
+        let mut sides = [table.snapshot(), table];
+        for c in 0..3 {
+            prop_assert_eq!(
+                sides[0].column(c).unwrap().dict().as_ptr(),
+                sides[1].column(c).unwrap().dict().as_ptr()
+            );
+        }
+        let mut models = [Model::of(&sides[0]), Model::of(&sides[1])];
+        for (side, op, pick, col, value) in ops {
+            let (table, model) = (&mut sides[usize::from(side)], &mut models[usize::from(side)]);
+            let rows = model.rows.len();
+            match op {
+                0 if rows > 0 => {
+                    table.set_at(pick as usize % rows, col, &value).unwrap();
+                    model.intern(col, &value);
+                    model.rows[pick as usize % rows][col] = value;
+                }
+                1 => {
+                    let mut row = match rows {
+                        0 => vec![Value::Null; 3],
+                        _ => model.rows[pick as usize % rows].clone(),
+                    };
+                    row[col] = value;
+                    table.insert(row.clone()).unwrap();
+                    for (c, v) in row.iter().enumerate() {
+                        model.intern(c, v);
+                    }
+                    model.rows.push(row);
+                }
+                2 if rows > 0 => {
+                    let mut keep = vec![true; rows];
+                    keep[pick as usize % rows] = false;
+                    table.retain_rows(&keep);
+                    model.rows.remove(pick as usize % rows);
+                }
+                _ => {
+                    let code = table.column_mut(col).unwrap().intern(&value);
+                    prop_assert_eq!(code, model.intern(col, &value));
+                }
+            }
+        }
+        for (table, model) in sides.iter().zip(&models) {
+            prop_assert_eq!(rows_of(table), model.rows.clone());
+            let mut rebuilt = Table::new(table.schema().clone());
+            for row in &model.rows {
+                rebuilt.insert(row.clone()).unwrap();
+            }
+            let fresh = table
+                .map_distinct::<RelationError>(&[0, 1, 2], |_, v| Ok(v.clone()))
+                .unwrap();
+            for c in 0..3 {
+                let column = table.column(c).unwrap();
+                prop_assert_eq!(column.dict(), model.dicts[c].as_slice());
+                let codes: Vec<u32> = model.rows.iter().map(|row| model.code(c, &row[c])).collect();
+                prop_assert_eq!(column.codes(), codes.as_slice());
+                let (f, r) = (fresh.column(c).unwrap(), rebuilt.column(c).unwrap());
+                prop_assert_eq!(f.dict(), r.dict());
+                prop_assert_eq!(f.codes(), r.codes());
+            }
+        }
+    }
+
     /// `map_distinct` equals a naive per-row map over `column_values`, calls
     /// `f` exactly once per live distinct value (never for dictionary entries
     /// left stale by deletions or overwrites), and publishes dictionaries
@@ -234,5 +310,34 @@ fn remap(v: &Value) -> Value {
         Value::Int(i) => Value::Int(i / 2),
         Value::Text(s) => Value::Int(s.len() as i64),
         other => other.clone(),
+    }
+}
+
+/// What a table should hold, kept without the columnar core: each column's
+/// dictionary as `Column::intern` grows it, and the rows.
+struct Model {
+    dicts: Vec<Vec<Value>>,
+    rows: Vec<Vec<Value>>,
+}
+
+impl Model {
+    fn of(table: &Table) -> Model {
+        Model {
+            dicts: table.columns().iter().map(|c| c.dict().to_vec()).collect(),
+            rows: rows_of(table),
+        }
+    }
+
+    /// The code of `value` in column `c`, appending it to the dictionary
+    /// when new.
+    fn intern(&mut self, c: usize, value: &Value) -> u32 {
+        if !self.dicts[c].contains(value) {
+            self.dicts[c].push(value.clone());
+        }
+        self.code(c, value)
+    }
+
+    fn code(&self, c: usize, value: &Value) -> u32 {
+        self.dicts[c].iter().position(|v| v == value).unwrap() as u32
     }
 }

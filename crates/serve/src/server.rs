@@ -915,6 +915,7 @@ impl IoCore {
                     "batched_detects",
                     Json::Int(shared.counters.batched_detects.load(Ordering::Relaxed) as i64),
                 ),
+                ("compactions_failed", Json::Int(shared.store.compactions_failed() as i64)),
             ],
             None,
         )

@@ -276,6 +276,14 @@ pub trait ReleaseStore: Send + Sync {
     /// True when the store survives a restart.
     fn is_durable(&self) -> bool;
 
+    /// Compactions that failed since the store was opened, automatic ones
+    /// and [`DurableStore::compact`] alike (observable via `ping`). A count
+    /// that keeps rising means the WAL is no longer retired and keeps
+    /// growing. Always 0 for a store that never compacts.
+    fn compactions_failed(&self) -> u64 {
+        0
+    }
+
     /// Test hook: panic **while holding the store's internal lock**, to
     /// exercise mutex-poison recovery end to end. Only reachable through
     /// the debug-gated `panic` wire command; never called in production.
@@ -507,6 +515,8 @@ pub struct DurableStore {
     snapshot_every: usize,
     /// Releases restored by recovery (observable via `ping`).
     recovered: usize,
+    /// Failed compactions (observable via `ping`).
+    compactions_failed: AtomicU64,
     /// Holds the OS advisory lock on the data directory for the store's
     /// whole lifetime; released automatically when the process dies (even
     /// by SIGKILL), so a crashed owner never wedges the next one.
@@ -623,6 +633,7 @@ impl DurableStore {
             sync_cv: Condvar::new(),
             snapshot_every,
             recovered,
+            compactions_failed: AtomicU64::new(0),
             _lock: lock,
         })
     }
@@ -709,10 +720,19 @@ impl DurableStore {
         Ok(applied)
     }
 
+    /// Compact under the WAL lock, and count the compaction if it fails.
+    fn snapshot_locked(&self, wal: &mut Wal) -> Result<(), StoreError> {
+        let compacted = self.write_snapshot_locked(wal);
+        if compacted.is_err() {
+            self.compactions_failed.fetch_add(1, Ordering::Relaxed);
+        }
+        compacted
+    }
+
     /// Compact under the WAL lock, so no record can be logged between
     /// taking the plan and the header rewrite. The six steps and their
     /// crash argument are in the module docs.
-    fn snapshot_locked(&self, wal: &mut Wal) -> Result<(), StoreError> {
+    fn write_snapshot_locked(&self, wal: &mut Wal) -> Result<(), StoreError> {
         wal.since_snapshot = 0;
         // The WAL lock keeps every entry as it is until this returns; the
         // index lock is taken only to copy the plan and, after the rename,
@@ -1033,6 +1053,10 @@ impl ReleaseStore for DurableStore {
 
     fn is_durable(&self) -> bool {
         true
+    }
+
+    fn compactions_failed(&self) -> u64 {
+        self.compactions_failed.load(Ordering::Relaxed)
     }
 
     fn poison_for_tests(&self) {
@@ -1964,7 +1988,9 @@ mod tests {
         // Compaction refuses to fold a damaged record and changes nothing.
         let wal = std::fs::read(dir.join(WAL_FILE)).unwrap();
         let snapshot = std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap();
+        assert_eq!(store.compactions_failed(), 0);
         assert!(matches!(store.compact(), Err(StoreError::Corrupt(_))));
+        assert_eq!(store.compactions_failed(), 1, "the refused compaction is counted");
         assert_eq!(std::fs::read(dir.join(WAL_FILE)).unwrap(), wal);
         assert_eq!(std::fs::read(dir.join(SNAPSHOT_FILE)).unwrap(), snapshot);
         // The store did not fail-stop: it still appends, syncs and serves.

@@ -786,6 +786,7 @@ fn durable_server_restart_serves_byte_identical_replies_and_fresh_ids() {
     let pong = client.ping().unwrap();
     assert_eq!(pong.bool_field("durable"), Some(true), "{}", pong.json);
     assert_eq!(pong.u64_field("releases"), Some(3), "{}", pong.json);
+    assert_eq!(pong.u64_field("compactions_failed"), Some(0), "{}", pong.json);
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
