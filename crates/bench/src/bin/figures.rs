@@ -17,13 +17,12 @@ use medshield_attacks::{
 };
 use medshield_bench::{
     experiment_dataset, info_loss_of, print_figure_header, protect_per_attribute,
-    root_usage_metrics,
 };
 use medshield_binning::{BinningAgent, BinningConfig, MinimalNodeStrategy};
 use medshield_core::metrics::mark_loss;
 use medshield_core::watermark::{Mark, SingleLevelWatermarker, WatermarkConfig, WatermarkKey};
 use medshield_core::{analytic_interference, measure_interference};
-use medshield_core::{ProtectedRelease, ProtectionEngine};
+use medshield_core::{ProtectedRelease, ProtectionConfig, ProtectionEngine};
 use medshield_datagen::MedicalDataset;
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -130,7 +129,9 @@ fn main() {
 /// binning, plus the minimal-node-strategy ablation mentioned in §4.2/§7.1.
 fn fig11(releases: &mut Releases<'_>) {
     let dataset = releases.dataset;
-    let maximal = root_usage_metrics(dataset);
+    // The usage metrics every protect bins under: the tree roots (§7).
+    let maximal =
+        ProtectionEngine::sequential(ProtectionConfig::default()).default_maximal(&dataset.trees);
     print_figure_header(
         "Figure 11",
         "k vs. information loss for mono-attribute and multi-attribute binning",

@@ -26,7 +26,7 @@
 //!
 //! let ds = MedicalDataset::generate(&DatasetConfig::small(50));
 //! // "Directly given" usage metrics: one maximal node (the root) per tree.
-//! let metrics = medshield_bench::root_usage_metrics(&ds);
+//! let metrics = medshield_bench::experiment_pipeline(10, 50).default_maximal(&ds.trees);
 //! assert_eq!(metrics.len(), 5);
 //! assert!(metrics.values().all(|g| g.len() == 1));
 //! ```
@@ -38,7 +38,6 @@ use medshield_core::dht::GeneralizationSet;
 use medshield_core::metrics::{table_info_loss, ColumnGeneralization};
 use medshield_core::{ProtectedRelease, ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
-use std::collections::BTreeMap;
 
 /// Number of tuples used by the experiments: `MEDSHIELD_TUPLES` or the
 /// paper's 20,000.
@@ -57,17 +56,6 @@ pub fn experiment_dataset() -> MedicalDataset {
         seed: EXPERIMENT_SEED,
         zipf_exponent: 0.8,
     })
-}
-
-/// Usage metrics used throughout the experiments: the maximal generalization
-/// nodes are "directly given" (§7) as the tree roots, leaving the full tree
-/// height available to binning and the watermark bandwidth channel.
-pub fn root_usage_metrics(dataset: &MedicalDataset) -> BTreeMap<String, GeneralizationSet> {
-    dataset
-        .trees
-        .iter()
-        .map(|(name, tree)| (name.clone(), GeneralizationSet::at_depth(tree, 0)))
-        .collect()
 }
 
 /// Build the standard sequential engine used by the watermarking experiments.
@@ -238,10 +226,10 @@ mod tests {
     #[test]
     fn root_usage_metrics_cover_every_quasi_column() {
         let ds = MedicalDataset::generate(&DatasetConfig::small(50));
-        let m = root_usage_metrics(&ds);
+        let m = experiment_pipeline(10, 50).default_maximal(&ds.trees);
         assert_eq!(m.len(), 5);
-        for g in m.values() {
-            assert_eq!(g.len(), 1);
+        for (name, g) in &m {
+            assert_eq!(g, &GeneralizationSet::root_only(&ds.trees[name]));
         }
     }
 

@@ -13,7 +13,7 @@
 //!    nodes* per domain hierarchy tree, the highest nodes any value may be
 //!    generalized to without exceeding the allowed loss. The paper's own
 //!    experiments skip this translation and state the maximal nodes directly;
-//!    [`maximal::maximal_nodes_at_depth`] supports that too.
+//!    `GeneralizationSet::at_depth` states them as a depth cap.
 //! 2. [`mono`] — **mono-attribute binning** (`GenMinNd`, Fig. 5): bin each
 //!    attribute individually, *downward* from the maximal generalization
 //!    nodes, stopping at the lowest nodes that still satisfy k-anonymity —

@@ -9,7 +9,7 @@
 //! generalized to without violating the bounds. Binning then simply never
 //! climbs above those nodes.
 //!
-//! Two entry points are provided:
+//! The maximal nodes come from one of two places:
 //!
 //! * [`maximal_nodes_for_bound`] — derive the maximal nodes from an
 //!   information-loss bound, top-down: a node becomes maximal if generalizing
@@ -17,10 +17,10 @@
 //!   column bound; otherwise its children are examined. This is the
 //!   per-subtree reading of "each being the highest node … under the usage
 //!   metrics".
-//! * [`maximal_nodes_at_depth`] — state the maximal nodes directly as "no
-//!   value may be generalized above depth d", the simplification the paper's
-//!   own experiments use ("a set of maximal generalization nodes is directly
-//!   given to each column as usage metrics", §7).
+//! * [`GeneralizationSet::at_depth`] — state the maximal nodes directly as
+//!   "no value may be generalized above depth d", the simplification the
+//!   paper's own experiments use ("a set of maximal generalization nodes is
+//!   directly given to each column as usage metrics", §7).
 
 use crate::error::BinningError;
 use medshield_dht::{DomainHierarchyTree, GeneralizationSet, NodeId};
@@ -75,13 +75,6 @@ fn subtree_loss_within_bound(
     let loss =
         column_info_loss(table, &ColumnGeneralization { column, tree, generalization: &probe })?;
     Ok(loss <= bound + 1e-9)
-}
-
-/// Maximal generalization nodes stated directly as a depth cap: values may be
-/// generalized at most up to the nodes at `depth` (leaves shallower than
-/// `depth` stay themselves).
-pub fn maximal_nodes_at_depth(tree: &DomainHierarchyTree, depth: usize) -> GeneralizationSet {
-    GeneralizationSet::at_depth(tree, depth)
 }
 
 #[cfg(test)]
@@ -181,11 +174,11 @@ mod tests {
     #[test]
     fn depth_based_metrics() {
         let tree = role_tree();
-        let g0 = maximal_nodes_at_depth(&tree, 0);
+        let g0 = GeneralizationSet::at_depth(&tree, 0);
         assert_eq!(g0, GeneralizationSet::root_only(&tree));
-        let g1 = maximal_nodes_at_depth(&tree, 1);
+        let g1 = GeneralizationSet::at_depth(&tree, 1);
         assert_eq!(g1.len(), 2);
-        let g9 = maximal_nodes_at_depth(&tree, 9);
+        let g9 = GeneralizationSet::at_depth(&tree, 9);
         assert_eq!(g9, GeneralizationSet::all_leaves(&tree));
     }
 

@@ -7,7 +7,7 @@ use medshield_attacks::{
 };
 use medshield_core::dht::DomainHierarchyTree;
 use medshield_core::metrics::mark_loss;
-use medshield_core::watermark::{score_recipients, FingerprintDeriver};
+use medshield_core::watermark::{derive_recipient_mark, score_recipients};
 use medshield_core::{ProtectedRelease, ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{ontology, DatasetConfig, MedicalDataset};
 use medshield_relation::{csv, Table};
@@ -171,8 +171,7 @@ pub fn protect_for(options: &Options) -> Result<(), String> {
     let engine = engine_from(options)?;
     let release = protect_table(&engine, options, &table, &trees, "protection failed")?;
     let fingerprint =
-        FingerprintDeriver::new(&engine.config().watermark.key, engine.config().mark_len)
-            .derive(recipient);
+        derive_recipient_mark(&engine.config().watermark.key, recipient, engine.config().mark_len);
     let (copy, report) = engine
         .embed(&release.table, &release.binning.columns, &trees, &fingerprint)
         .map_err(|e| format!("fingerprint embedding failed: {e}"))?;
@@ -211,9 +210,9 @@ pub fn resolve_leaker(options: &Options) -> Result<(), String> {
     let detection = engine
         .detect(&suspect, &release.binning.columns, &trees)
         .map_err(|e| format!("detection failed: {e}"))?;
-    let deriver = FingerprintDeriver::new(&engine.config().watermark.key, engine.config().mark_len);
+    let (key, mark_len) = (&engine.config().watermark.key, engine.config().mark_len);
     let marks: Vec<(String, medshield_core::watermark::Mark)> =
-        names.iter().map(|n| (n.to_string(), deriver.derive(n))).collect();
+        names.iter().map(|n| (n.to_string(), derive_recipient_mark(key, n, mark_len))).collect();
     let ranking = score_recipients(&detection.mark, marks.iter().map(|(n, m)| (n.as_str(), m)));
     println!(
         "extracted {} mark bits from {} tuples ({} selected)",

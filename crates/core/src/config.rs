@@ -147,8 +147,7 @@ impl ProtectionConfigBuilder {
             ..BinningConfig::default()
         };
         let key = WatermarkKey::from_master(&self.master_secret, self.eta);
-        let watermark =
-            WatermarkConfig { duplication: self.duplication, ..WatermarkConfig::new(key) };
+        let watermark = WatermarkConfig { key, duplication: self.duplication };
         ProtectionConfig {
             binning,
             watermark,

@@ -690,6 +690,37 @@ fn protect_for_list_recipients_and_resolve_leaker_trace_the_leak() {
     handle.shutdown();
 }
 
+/// A suspect whose identifying column was cut has no tuple identity: served
+/// `detect` and `resolve-leaker` answer code `engine`, never a zero-vote
+/// "no mark" reply, and another release keeps serving.
+#[test]
+fn a_suspect_without_its_identifying_column_answers_engine() {
+    let handle = serve(serve_config(), "127.0.0.1:0").unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let first = client.protect(&csv::to_csv(&dataset(500).table)).unwrap();
+    let second = client.protect(&csv::to_csv(&dataset(300).table)).unwrap();
+    assert!(first.is_ok() && second.is_ok(), "{} {}", first.json, second.json);
+    let release_id = first.release_id().unwrap();
+    let release_csv = first.body.clone().unwrap();
+    let copy = client.protect_for_release(&release_id, "clinic-a", &release_csv).unwrap();
+    assert!(copy.is_ok(), "{}", copy.json);
+
+    let cut = drop_column(&release_csv, "ssn");
+    for reply in [
+        client.detect(&release_id, &cut).unwrap(),
+        client.resolve_leaker(&release_id, &cut).unwrap(),
+    ] {
+        assert_eq!(reply.code().as_deref(), Some("engine"), "{}", reply.json);
+        assert!(reply.message().unwrap().contains("no identifying columns"), "{}", reply.json);
+    }
+
+    let (second_id, second_csv) = (second.release_id().unwrap(), second.body.unwrap());
+    let other = client.detect(&second_id, &second_csv).unwrap();
+    assert_eq!(other.f64_field("mark_loss"), Some(0.0), "{}", other.json);
+    assert!(client.ping().unwrap().is_ok());
+    handle.shutdown();
+}
+
 #[test]
 fn one_shot_protect_for_creates_the_release_and_registers_the_recipient() {
     let handle = serve(serve_config(), "127.0.0.1:0").unwrap();

@@ -9,9 +9,6 @@ use medshield_relation::RelationError;
 pub enum WatermarkError {
     /// A column to be watermarked has no domain hierarchy tree configured.
     MissingTree(String),
-    /// A column to be watermarked has no binning state (maximal/ultimate
-    /// generalization nodes).
-    MissingBinning(String),
     /// Underlying relational error.
     Relation(RelationError),
     /// Underlying DHT error.
@@ -20,14 +17,10 @@ pub enum WatermarkError {
     EmptyMark,
     /// η must be at least 1.
     InvalidEta,
-    /// The table exposes no identifying column and no virtual key columns
-    /// were configured.
+    /// The table exposes no identifying column, so no tuple identity can key
+    /// the selection of Eq. (5).
     NoIdentity,
-    /// A virtual-key column list names the same column twice; the duplicate
-    /// would silently weaken the tuple identity, so it is rejected.
-    DuplicateIdentityColumn(String),
-    /// A detection vote violated the voting contract (length mismatch,
-    /// out-of-range position, unusable weight).
+    /// A detection vote targeted a position outside the extended mark.
     Voting(VotingError),
     /// An embedding or detection plan was prepared against a table whose
     /// schema is not the one the plan was built for.
@@ -38,17 +31,11 @@ impl std::fmt::Display for WatermarkError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WatermarkError::MissingTree(c) => write!(f, "no domain hierarchy tree for column {c}"),
-            WatermarkError::MissingBinning(c) => write!(f, "no binning state for column {c}"),
             WatermarkError::Relation(e) => write!(f, "relation error: {e}"),
             WatermarkError::Dht(e) => write!(f, "dht error: {e}"),
             WatermarkError::EmptyMark => write!(f, "the mark must contain at least one bit"),
             WatermarkError::InvalidEta => write!(f, "eta must be at least 1"),
-            WatermarkError::NoIdentity => {
-                write!(f, "no identifying columns available and no virtual key configured")
-            }
-            WatermarkError::DuplicateIdentityColumn(c) => {
-                write!(f, "virtual key names column {c} more than once")
-            }
+            WatermarkError::NoIdentity => write!(f, "no identifying columns available"),
             WatermarkError::Voting(e) => write!(f, "voting contract violated: {e}"),
             WatermarkError::PlanSchemaMismatch => {
                 write!(f, "the plan was built for a table of another schema")

@@ -24,7 +24,6 @@
 //! embedder to keep columnar.
 
 use crate::key::{Mark, WatermarkKey};
-use medshield_crypto::KeyedPrf;
 
 /// The derivation label prefix for per-recipient fingerprints. Domain
 /// separation from the permutation/bit-index labels used by the embedding
@@ -32,57 +31,31 @@ use medshield_crypto::KeyedPrf;
 /// correlating with the embedding positions.
 const FINGERPRINT_LABEL: &str = "fingerprint";
 
-/// Derives per-recipient fingerprint marks from one owner key.
-///
-/// The deriver caches the midstate-expanded HMAC of `k2` once, so deriving a
-/// fleet of recipient marks (the `protect-for` batch path) costs two midstate
-/// clones per digest rather than a key schedule per recipient.
-#[derive(Debug, Clone)]
-pub struct FingerprintDeriver {
-    prf: KeyedPrf,
-    mark_len: usize,
-}
-
-impl FingerprintDeriver {
-    /// A deriver for `mark_len`-bit fingerprints under `key`.
-    pub fn new(key: &WatermarkKey, mark_len: usize) -> Self {
-        FingerprintDeriver { prf: key.permutation_prf(), mark_len }
-    }
-
-    /// The configured fingerprint length in bits.
-    pub fn mark_len(&self) -> usize {
-        self.mark_len
-    }
-
-    /// Derive the fingerprint mark for `recipient`. Deterministic in
-    /// (key, recipient, mark_len); distinct recipients get independent bits
-    /// because the recipient id is the PRF data under a dedicated label.
-    pub fn derive(&self, recipient: &str) -> Mark {
-        let mut bits = Vec::with_capacity(self.mark_len);
-        let mut counter = 0u32;
-        while bits.len() < self.mark_len {
-            let mut data = recipient.as_bytes().to_vec();
-            data.extend_from_slice(&counter.to_be_bytes());
-            let digest = self.prf.labeled_digest(FINGERPRINT_LABEL, &data);
-            'bytes: for byte in digest {
-                for i in (0..8).rev() {
-                    if bits.len() == self.mark_len {
-                        break 'bytes;
-                    }
-                    bits.push((byte >> i) & 1 == 1);
-                }
-            }
-            counter += 1;
-        }
-        Mark::from_bits(bits)
-    }
-}
-
-/// Derive a single recipient's fingerprint mark. Convenience wrapper over
-/// [`FingerprintDeriver`] for one-off derivations (e.g. re-deriving the
-/// fingerprint at dispute time).
+/// Derive `recipient`'s `mark_len`-bit fingerprint mark under `key`: the
+/// bits of `k2`'s labeled digests of the recipient id and a block counter.
+/// Deterministic in (key, recipient, mark_len); distinct recipients get
+/// independent bits because the recipient id is the PRF data under a
+/// dedicated label. The owner re-derives every fingerprint from the key
+/// alone, at issue time and at tracing time.
 pub fn derive_recipient_mark(key: &WatermarkKey, recipient: &str, mark_len: usize) -> Mark {
-    FingerprintDeriver::new(key, mark_len).derive(recipient)
+    let prf = key.permutation_prf();
+    let mut bits = Vec::with_capacity(mark_len);
+    let mut counter = 0u32;
+    while bits.len() < mark_len {
+        let mut data = recipient.as_bytes().to_vec();
+        data.extend_from_slice(&counter.to_be_bytes());
+        let digest = prf.labeled_digest(FINGERPRINT_LABEL, &data);
+        'bytes: for byte in digest {
+            for i in (0..8).rev() {
+                if bits.len() == mark_len {
+                    break 'bytes;
+                }
+                bits.push((byte >> i) & 1 == 1);
+            }
+        }
+        counter += 1;
+    }
+    Mark::from_bits(bits)
 }
 
 /// The agreement between one recipient's fingerprint and the bits recovered
@@ -148,16 +121,13 @@ mod tests {
             let m = derive_recipient_mark(&key(), "clinic-a", len);
             assert_eq!(m.len(), len);
             assert_eq!(m, derive_recipient_mark(&key(), "clinic-a", len));
-            assert_eq!(m, FingerprintDeriver::new(&key(), len).derive("clinic-a"));
         }
     }
 
     #[test]
     fn distinct_recipients_get_distinct_marks() {
-        let deriver = FingerprintDeriver::new(&key(), 20);
-        assert_eq!(deriver.mark_len(), 20);
-        let a = deriver.derive("clinic-a");
-        let b = deriver.derive("clinic-b");
+        let a = derive_recipient_mark(&key(), "clinic-a", 20);
+        let b = derive_recipient_mark(&key(), "clinic-b", 20);
         assert_ne!(a, b);
         // Different owner keys decouple the fingerprints entirely.
         let other = WatermarkKey::from_master(b"other-owner", 10);
@@ -176,10 +146,9 @@ mod tests {
 
     #[test]
     fn scoring_ranks_the_exact_match_first() {
-        let deriver = FingerprintDeriver::new(&key(), 20);
         let marks: Vec<(String, Mark)> = ["clinic-a", "clinic-b", "clinic-c"]
             .iter()
-            .map(|n| (n.to_string(), deriver.derive(n)))
+            .map(|n| (n.to_string(), derive_recipient_mark(&key(), n, 20)))
             .collect();
         let leaked = marks[1].1.bits().to_vec();
         let ranking = score_recipients(&leaked, marks.iter().map(|(n, m)| (n.as_str(), m)));
@@ -195,10 +164,9 @@ mod tests {
     fn scoring_survives_bit_flips() {
         // Flip 3 of 20 bits (a 15% alteration): the true recipient must still
         // outrank the others.
-        let deriver = FingerprintDeriver::new(&key(), 20);
         let names = ["clinic-a", "clinic-b", "clinic-c", "clinic-d"];
         let marks: Vec<(String, Mark)> =
-            names.iter().map(|n| (n.to_string(), deriver.derive(n))).collect();
+            names.iter().map(|n| (n.to_string(), derive_recipient_mark(&key(), n, 20))).collect();
         let mut leaked = marks[2].1.bits().to_vec();
         for pos in [1usize, 7, 13] {
             leaked[pos] = !leaked[pos];

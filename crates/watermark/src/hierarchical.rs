@@ -13,10 +13,10 @@
 //! **Detection**: for every selected tuple and column, locate the value's
 //! node, and walk up towards its maximal generalization node, reading the
 //! parity of the node's index within its sibling set at each level. The
-//! copies from the levels are combined by (optionally level-weighted)
-//! majority voting into one vote for the tuple's bit position; the votes per
-//! position are majority-combined into the extended mark `wmd`; the
-//! replicated copies inside `wmd` are folded by majority into the final mark.
+//! copies from the levels are combined by majority voting into one vote for
+//! the tuple's bit position; the votes per position are majority-combined
+//! into the extended mark `wmd`; the replicated copies inside `wmd` are
+//! folded by majority into the final mark.
 
 use crate::error::WatermarkError;
 use crate::kernel::{hierarchical_cell_vote, DetectKernel, EmbedKernel, EmbedStyle};
@@ -93,12 +93,11 @@ impl DetectionReport {
     }
 }
 
-/// The mergeable intermediate of a detection run: per-position vote totals
+/// The mergeable intermediate of a detection run: per-position vote counts
 /// plus the selected-tuple count of the rows scanned so far. One tally per
 /// row chunk, merged in any order, resolves to exactly the sequential
-/// [`DetectionReport`] (vote weights are small integral counts, so the
-/// floating-point sums are exact).
-#[derive(Debug, Clone, PartialEq)]
+/// [`DetectionReport`] (every count is an integer).
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DetectionTally {
     votes: VoteAccumulator,
     selected_tuples: usize,
@@ -121,11 +120,11 @@ impl DetectionTally {
         self.selected_tuples += 1;
     }
 
-    /// Record a vote of weight `weight` for extended-mark position `pos`.
-    /// Out-of-range positions and unusable weights are contract violations
-    /// (see [`VoteAccumulator::vote`]), not silently dropped votes.
-    pub fn vote(&mut self, pos: usize, bit: bool, weight: f64) -> Result<(), WatermarkError> {
-        self.votes.vote(pos, bit, weight).map_err(WatermarkError::from)
+    /// Record one vote for extended-mark position `pos`. An out-of-range
+    /// position is a contract violation (see [`VoteAccumulator::vote`]), not
+    /// a silently dropped vote.
+    pub fn vote(&mut self, pos: usize, bit: bool) -> Result<(), WatermarkError> {
+        self.votes.vote(pos, bit).map_err(WatermarkError::from)
     }
 
     /// Number of tuples selected by Eq. (5) in the scanned rows.
@@ -222,12 +221,11 @@ impl HierarchicalWatermarker {
         Ok((table, report))
     }
 
-    /// Precompute the run-wide detection state for `schema`. Columns the
-    /// (attacked) table no longer carries are tolerated: missing target
-    /// columns are skipped, and missing virtual-key columns yield a plan
-    /// whose runs collect zero votes — detection degrades to "no watermark
-    /// found" rather than failing. The plan is immutable and can be shared
-    /// by workers scanning disjoint row chunks.
+    /// Precompute the run-wide detection state for `schema`. Target columns
+    /// the (attacked) table no longer carries are skipped; a table without
+    /// an identifying column fails with [`WatermarkError::NoIdentity`],
+    /// since no tuple of it could be selected. The plan is immutable and can
+    /// be shared by workers scanning disjoint row chunks.
     pub fn plan_detect<'a>(
         &self,
         schema: &medshield_relation::Schema,
@@ -249,10 +247,7 @@ impl HierarchicalWatermarker {
         plan: &DetectPlan<'_>,
         table: &Table,
     ) -> Result<DetectKernel, WatermarkError> {
-        let weighted = self.config.weighted_voting;
-        DetectKernel::prepare(plan, table, move |pc, value| {
-            hierarchical_cell_vote(pc, value, weighted)
-        })
+        DetectKernel::prepare(plan, table, hierarchical_cell_vote)
     }
 
     /// `Detection(tbl, tr, maxgends, ultigends, k1, k2, η)`: recover the mark
@@ -417,55 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn restricting_columns_limits_the_changes() {
-        let (ds, binned) = binned_dataset(800, 4);
-        // Restrict embedding to the column that kept the most granularity
-        // after binning (the one with actual bandwidth).
-        let target = binned
-            .columns
-            .iter()
-            .max_by_key(|cb| cb.ultimate.len())
-            .map(|cb| cb.column.clone())
-            .unwrap();
-        let key = WatermarkKey::from_master(b"owner", 4);
-        let mut config = WatermarkConfig::new(key);
-        config.duplication = 2;
-        config.columns = Some(vec![target.clone()]);
-        let wm = HierarchicalWatermarker::new(config);
-        let mark = Mark::from_bytes(b"m", 20);
-        let (marked, report) = wm.embed(&binned, &ds.trees, &mark).unwrap();
-        assert!(report.embedded_cells > 0, "the granular column must carry bits");
-        // Only the chosen column may differ from the binned table.
-        assert_eq!(binned.table.len(), marked.len());
-        for col in binned.table.schema().columns() {
-            if col.name != target {
-                assert_eq!(
-                    binned.table.column_values(&col.name).unwrap(),
-                    marked.column_values(&col.name).unwrap(),
-                    "column {} changed",
-                    col.name
-                );
-            }
-        }
-        // And detection restricted to that column still works.
-        let detected = wm.detect(&marked, &binned.columns, &ds.trees, mark.len()).unwrap();
-        assert_eq!(detected.mark, mark.bits());
-    }
-
-    #[test]
-    fn weighted_voting_also_roundtrips() {
-        let (ds, binned) = binned_dataset(1000, 4);
-        let key = WatermarkKey::from_master(b"owner", 10);
-        let mut config = WatermarkConfig::new(key);
-        config.weighted_voting = true;
-        let wm = HierarchicalWatermarker::new(config);
-        let mark = Mark::from_bytes(b"weighted", 20);
-        let (marked, _) = wm.embed(&binned, &ds.trees, &mark).unwrap();
-        let detected = wm.detect(&marked, &binned.columns, &ds.trees, mark.len()).unwrap();
-        assert_eq!(detected.mark, mark.bits());
-    }
-
-    #[test]
     fn empty_mark_and_zero_eta_are_rejected() {
         let (ds, binned) = binned_dataset(100, 2);
         let (wm, _) = watermarker(10);
@@ -483,47 +429,6 @@ mod tests {
             bad.embed(&binned, &ds.trees, &Mark::from_bytes(b"m", 8)),
             Err(WatermarkError::InvalidEta)
         ));
-    }
-
-    /// An attacker who deletes the virtual-key columns destroys the tuple
-    /// identities; detection must degrade to a zero-vote "no watermark
-    /// found" report, not fail with a schema error.
-    #[test]
-    fn detection_survives_deleted_virtual_key_column() {
-        use medshield_relation::{Schema, Table};
-
-        let (ds, binned) = binned_dataset(400, 4);
-        let key = WatermarkKey::from_master(b"owner", 5);
-        let mut config = WatermarkConfig::new(key);
-        config.duplication = 2;
-        config.virtual_key_columns = vec!["age".into()];
-        let wm = HierarchicalWatermarker::new(config);
-        let mark = Mark::from_bytes(b"vk", 16);
-        let (marked, _) = wm.embed(&binned, &ds.trees, &mark).unwrap();
-
-        // The attacker drops the `age` column entirely.
-        let keep: Vec<usize> = marked
-            .schema()
-            .columns()
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.name != "age")
-            .map(|(i, _)| i)
-            .collect();
-        let schema =
-            Schema::new(keep.iter().map(|&i| marked.schema().columns()[i].clone()).collect())
-                .unwrap();
-        let mut suspect = Table::new(schema);
-        for row in 0..marked.len() {
-            suspect
-                .insert(keep.iter().map(|&i| marked.value_at(row, i).unwrap().clone()).collect())
-                .unwrap();
-        }
-
-        let report = wm.detect(&suspect, &binned.columns, &ds.trees, mark.len()).unwrap();
-        assert_eq!(report.selected_tuples, 0);
-        assert_eq!(report.covered_positions, 0);
-        assert!(report.mark.iter().all(|&b| !b), "no votes must mean an all-false mark");
     }
 
     #[test]

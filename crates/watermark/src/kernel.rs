@@ -38,15 +38,15 @@
 use crate::error::WatermarkError;
 use crate::hierarchical::{climb_and_read, DetectionTally, EmbeddingReport};
 use crate::plan::{DetectPlan, EmbedPlan, PlanColumn};
-use crate::select::{set_parity, ResolvedIdentity, Selector};
-use crate::voting::{level_weights, majority, weighted_majority};
+use crate::select::{set_parity, Selector};
+use crate::voting::majority;
 use medshield_crypto::KeyedPrf;
 use medshield_dht::{DomainHierarchyTree, GeneralizationSet, NodeId};
 use medshield_relation::{Column, Table, Value};
 use std::collections::HashMap;
 use std::ops::Range;
 
-/// Length-prefix one identity field the way `ResolvedIdentity::bytes` does.
+/// Length-prefix one identity field (see `select::identity_columns`).
 fn frame_value_into(value: &Value, out: &mut Vec<u8>) {
     let at = out.len();
     out.extend_from_slice(&[0u8; 8]);
@@ -67,8 +67,8 @@ struct IdentField {
     offsets: Vec<usize>,
 }
 
-/// The per-run identity encoder: emits exactly the bytes of
-/// [`ResolvedIdentity::bytes`] for any row, without materializing a tuple.
+/// The per-run identity encoder: emits a row's identity bytes (see
+/// `select::identity_columns`) without materializing a tuple.
 #[derive(Debug, Clone)]
 struct IdentCodec {
     fields: Vec<IdentField>,
@@ -78,9 +78,8 @@ impl IdentCodec {
     /// Precompute the framed encodings against the table's current
     /// dictionaries. Must be built *after* any dictionary growth of the run
     /// (embedding interns its write targets first).
-    fn build(identity: &ResolvedIdentity, table: &Table) -> Self {
+    fn build(identity: &[usize], table: &Table) -> Self {
         let fields = identity
-            .indices()
             .iter()
             .map(|&col| {
                 let dict = table.columns()[col].dict();
@@ -266,7 +265,7 @@ pub struct EmbedChunk {
 pub struct EmbedKernel {
     style: EmbedStyle,
     columns: Vec<EmbedColumn>,
-    ident: Option<IdentCodec>,
+    ident: IdentCodec,
 }
 
 impl EmbedKernel {
@@ -285,7 +284,7 @@ impl EmbedKernel {
         for pc in &plan.core.columns {
             columns.push(EmbedColumn::prepare(pc, table, style)?);
         }
-        let ident = plan.core.identity.as_ref().map(|id| IdentCodec::build(id, table));
+        let ident = IdentCodec::build(&plan.core.identity, table);
         Ok(EmbedKernel { style, columns, ident })
     }
 
@@ -302,11 +301,6 @@ impl EmbedKernel {
     ) -> Result<EmbedChunk, WatermarkError> {
         let mut report = EmbeddingReport::empty(plan.wmd_len());
         let mut edits: Vec<Vec<Edit>> = vec![Vec::new(); self.columns.len()];
-        let Some(ident) = &self.ident else {
-            // No identity: nothing can be selected (embed plans always carry
-            // one; this mirrors the old guard against misused detect plans).
-            return Ok(EmbedChunk { report, edits });
-        };
         let columns = table.columns();
         let prf = plan.core.selector.permutation_prf();
         let wmd_len = plan.wmd.len() as u64;
@@ -315,7 +309,7 @@ impl EmbedKernel {
         let mut wides = Vec::new();
         for start in range.clone().step_by(BLOCK_ROWS) {
             block.load(
-                ident,
+                &self.ident,
                 columns,
                 start..range.end.min(start + BLOCK_ROWS),
                 &plan.core.selector,
@@ -615,7 +609,7 @@ struct DetectColumn {
 #[derive(Debug, Clone)]
 pub struct DetectKernel {
     columns: Vec<DetectColumn>,
-    ident: Option<IdentCodec>,
+    ident: IdentCodec,
 }
 
 impl DetectKernel {
@@ -640,7 +634,7 @@ impl DetectKernel {
             }
             columns.push(DetectColumn { votes, bit_prefix });
         }
-        let ident = plan.core.identity.as_ref().map(|id| IdentCodec::build(id, table));
+        let ident = IdentCodec::build(&plan.core.identity, table);
         Ok(DetectKernel { columns, ident })
     }
 
@@ -654,11 +648,6 @@ impl DetectKernel {
         range: Range<usize>,
     ) -> Result<DetectionTally, WatermarkError> {
         let mut tally = DetectionTally::new(plan.wmd_len());
-        let Some(ident) = &self.ident else {
-            // The suspect table lost the virtual-key columns: no tuple can be
-            // re-identified, so the run legitimately collects zero votes.
-            return Ok(tally);
-        };
         let columns = table.columns();
         let prf = plan.core.selector.permutation_prf();
         let wmd_len = plan.wmd_len() as u64;
@@ -669,7 +658,7 @@ impl DetectKernel {
         let mut wides = Vec::new();
         for start in range.clone().step_by(BLOCK_ROWS) {
             block.load(
-                ident,
+                &self.ident,
                 columns,
                 start..range.end.min(start + BLOCK_ROWS),
                 &plan.core.selector,
@@ -696,7 +685,7 @@ impl DetectKernel {
                 &mut wides,
             );
             for (&(_, _, bit), &wide) in jobs.iter().zip(&wides) {
-                tally.vote(KeyedPrf::reduce_wide(wide, wmd_len) as usize, bit, 1.0)?;
+                tally.vote(KeyedPrf::reduce_wide(wide, wmd_len) as usize, bit)?;
             }
         }
         Ok(tally)
@@ -705,11 +694,10 @@ impl DetectKernel {
 
 /// The hierarchical scheme's per-value detection vote: climb from the
 /// value's node to its maximal generalization node and fold the per-level
-/// parities by (optionally weighted) majority.
+/// parities by majority.
 pub(crate) fn hierarchical_cell_vote(
     pc: &PlanColumn<'_>,
     value: &Value,
-    weighted: bool,
 ) -> Result<Option<bool>, WatermarkError> {
     if value.is_null() {
         return Ok(None);
@@ -722,12 +710,7 @@ pub(crate) fn hierarchical_cell_vote(
     if level_bits.is_empty() {
         return Ok(None);
     }
-    let bit = if weighted {
-        weighted_majority(&level_bits, &level_weights(level_bits.len()))?
-    } else {
-        majority(&level_bits)
-    };
-    Ok(Some(bit))
+    Ok(Some(majority(&level_bits)))
 }
 
 /// The single-level scheme's per-value detection vote: the parity of the
@@ -768,18 +751,13 @@ mod reference {
     ) -> Result<EmbedChunk, WatermarkError> {
         let mut report = EmbeddingReport::empty(plan.wmd_len());
         let mut edits: Vec<Vec<Edit>> = vec![Vec::new(); kernel.columns.len()];
-        let Some(ident) = &kernel.ident else {
-            // No identity: nothing can be selected (embed plans always carry
-            // one; this mirrors the old guard against misused detect plans).
-            return Ok(EmbedChunk { report, edits });
-        };
         let columns = table.columns();
         let prf = plan.core.selector.permutation_prf();
         let wmd_len = plan.wmd.len() as u64;
         let mut buf = Vec::new();
         for row in range {
             buf.clear();
-            ident.write(columns, row, &mut buf);
+            kernel.ident.write(columns, row, &mut buf);
             if !plan.core.selector.selects(&buf) {
                 continue;
             }
@@ -858,18 +836,13 @@ mod reference {
         range: Range<usize>,
     ) -> Result<DetectionTally, WatermarkError> {
         let mut tally = DetectionTally::new(plan.wmd_len());
-        let Some(ident) = &kernel.ident else {
-            // The suspect table lost the virtual-key columns: no tuple can be
-            // re-identified, so the run legitimately collects zero votes.
-            return Ok(tally);
-        };
         let columns = table.columns();
         let prf = plan.core.selector.permutation_prf();
         let wmd_len = plan.wmd_len() as u64;
         let mut buf = Vec::new();
         for row in range {
             buf.clear();
-            ident.write(columns, row, &mut buf);
+            kernel.ident.write(columns, row, &mut buf);
             if !plan.core.selector.selects(&buf) {
                 continue;
             }
@@ -879,7 +852,7 @@ mod reference {
                 let Some(bit) = dc.votes.get(code as usize).copied().flatten() else { continue };
                 let pos =
                     KeyedPrf::reduce_wide(prf.prefixed_value_wide(&dc.bit_prefix, &buf), wmd_len);
-                tally.vote(pos as usize, bit, 1.0)?;
+                tally.vote(pos as usize, bit)?;
             }
         }
         Ok(tally)
@@ -891,7 +864,7 @@ mod tests {
     use super::*;
     use crate::hierarchical::HierarchicalWatermarker;
     use crate::key::{Mark, WatermarkConfig, WatermarkKey};
-    use crate::select::TupleIdentity;
+    use crate::select::{identity_bytes, identity_columns};
     use medshield_binning::{BinningAgent, BinningConfig, ColumnBinning};
     use medshield_datagen::{DatasetConfig, MedicalDataset};
     use medshield_dht::GeneralizationSet;
@@ -903,58 +876,73 @@ mod tests {
 
     /// Assert that the codec writes exactly the reference identity bytes on
     /// every row of `table`.
-    fn assert_codec_matches_reference(identity: &TupleIdentity, table: &Table) {
-        let resolved = identity.resolve(table.schema()).unwrap();
-        let codec = IdentCodec::build(&resolved, table);
+    fn assert_codec_matches_reference(table: &Table) {
+        let identity = identity_columns(table.schema()).unwrap();
+        let codec = IdentCodec::build(&identity, table);
         let mut buf = Vec::new();
         for row in 0..table.len() {
             buf.clear();
             codec.write(table.columns(), row, &mut buf);
-            assert_eq!(buf, resolved.bytes(table, row), "{identity:?}, row {row}");
+            assert_eq!(buf, identity_bytes(table, &identity, row), "{identity:?}, row {row}");
         }
+    }
+
+    /// The roles of the two candidate identity columns `mrn` and `ssn`:
+    /// `mrn` alone (0), `ssn` alone (1) or both (2) are identifying, the
+    /// other one is non-identifying.
+    fn identity_roles(identity: usize) -> (ColumnRole, ColumnRole) {
+        let role = |identifying| {
+            if identifying {
+                ColumnRole::Identifying
+            } else {
+                ColumnRole::NonIdentifying
+            }
+        };
+        (role(identity != 1), role(identity != 0))
     }
 
     #[test]
     fn ident_codec_matches_the_reference_on_int_and_dict_columns() {
-        let schema = Schema::new(vec![
-            ColumnDef::new("mrn", ColumnRole::Identifying),
-            ColumnDef::new("ssn", ColumnRole::Identifying),
-            ColumnDef::new("age", ColumnRole::QuasiNumeric),
-            ColumnDef::new("doctor", ColumnRole::QuasiCategorical),
-        ])
-        .unwrap();
-        let mut t = Table::new(schema);
-        for i in 0..60i64 {
-            let ssn = if i % 7 == 0 { Value::Null } else { Value::text(format!("ssn-{i}")) };
-            let doctor = Value::text(["Surgeon", "Nurse", ""][(i % 3) as usize]);
-            t.insert(vec![Value::int(i * 1_000 - 7), ssn, Value::int(20 + i % 50), doctor])
-                .unwrap();
-        }
-        // Integer-valued `mrn` and text-valued `ssn` are both interned in
-        // order of first occurrence.
-        let mrn = t.column(0).unwrap();
-        assert_eq!(mrn.dict().len(), 60);
-        assert_eq!(mrn.dict()[1], Value::int(993));
-        assert_eq!(mrn.codes()[..3], [0, 1, 2]);
-        let ssn = t.column(1).unwrap();
-        assert_eq!(ssn.dict()[..2], [Value::Null, Value::text("ssn-1")]);
-        assert_eq!(ssn.codes()[6..9], [6, 0, 7]);
-        assert_codec_matches_reference(&TupleIdentity::IdentifyingColumns, &t);
-        // A virtual key over the quasi columns, in non-schema order.
-        let virtual_key = TupleIdentity::VirtualKey(vec!["doctor".into(), "age".into()]);
-        assert_codec_matches_reference(&virtual_key, &t);
+        // Integer (`mrn`), text-with-nulls (`ssn`) and two-column identities.
+        for identity in 0..3 {
+            let (mrn_role, ssn_role) = identity_roles(identity);
+            let schema = Schema::new(vec![
+                ColumnDef::new("mrn", mrn_role),
+                ColumnDef::new("ssn", ssn_role),
+                ColumnDef::new("age", ColumnRole::QuasiNumeric),
+                ColumnDef::new("doctor", ColumnRole::QuasiCategorical),
+            ])
+            .unwrap();
+            let mut t = Table::new(schema);
+            for i in 0..60i64 {
+                let ssn = if i % 7 == 0 { Value::Null } else { Value::text(format!("ssn-{i}")) };
+                let doctor = Value::text(["Surgeon", "Nurse", ""][(i % 3) as usize]);
+                t.insert(vec![Value::int(i * 1_000 - 7), ssn, Value::int(20 + i % 50), doctor])
+                    .unwrap();
+            }
+            // Integer-valued `mrn` and text-valued `ssn` are both interned in
+            // order of first occurrence.
+            let mrn = t.column(0).unwrap();
+            assert_eq!(mrn.dict().len(), 60);
+            assert_eq!(mrn.dict()[1], Value::int(993));
+            assert_eq!(mrn.codes()[..3], [0, 1, 2]);
+            let ssn = t.column(1).unwrap();
+            assert_eq!(ssn.dict()[..2], [Value::Null, Value::text("ssn-1")]);
+            assert_eq!(ssn.codes()[6..9], [6, 0, 7]);
+            assert_codec_matches_reference(&t);
 
-        // Values interned after the codec was built are framed on the spot
-        // and still give the reference bytes.
-        let resolved = TupleIdentity::IdentifyingColumns.resolve(t.schema()).unwrap();
-        let codec = IdentCodec::build(&resolved, &t);
-        t.set_at(2, 0, &Value::int(-1)).unwrap();
-        t.set_at(3, 1, &Value::text("interned after the build")).unwrap();
-        let mut buf = Vec::new();
-        for row in 0..t.len() {
-            buf.clear();
-            codec.write(t.columns(), row, &mut buf);
-            assert_eq!(buf, resolved.bytes(&t, row), "row {row}");
+            // Values interned after the codec was built are framed on the
+            // spot and still give the reference bytes.
+            let identity = identity_columns(t.schema()).unwrap();
+            let codec = IdentCodec::build(&identity, &t);
+            t.set_at(2, 0, &Value::int(-1)).unwrap();
+            t.set_at(3, 1, &Value::text("interned after the build")).unwrap();
+            let mut buf = Vec::new();
+            for row in 0..t.len() {
+                buf.clear();
+                codec.write(t.columns(), row, &mut buf);
+                assert_eq!(buf, identity_bytes(&t, &identity, row), "{identity:?}, row {row}");
+            }
         }
     }
 
@@ -977,9 +965,7 @@ mod tests {
         // The codec is built on the table as embedding left it: every
         // ultimate node's value interned into the target columns, and the
         // moved cells rewritten by code.
-        assert_codec_matches_reference(&TupleIdentity::IdentifyingColumns, &marked);
-        let quasi = marked.schema().quasi_names().into_iter().map(String::from).collect();
-        assert_codec_matches_reference(&TupleIdentity::VirtualKey(quasi), &marked);
+        assert_codec_matches_reference(&marked);
     }
 
     /// A 300-row hospital table and its trees.
@@ -988,12 +974,17 @@ mod tests {
         HOSPITAL.get_or_init(|| MedicalDataset::generate(&DatasetConfig::small(300)))
     }
 
-    /// The first `rows` rows of the hospital table behind two identity
-    /// columns: `mrn`, all integers, and `ssn`, text with nulls and repeats.
-    fn with_identities(rows: usize, mrn: &[i64], ssn: &[u32]) -> Table {
+    /// The first `rows` rows of the hospital table behind two candidate
+    /// identity columns: `mrn`, all integers, and `ssn`, text with nulls and
+    /// repeats, with the roles [`identity_roles`] gives them.
+    fn with_identities(rows: usize, mrn: &[i64], ssn: &[u32], identity: usize) -> Table {
         let base = &hospital().table;
-        let mut defs = vec![ColumnDef::new("mrn", ColumnRole::Identifying)];
-        defs.extend(base.schema().columns().iter().cloned());
+        let (mrn_role, ssn_role) = identity_roles(identity);
+        let mut defs = vec![ColumnDef::new("mrn", mrn_role)];
+        defs.extend(base.schema().columns().iter().map(|c| match c.name.as_str() {
+            "ssn" => ColumnDef::new("ssn", ssn_role),
+            _ => c.clone(),
+        }));
         let mut table = Table::new(Schema::new(defs).unwrap());
         let ssn_col = base.schema().index_of("ssn").unwrap();
         for row in 0..rows {
@@ -1030,7 +1021,7 @@ mod tests {
         /// The batched kernels give the row-at-a-time kernels' edits, report
         /// and tally on any row range: row counts that are not multiples of
         /// the lane or block size, ranges from odd offsets, integer, text
-        /// (with nulls) and virtual-key identities, both embedding styles,
+        /// (with nulls) and two-column identities, both embedding styles,
         /// ultimate nodes at any depth, and (with a maximal set below some
         /// ultimate nodes) the covering-node error of the first failing cell.
         #[test]
@@ -1038,7 +1029,7 @@ mod tests {
             rows in 0usize..=300,
             bounds in (0usize..=300, 0usize..=300),
             ids in (vec(any::<i64>(), 300..=300), vec(0u32..60, 300..=300)),
-            identity in 0usize..4,
+            identity in 0usize..3,
             key in (any::<u32>(), 1u64..=4),
             depths in (
                 vec(0usize..=4, 5..=5),
@@ -1046,19 +1037,13 @@ mod tests {
             ),
         ) {
             let trees = &hospital().trees;
-            let table = with_identities(rows, &ids.0, &ids.1);
+            let table = with_identities(rows, &ids.0, &ids.1, identity);
             let start = bounds.0 % (rows + 1);
             let range = start..rows - bounds.1 % (rows - start + 1);
-            let mut config = WatermarkConfig::new(WatermarkKey::from_master(
+            let config = WatermarkConfig::new(WatermarkKey::from_master(
                 &key.0.to_be_bytes(),
                 key.1,
             ));
-            config.virtual_key_columns = match identity {
-                0 => vec!["mrn".into()],
-                1 => vec!["ssn".into()],
-                2 => vec!["mrn".into(), "ssn".into()],
-                _ => vec!["doctor".into(), "age".into()],
-            };
             // Raw values under ultimate nodes `depths` levels down (a
             // shallow leaf stands for itself), maximal nodes at the roots; or,
             // for one column, maximal nodes that leave some ultimate nodes
@@ -1100,9 +1085,9 @@ mod tests {
                 let plan = DetectPlan::build(&config, marked.schema(), &columns, trees, mark.len())
                     .unwrap();
                 let kernel = match style {
-                    EmbedStyle::Hierarchical => DetectKernel::prepare(&plan, &marked, |pc, v| {
-                        hierarchical_cell_vote(pc, v, false)
-                    }),
+                    EmbedStyle::Hierarchical => {
+                        DetectKernel::prepare(&plan, &marked, hierarchical_cell_vote)
+                    }
                     EmbedStyle::SingleLevel => {
                         DetectKernel::prepare(&plan, &marked, single_level_cell_vote)
                     }

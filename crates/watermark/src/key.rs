@@ -164,7 +164,10 @@ impl std::fmt::Display for Mark {
     }
 }
 
-/// Configuration of the watermarking agent.
+/// Configuration of the watermarking agent. Tuple identity is always the
+/// schema's identifying columns (Eq. 5), every quasi-identifying column
+/// carries the mark, and detection folds the level copies by plain majority
+/// (§5.3).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct WatermarkConfig {
     /// The secret key.
@@ -172,27 +175,12 @@ pub struct WatermarkConfig {
     /// Number of times the mark is replicated into `wmd` (multiple
     /// embedding, §5.3).
     pub duplication: usize,
-    /// Columns to embed into; `None` means every quasi-identifying column.
-    pub columns: Option<Vec<String>>,
-    /// Use level-weighted majority voting in detection (copies recovered
-    /// from higher levels get more weight, §5.3).
-    pub weighted_voting: bool,
-    /// Columns forming a virtual primary key when the identifying columns
-    /// cannot be relied on (footnote 1 of the paper). Empty means "use the
-    /// identifying columns".
-    pub virtual_key_columns: Vec<String>,
 }
 
 impl WatermarkConfig {
-    /// A configuration with the given key and defaults for the rest.
+    /// A configuration with the given key and the default duplication of 8.
     pub fn new(key: WatermarkKey) -> Self {
-        WatermarkConfig {
-            key,
-            duplication: 8,
-            columns: None,
-            weighted_voting: false,
-            virtual_key_columns: Vec::new(),
-        }
+        WatermarkConfig { key, duplication: 8 }
     }
 }
 

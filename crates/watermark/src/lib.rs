@@ -18,8 +18,7 @@
 //!   material) and the traitor-tracing scorer that ranks a release's
 //!   recipients against the bits recovered from a leaked table.
 //! * [`select`] — keyed tuple selection, Eq. (5): `H(ti.ident, k1) mod η = 0`,
-//!   with an optional virtual primary key when the identifying columns cannot
-//!   be relied on.
+//!   where the identity is the tuple's identifying columns.
 //! * [`hierarchical`] — the hierarchical embedding/detection algorithm of
 //!   Fig. 9, which watermarks *every* level between the maximal and ultimate
 //!   generalization nodes and is therefore resilient to the generalization
@@ -34,7 +33,8 @@
 //!   one wide midstate-cached PRF per (tuple, column) reduced per level.
 //!   Workers scan disjoint row ranges of a shared `&Table`; embedding emits
 //!   edit lists applied on the caller's thread.
-//! * [`voting`] — plain and level-weighted majority voting used in detection.
+//! * [`voting`] — the majority voting used in detection, with exact integer
+//!   vote counts.
 //! * [`ownership`] — the rightful-ownership protocol of §5.4: the mark is
 //!   `F(v)` for a statistic `v` of the clear-text identifying column, so the
 //!   owner never has to present the entire original table in court.
@@ -68,14 +68,11 @@ pub mod single_level;
 pub mod voting;
 
 pub use error::WatermarkError;
-pub use fingerprint::{
-    derive_recipient_mark, score_recipients, FingerprintDeriver, RecipientScore,
-};
+pub use fingerprint::{derive_recipient_mark, score_recipients, RecipientScore};
 pub use hierarchical::{DetectionReport, DetectionTally, EmbeddingReport, HierarchicalWatermarker};
 pub use kernel::{DetectKernel, EmbedChunk, EmbedKernel};
 pub use key::{Mark, WatermarkConfig, WatermarkKey};
 pub use ownership::{OwnershipProof, OwnershipVerdict};
 pub use plan::{DetectPlan, EmbedPlan};
-pub use select::{ResolvedIdentity, TupleIdentity};
 pub use single_level::SingleLevelWatermarker;
 pub use voting::VotingError;

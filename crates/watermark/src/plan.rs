@@ -11,7 +11,7 @@
 
 use crate::error::WatermarkError;
 use crate::key::{Mark, WatermarkConfig};
-use crate::select::{ResolvedIdentity, Selector, TupleIdentity};
+use crate::select::{identity_columns, Selector};
 use medshield_binning::ColumnBinning;
 use medshield_dht::DomainHierarchyTree;
 use medshield_relation::Schema;
@@ -47,17 +47,18 @@ pub(crate) struct PlanCore<'a> {
     pub schema: Schema,
     /// The keyed selector (Eq. 5 + permutation / bit indices).
     pub selector: Selector,
-    /// The schema-resolved tuple identity source. `None` only in detection
-    /// plans whose virtual-key columns the (attacked) table no longer has:
-    /// no identity means no tuple can be selected, so such a run simply
-    /// collects zero votes instead of failing.
-    pub identity: Option<ResolvedIdentity>,
+    /// Schema indices of the identifying columns, whose values form the
+    /// tuple identity the selector keys on.
+    pub identity: Vec<usize>,
     /// The resolved target columns.
     pub columns: Vec<PlanColumn<'a>>,
 }
 
 impl<'a> PlanCore<'a> {
     /// Resolve the run-wide state: selector, identity and target columns.
+    /// A schema without an identifying column fails with
+    /// [`WatermarkError::NoIdentity`] in either mode: no tuple could be
+    /// selected, and a zero-vote report would read as "no mark".
     pub fn build(
         config: &WatermarkConfig,
         schema: &Schema,
@@ -66,23 +67,9 @@ impl<'a> PlanCore<'a> {
         missing: MissingColumns,
     ) -> Result<Self, WatermarkError> {
         let selector = Selector::new(&config.key)?;
-        let identity = match TupleIdentity::from_virtual_columns(&config.virtual_key_columns)
-            .resolve(schema)
-        {
-            Ok(resolved) => Some(resolved),
-            // A virtual-key column the suspect table no longer carries: in
-            // skip mode (detection) the run degrades to a no-votes report, as
-            // the sequential detectors always did. Misconfiguration
-            // (NoIdentity, duplicate columns) still fails in either mode.
-            Err(WatermarkError::Relation(_)) if missing == MissingColumns::Skip => None,
-            Err(e) => return Err(e),
-        };
-        let targets: Vec<&'a ColumnBinning> = match &config.columns {
-            Some(wanted) => binning_columns.iter().filter(|c| wanted.contains(&c.column)).collect(),
-            None => binning_columns.iter().collect(),
-        };
-        let mut columns = Vec::with_capacity(targets.len());
-        for cb in targets {
+        let identity = identity_columns(schema)?;
+        let mut columns = Vec::with_capacity(binning_columns.len());
+        for cb in binning_columns {
             let tree = trees
                 .get(&cb.column)
                 .ok_or_else(|| WatermarkError::MissingTree(cb.column.clone()))?;

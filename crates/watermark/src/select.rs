@@ -1,103 +1,49 @@
 //! The identity of a tuple and keyed tuple selection (Eq. 5 of the paper).
 //!
 //! Watermarking alters only a keyed fraction of the tuples: tuple `ti` is
-//! selected when `H(ti.ident, k1) mod η == 0`. The identity bytes normally
-//! come from the (encrypted) identifying columns, which binning leaves intact;
-//! when those cannot be relied on, a *virtual primary key* is assembled from
-//! other columns (footnote 1, referencing Li/Swarup/Jajodia).
+//! selected when `H(ti.ident, k1) mod η == 0`. The identity bytes come from
+//! the (encrypted) identifying columns, which binning leaves intact and the
+//! watermark never writes. A table without an identifying column cannot be
+//! watermarked or searched for a mark ([`WatermarkError::NoIdentity`]); the
+//! paper's fallback of a virtual primary key over other columns (footnote 1)
+//! is not offered.
 
 use crate::error::WatermarkError;
 use crate::key::WatermarkKey;
 use medshield_crypto::KeyedPrf;
-use medshield_relation::{Schema, Table};
-use std::collections::BTreeSet;
+use medshield_relation::Schema;
 
-/// How a tuple's identity bytes are derived for the keyed hashes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TupleIdentity {
-    /// Concatenate the canonical bytes of the identifying columns (the
-    /// default; these are encrypted by binning and assumed to stay intact).
-    IdentifyingColumns,
-    /// Concatenate the canonical bytes of the named columns (virtual primary
-    /// key).
-    VirtualKey(Vec<String>),
+/// The schema indices of the identifying columns, whose values form a
+/// tuple's identity: each field's canonical bytes prefixed by its 64-bit
+/// big-endian length, in schema order. The framing keeps the concatenation
+/// injective regardless of the field encoding — two distinct tuples cannot
+/// collide to one identity by shifting bytes across a field boundary (e.g.
+/// `("ab", "c")` vs `("a", "bc")`).
+pub(crate) fn identity_columns(schema: &Schema) -> Result<Vec<usize>, WatermarkError> {
+    let indices = schema.identifying_indices();
+    if indices.is_empty() {
+        return Err(WatermarkError::NoIdentity);
+    }
+    Ok(indices)
 }
 
-impl TupleIdentity {
-    /// Build the identity source from a watermark configuration.
-    pub fn from_virtual_columns(virtual_key_columns: &[String]) -> Self {
-        if virtual_key_columns.is_empty() {
-            TupleIdentity::IdentifyingColumns
-        } else {
-            TupleIdentity::VirtualKey(virtual_key_columns.to_vec())
-        }
+/// The identity bytes of the tuple at `row` of `table`, field by field as
+/// [`identity_columns`] describes. The plain reference encoding; the
+/// watermark kernels assemble the same bytes from precomputed
+/// per-dictionary-entry encodings.
+#[cfg(test)]
+pub(crate) fn identity_bytes(
+    table: &medshield_relation::Table,
+    columns: &[usize],
+    row: usize,
+) -> Vec<u8> {
+    let mut out = Vec::new();
+    for &i in columns {
+        let field = table.columns()[i].value(row).canonical_bytes();
+        out.extend_from_slice(&(field.len() as u64).to_be_bytes());
+        out.extend_from_slice(&field);
     }
-
-    /// Resolve the identity source against a schema once, so the per-row
-    /// byte derivation needs no schema lookups (the chunk-parallel engine
-    /// hands workers disjoint row ranges of one shared table).
-    ///
-    /// A [`TupleIdentity::VirtualKey`] naming the same column twice is
-    /// rejected: the duplicate adds no entropy but makes two keys over
-    /// different column sets (e.g. `[a, a]` and `[a]` extended ad hoc)
-    /// silently produce related identities.
-    pub fn resolve(&self, schema: &Schema) -> Result<ResolvedIdentity, WatermarkError> {
-        let indices: Vec<usize> = match self {
-            TupleIdentity::IdentifyingColumns => {
-                let idx = schema.identifying_indices();
-                if idx.is_empty() {
-                    return Err(WatermarkError::NoIdentity);
-                }
-                idx
-            }
-            TupleIdentity::VirtualKey(columns) => {
-                if columns.is_empty() {
-                    return Err(WatermarkError::NoIdentity);
-                }
-                let mut seen = BTreeSet::new();
-                for c in columns {
-                    if !seen.insert(c.as_str()) {
-                        return Err(WatermarkError::DuplicateIdentityColumn(c.clone()));
-                    }
-                }
-                columns.iter().map(|c| schema.index_of(c)).collect::<Result<Vec<_>, _>>()?
-            }
-        };
-        Ok(ResolvedIdentity { indices })
-    }
-}
-
-/// A [`TupleIdentity`] resolved against a schema: the column indices whose
-/// values form a tuple's identity.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ResolvedIdentity {
-    indices: Vec<usize>,
-}
-
-impl ResolvedIdentity {
-    /// The identity bytes of the tuple at `row` of `table`: each identity
-    /// field's canonical bytes prefixed by its 64-bit big-endian length. The
-    /// framing keeps the concatenation injective regardless of the field
-    /// encoding — two distinct tuples cannot collide to one identity by
-    /// shifting bytes across a field boundary (e.g. `("ab", "c")` vs
-    /// `("a", "bc")`).
-    ///
-    /// This is the plain reference encoding; the watermark kernels assemble
-    /// the same bytes from precomputed per-dictionary-entry encodings.
-    pub fn bytes(&self, table: &Table, row: usize) -> Vec<u8> {
-        let mut out = Vec::new();
-        for &i in &self.indices {
-            let field = table.columns()[i].value(row).canonical_bytes();
-            out.extend_from_slice(&(field.len() as u64).to_be_bytes());
-            out.extend_from_slice(&field);
-        }
-        out
-    }
-
-    /// The resolved column indices, in identity order.
-    pub fn indices(&self) -> &[usize] {
-        &self.indices
-    }
+    out
 }
 
 /// The selection predicate of Eq. (5) plus the derived indices used by the
@@ -179,7 +125,7 @@ pub fn set_parity(index: usize, bit: bool, set_len: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use medshield_relation::{ColumnDef, ColumnRole, Schema, Value};
+    use medshield_relation::{ColumnDef, ColumnRole, Schema, Table, Value};
 
     fn table() -> Table {
         let schema = Schema::new(vec![
@@ -200,7 +146,7 @@ mod tests {
         t
     }
 
-    /// Length-prefix one field the way [`ResolvedIdentity::bytes`] does.
+    /// Length-prefix one field the way [`identity_bytes`] does.
     fn framed(value: &Value) -> Vec<u8> {
         let field = value.canonical_bytes();
         let mut out = (field.len() as u64).to_be_bytes().to_vec();
@@ -211,35 +157,8 @@ mod tests {
     #[test]
     fn identity_from_identifying_columns() {
         let t = table();
-        let id = TupleIdentity::IdentifyingColumns;
-        let bytes = id.resolve(t.schema()).unwrap().bytes(&t, 0);
-        assert_eq!(bytes, framed(&Value::text("ssn-0")));
-    }
-
-    #[test]
-    fn identity_from_virtual_key() {
-        let t = table();
-        let id = TupleIdentity::VirtualKey(vec!["age".into(), "doctor".into()]);
-        let bytes = id.resolve(t.schema()).unwrap().bytes(&t, 0);
-        let mut expected = framed(&Value::int(30));
-        expected.extend_from_slice(&framed(&Value::text("Surgeon")));
-        assert_eq!(bytes, expected);
-        // Unknown virtual column is an error.
-        let bad = TupleIdentity::VirtualKey(vec!["nope".into()]);
-        assert!(bad.resolve(t.schema()).is_err());
-        // Empty virtual key is rejected.
-        let empty = TupleIdentity::VirtualKey(vec![]);
-        assert!(matches!(empty.resolve(t.schema()), Err(WatermarkError::NoIdentity)));
-    }
-
-    #[test]
-    fn duplicate_virtual_key_columns_are_rejected() {
-        let t = table();
-        let dup = TupleIdentity::VirtualKey(vec!["age".into(), "doctor".into(), "age".into()]);
-        assert!(matches!(
-            dup.resolve(t.schema()),
-            Err(WatermarkError::DuplicateIdentityColumn(c)) if c == "age"
-        ));
+        let columns = identity_columns(t.schema()).unwrap();
+        assert_eq!(identity_bytes(&t, &columns, 0), framed(&Value::text("ssn-0")));
     }
 
     #[test]
@@ -266,8 +185,9 @@ mod tests {
         for (a, b) in rows {
             t.insert(vec![a, b]).unwrap();
         }
-        let resolved = TupleIdentity::IdentifyingColumns.resolve(t.schema()).unwrap();
-        let identities: Vec<Vec<u8>> = (0..t.len()).map(|row| resolved.bytes(&t, row)).collect();
+        let columns = identity_columns(t.schema()).unwrap();
+        let identities: Vec<Vec<u8>> =
+            (0..t.len()).map(|row| identity_bytes(&t, &columns, row)).collect();
         for i in 0..identities.len() {
             for j in (i + 1)..identities.len() {
                 assert_ne!(
@@ -280,14 +200,25 @@ mod tests {
 
     #[test]
     fn resolved_identity_matches_table_path() {
-        let t = table();
-        let id = TupleIdentity::VirtualKey(vec!["doctor".into(), "age".into()]);
-        let resolved = id.resolve(t.schema()).unwrap();
-        assert_eq!(resolved.indices(), &[2, 1]);
+        // Two identifying columns around a quasi column: the identity takes
+        // both, in schema order, and skips the quasi column between them.
+        let schema = Schema::new(vec![
+            ColumnDef::new("mrn", ColumnRole::Identifying),
+            ColumnDef::new("age", ColumnRole::QuasiNumeric),
+            ColumnDef::new("ssn", ColumnRole::Identifying),
+        ])
+        .unwrap();
+        let mut t = Table::new(schema);
+        for i in 0..20 {
+            t.insert(vec![Value::int(i), Value::int(30 + i), Value::text(format!("ssn-{i}"))])
+                .unwrap();
+        }
+        let columns = identity_columns(t.schema()).unwrap();
+        assert_eq!(columns, [0, 2]);
         for row in 0..t.len() {
-            let mut expected = framed(t.value_at(row, 2).unwrap());
-            expected.extend_from_slice(&framed(t.value_at(row, 1).unwrap()));
-            assert_eq!(resolved.bytes(&t, row), expected);
+            let mut expected = framed(t.value_at(row, 0).unwrap());
+            expected.extend_from_slice(&framed(t.value_at(row, 2).unwrap()));
+            assert_eq!(identity_bytes(&t, &columns, row), expected);
         }
     }
 
@@ -296,17 +227,7 @@ mod tests {
         let schema = Schema::new(vec![ColumnDef::new("x", ColumnRole::NonIdentifying)]).unwrap();
         let mut t = Table::new(schema);
         t.insert(vec![Value::int(1)]).unwrap();
-        let id = TupleIdentity::IdentifyingColumns;
-        assert!(matches!(id.resolve(t.schema()), Err(WatermarkError::NoIdentity)));
-    }
-
-    #[test]
-    fn from_virtual_columns_picks_source() {
-        assert_eq!(TupleIdentity::from_virtual_columns(&[]), TupleIdentity::IdentifyingColumns);
-        assert_eq!(
-            TupleIdentity::from_virtual_columns(&["a".into()]),
-            TupleIdentity::VirtualKey(vec!["a".into()])
-        );
+        assert!(matches!(identity_columns(t.schema()), Err(WatermarkError::NoIdentity)));
     }
 
     #[test]

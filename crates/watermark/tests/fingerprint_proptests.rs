@@ -14,7 +14,7 @@ use medshield_binning::{BinningAgent, BinningConfig, BinningOutcome};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 use medshield_dht::GeneralizationSet;
 use medshield_watermark::{
-    FingerprintDeriver, HierarchicalWatermarker, WatermarkConfig, WatermarkKey,
+    derive_recipient_mark, HierarchicalWatermarker, WatermarkConfig, WatermarkKey,
 };
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -48,10 +48,10 @@ proptest! {
         let (ds, binned) = binned();
         let key = WatermarkKey::from_master(b"owner-secret", 4);
         let wm = HierarchicalWatermarker::new(WatermarkConfig::new(key.clone()));
-        let deriver = FingerprintDeriver::new(&key, mark_len);
         let names: Vec<String> =
             (0..recipients).map(|i| format!("recipient-{i}")).collect();
-        let marks: Vec<_> = names.iter().map(|n| deriver.derive(n)).collect();
+        let marks: Vec<_> =
+            names.iter().map(|n| derive_recipient_mark(&key, n, mark_len)).collect();
 
         // Pairwise distinct fingerprints.
         for i in 0..marks.len() {

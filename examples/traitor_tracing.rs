@@ -9,7 +9,7 @@
 //! ```
 
 use medshield_core::attacks::{Attack, CollusionAttack, SubsetAlteration};
-use medshield_core::watermark::{score_recipients, FingerprintDeriver, HierarchicalWatermarker};
+use medshield_core::watermark::{derive_recipient_mark, score_recipients, HierarchicalWatermarker};
 use medshield_core::{ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 
@@ -31,13 +31,13 @@ fn main() {
     // Per-recipient copies: re-embed each clinic's fingerprint over the
     // release. Selecting tuples is content-keyed, so the re-embedding
     // overwrites exactly the cells the release mark occupies.
-    let deriver = FingerprintDeriver::new(&owner.config().watermark.key, owner.config().mark_len);
     let wm = HierarchicalWatermarker::new(owner.config().watermark.clone());
     let clinics = ["clinic-a", "clinic-b", "clinic-c"];
     let copies: Vec<_> = clinics
         .iter()
         .map(|name| {
-            let mark = deriver.derive(name);
+            let mark =
+                derive_recipient_mark(&owner.config().watermark.key, name, owner.config().mark_len);
             let (copy, _) = wm
                 .embed_into(&release.table, &release.binning.columns, &dataset.trees, &mark)
                 .unwrap();

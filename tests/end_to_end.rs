@@ -6,7 +6,8 @@ use medshield_core::metrics::{
     column_satisfies_k, mark_loss, satisfies_k_anonymity, table_info_loss, ColumnGeneralization,
 };
 use medshield_core::relation::{csv, ColumnRole, Value};
-use medshield_core::{ProtectionConfig, ProtectionEngine};
+use medshield_core::watermark::WatermarkError;
+use medshield_core::{PipelineError, ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 
 fn dataset(n: usize) -> MedicalDataset {
@@ -105,6 +106,34 @@ fn release_survives_csv_roundtrip_and_detection_still_works() {
         0.0,
         "CSV round-trip must not destroy the mark"
     );
+}
+
+/// A suspect whose identifying column was cut has no tuple identity, so no
+/// tuple can be selected: detection must fail with `NoIdentity` rather
+/// than answer a zero-vote report that reads like unmarked data.
+#[test]
+fn detection_of_a_suspect_without_its_identifying_column_fails() {
+    let ds = dataset(500);
+    let pipeline = ProtectionEngine::sequential(ProtectionConfig::builder().k(5).eta(8).build());
+    let release = pipeline.protect(&ds.table, &ds.trees).unwrap();
+    let text = csv::to_csv(&release.table);
+    // Cut the leading `ssn` field from the header and from every row.
+    let cut: String =
+        text.lines().map(|line| format!("{}\n", line.split_once(',').unwrap().1)).collect();
+    assert!(cut.starts_with("age,"), "ssn must be the first column: {}", &text[..40]);
+    let roles = [
+        ("age", ColumnRole::QuasiNumeric),
+        ("zip_code", ColumnRole::QuasiNumeric),
+        ("doctor", ColumnRole::QuasiCategorical),
+        ("symptom", ColumnRole::QuasiCategorical),
+        ("prescription", ColumnRole::QuasiCategorical),
+    ];
+    let suspect = csv::from_csv(&cut, &roles).unwrap();
+    assert_eq!(suspect.len(), release.table.len());
+    assert!(matches!(
+        pipeline.detect(&suspect, &release.binning.columns, &ds.trees),
+        Err(PipelineError::Watermark(WatermarkError::NoIdentity))
+    ));
 }
 
 #[test]

@@ -5,7 +5,7 @@
 
 use medshield_core::attacks::{Attack, CollusionAttack, SubsetAlteration, SubsetDeletion};
 use medshield_core::relation::{csv, Table};
-use medshield_core::watermark::{score_recipients, FingerprintDeriver, HierarchicalWatermarker};
+use medshield_core::watermark::{derive_recipient_mark, score_recipients, HierarchicalWatermarker};
 use medshield_core::{ProtectedRelease, ProtectionConfig, ProtectionEngine};
 use medshield_datagen::{DatasetConfig, MedicalDataset};
 
@@ -28,12 +28,12 @@ fn fixture() -> Fixture {
             .build(),
     );
     let release = owner.protect(&dataset.table, &dataset.trees).unwrap();
-    let deriver = FingerprintDeriver::new(&owner.config().watermark.key, owner.config().mark_len);
     let wm = HierarchicalWatermarker::new(owner.config().watermark.clone());
     let copies = ["clinic-a", "clinic-b", "clinic-c"]
         .iter()
         .map(|name| {
-            let mark = deriver.derive(name);
+            let mark =
+                derive_recipient_mark(&owner.config().watermark.key, name, owner.config().mark_len);
             let (copy, report) = wm
                 .embed_into(&release.table, &release.binning.columns, &dataset.trees, &mark)
                 .unwrap();
